@@ -44,18 +44,13 @@ def _emit(args, payload_json: dict, plain_lines: list[str],
             print(line)
 
 
-def _sequence_for(args, g):
-    return count_by_size(g, backend=getattr(args, "backend", "auto"),
-                         workers=args.workers)
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
     g = graphs.parse_graph_spec(args.graph)
-    seq = _sequence_for(args, g)
+    seq = count_by_size(g)
     rows = "\n".join(f"{t},{c}" for t, c in enumerate(seq.counts))
     _emit(args, seq.to_json_dict(args.graph),
           [f"graph {args.graph}: alpha = {seq.alpha}, total = {seq.total}"]
@@ -76,7 +71,7 @@ def cmd_bounds(args) -> int:
         print(f"graph is {degs.pop()}-regular, not {args.d}-regular",
               file=sys.stderr)
         return EXIT_USAGE
-    seq = _sequence_for(args, g)
+    seq = count_by_size(g)
     table = bnd.build_bound_table(g.n, d, seq)
     violations = bnd.check_sandwich(g.n, d, seq)
     lambdas = [Fraction(x) for x in args.lam] or \
@@ -103,7 +98,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_check(args) -> int:
     g = graphs.parse_graph_spec(args.graph)
-    seq = _sequence_for(args, g)
+    seq = count_by_size(g)
     payload: dict = {"graph": args.graph, "property": args.property,
                      "alpha": seq.alpha}
     if args.property == "unimodal":
@@ -198,7 +193,7 @@ def cmd_transition(args) -> int:
         print("exact transition ratios need d <= 5", file=sys.stderr)
         return EXIT_USAGE
     g = graphs.hypercube(args.d)
-    seq = count_by_size(g, workers=args.workers)
+    seq = count_by_size(g)
     ts = args.t or list(range(0, (1 << (args.d - 1)) + 1))
     rows = []
     for t in ts:
@@ -256,7 +251,7 @@ def cmd_verify(args) -> int:
         print(f"[{status}] {name}{suffix}")
 
     from .verify import run_suite
-    for name, ok, detail in run_suite(args.suite, workers=args.workers):
+    for name, ok, detail in run_suite(args.suite):
         report(name, ok, detail)
     print(f"{failures} failure(s)")
     return EXIT_INVARIANT if failures else EXIT_OK
@@ -275,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", type=int, default=numerics.DEFAULT_PRECISION_BITS,
                     metavar="BITS", help="working mantissa bits for "
                     "transcendental evaluation (default %(default)s)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="process count for partitionable scans")
     ap.add_argument("--c-constant", type=_fraction, default=Fraction(1),
                     metavar="RATIONAL", dest="c_constant",
                     help="unpinned constant in the density-window "
@@ -291,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph spec, e.g. qd:4, "
                    "knn:3,3, cycle:12, path:5, aems, crown:4, "
                    "circ:12,1,5, file:PATH")
-    p.add_argument("--backend", choices=("auto", "general", "bipartite"),
-                   default="auto")
     add_format(p)
     p.set_defaults(func=cmd_count)
 
@@ -305,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", action="append", default=[], metavar="RATIONAL",
                    help="activity for the partition-function checks "
                    "(repeatable; default 1/4 1/2 1 2 4)")
-    p.add_argument("--backend", choices=("auto", "general", "bipartite"),
-                   default="auto")
     add_format(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -317,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_fraction, default=Fraction(0))
     p.add_argument("--gamma", type=_fraction, default=Fraction(0))
     p.add_argument("--step", type=int, default=1, help="step size s for bgs")
-    p.add_argument("--backend", choices=("auto", "general", "bipartite"),
-                   default="auto")
     add_format(p)
     p.set_defaults(func=cmd_check)
 
@@ -356,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment trial count (default %(default)s)")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10),
                    help="interval-property parameter (default 1/10)")
-    p.add_argument("--s-rule", choices=("default",), default="default",
-                   dest="s_rule", help="step-size rule (recorded in output)")
     add_format(p)
     p.set_defaults(func=cmd_percolate)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -210,10 +210,10 @@ def structure_stats_json(d: int, a: VertexSet) -> str:
 # Full scans over subsets of the even class
 # ---------------------------------------------------------------------------
 
-def _small_scan_chunk(d: int, prefix: int, low_bits: int) -> dict:
-    """Scan subsets A of the even class with fixed high-order selection
-    bits: Gray-code walk maintaining the neighborhood union, recording
-    (|A|, |N(A)|, 2-linked) for the small A only.
+def _small_scan(d: int) -> dict:
+    """Scan all subsets A of the even class: Gray-code walk maintaining the
+    neighborhood union, recording (|A|, |N(A)|, 2-linked) for the small A
+    only.
 
     A subset with |A| > 2**(d-2) is never small (A is independent inside
     the class, so A is contained in [A]); its closure is not computed.
@@ -246,9 +246,6 @@ def _small_scan_chunk(d: int, prefix: int, low_bits: int) -> dict:
                 if cover[w] == 0:
                     nbits &= ~(1 << w)
 
-    for j in bits_of(prefix):
-        apply(low_bits + j, True)
-
     table: dict[tuple[int, int, bool], int] = {}
 
     def record():
@@ -266,7 +263,7 @@ def _small_scan_chunk(d: int, prefix: int, low_bits: int) -> dict:
         table[key] = table.get(key, 0) + 1
 
     record()
-    for i in range(1, 1 << low_bits):
+    for i in range(1, 1 << m):
         flip = (i & -i).bit_length() - 1
         apply(flip, bool((i ^ (i >> 1)) >> flip & 1))
         record()
@@ -289,8 +286,8 @@ def _linked_within_class(abits: int) -> bool:
     return len(seen) == k
 
 
-def small_set_scan(d: int, workers: int = 1,
-                   cache_dir: Optional[str] = None) -> dict[tuple[int, int, bool], int]:
+def small_set_scan(d: int, cache_dir: Optional[str] = None
+                   ) -> dict[tuple[int, int, bool], int]:
     """Joint counts over all small A in the even class of Q_d, keyed by
     (|A|, |N(A)|, 2-linked).  Cached to disk when a cache directory is
     configured (argument or STABLESEQ_CACHE_DIR)."""
@@ -298,19 +295,7 @@ def small_set_scan(d: int, workers: int = 1,
     cached = _cache_load(d, "small-scan", cache_dir)
     if cached is not None:
         return {(int(a), int(g), bool(l)): int(c) for (a, g, l), c in cached}
-    m = 1 << (d - 1)
-    if workers <= 1 or m < 8:
-        table = _small_scan_chunk(d, 0, m)
-    else:
-        prefix_bits = max(1, min(m - 4, (workers - 1).bit_length()))
-        low = m - prefix_bits
-        table = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_small_scan_chunk, d, p, low)
-                       for p in range(1 << prefix_bits)]
-            for fut in futures:
-                for key, c in fut.result().items():
-                    table[key] = table.get(key, 0) + c
+    table = _small_scan(d)
     _cache_store(d, "small-scan",
                  [[list(k), c] for k, c in sorted(table.items())], cache_dir)
     return table
@@ -330,9 +315,17 @@ def _cache_store(d: int, predicate: str, data, cache_dir) -> None:
         return
     payload = json.dumps(data, sort_keys=True)
     digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"d": d, "predicate": predicate, "sha256": digest,
-                   "data": data}, fh, sort_keys=True)
+    # Write a temporary file beside the target and rename it into place, so
+    # a write that fails part-way leaves any earlier cache file intact.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            json.dump({"d": d, "predicate": predicate, "sha256": digest,
+                       "data": data}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cache_load(d: int, predicate: str, cache_dir):
@@ -352,11 +345,11 @@ def _cache_load(d: int, predicate: str, cache_dir):
         return None
 
 
-def small_profile(d: int, workers: int = 1,
-                  cache_dir: Optional[str] = None) -> dict[tuple[int, int], int]:
+def small_profile(d: int, cache_dir: Optional[str] = None
+                  ) -> dict[tuple[int, int], int]:
     """Counts of small A in the even class keyed by (|A|, |N(A)|)."""
     out: dict[tuple[int, int], int] = {}
-    for (a, g, _linked), c in small_set_scan(d, workers, cache_dir).items():
+    for (a, g, _linked), c in small_set_scan(d, cache_dir).items():
         out[(a, g)] = out.get((a, g), 0) + c
     return out
 
@@ -365,7 +358,7 @@ def small_profile(d: int, workers: int = 1,
 # Upper bound: small-set scan
 # ---------------------------------------------------------------------------
 
-def eq_upper_small_sets(d: int, t: int, profile=None, workers: int = 1) -> int:
+def eq_upper_small_sets(d: int, t: int, profile=None) -> int:
     """Rigorous upper bound on i_t(Q_d):
     2 * sum over small A in the even class of C(2**(d-1) - |N(A)|, t - |A|).
     """
@@ -374,7 +367,7 @@ def eq_upper_small_sets(d: int, t: int, profile=None, workers: int = 1) -> int:
     if not 0 <= t <= half:
         raise ValueError("t outside [0, 2^(d-1)]")
     if profile is None:
-        profile = small_profile(d, workers=workers)
+        profile = small_profile(d)
     total = 0
     for (a, g), c in profile.items():
         if t - a >= 0:

@@ -1,14 +1,17 @@
 """Exact computation of independent-set counts by size.
 
-Two backends:
+count_by_size is the counting engine.  It branches on a maximum-degree
+vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
+remaining vertex set into connected components whose sequences multiply,
+and memoises every component's sequence by its vertex mask.  Components
+that are paths take their closed form.
 
-* general: recursive branch-and-count on a maximum-degree vertex, using
-  seq(G) = seq(G - v) + shift_1(seq(G - N[v])), pure branching with no
-  memoization;
-* bipartite: side-profile enumeration.  Every independent set is a subset
-  A of one class plus an arbitrary subset of the other class avoiding N(A),
-  so i_t(G) = sum over A of C(|O| - |N(A)|, t - |A|), grouped by the joint
-  profile (|A|, |N(A)|).
+side_profile with sequence_from_profile is an independent oracle for
+bipartite graphs, which the tests and the verify suite compare the engine
+against.  Every independent set is a subset A of one class plus an
+arbitrary subset of the other class avoiding N(A), so
+i_t(G) = sum over A of C(|O| - |N(A)|, t - |A|), grouped by the joint
+profile (|A|, |N(A)|).
 
 All counts are arbitrary-precision integers; this module contains no
 floating point.
@@ -17,18 +20,34 @@ floating point.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Bipartition, Graph, GraphError, NotBipartiteError, bipartition
-from .numerics import binom, bits_of, popcount
+from .graphs import Bipartition, Graph, GraphError, bipartition
+from .numerics import binom, bits_of
 
-# The general cap covers the 49-vertex claw-composite fixture, a first-class
-# input of the exact counter.
-GENERAL_BACKEND_CAP = 50
+# Largest class the side-profile oracle scans: 2**28 subsets.
 SIDE_BACKEND_CAP = 28
+
+# Work budget of one count_by_size call, in 64-bit words of memoised
+# coefficients (a coefficient of b bits counts 1 + b // 64 words).  Q_6 takes
+# about 0.92 million words in 110 thousand entries; Q_7 stops at the budget
+# after 9 s at a peak RSS of about 100 MB (Python 3.11, x86-64).
+MEMO_WORD_BUDGET = 1 << 21
+
+
+class CountBudgetError(GraphError):
+    """count_by_size stopped at its work budget; carries the work done."""
+
+    def __init__(self, branch_nodes: int, memo_entries: int, memo_words: int):
+        super().__init__(
+            f"counting budget of {MEMO_WORD_BUDGET} memo words exceeded after "
+            f"{branch_nodes} branch nodes and {memo_entries} memo entries "
+            f"({memo_words} words)")
+        self.branch_nodes = branch_nodes
+        self.memo_entries = memo_entries
+        self.memo_words = memo_words
 
 
 @dataclass(frozen=True)
@@ -112,37 +131,18 @@ class SideProfile:
         }
 
 
-def _compact_side_adjacency(g: Graph, b: Bipartition) -> list[int]:
-    """Adjacency of classE vertices re-indexed over classO positions."""
-    o_index = {v: i for i, v in enumerate(b.class_o)}
-    rows = []
-    for v in b.class_e:
-        row = 0
-        for w in bits_of(g.adj[v]):
-            row |= 1 << o_index[w]
-        rows.append(row)
-    return rows
-
-
-def _profile_chunk(adj_e: list[int], o_size: int, m: int,
-                   prefix: int, low_bits: int) -> dict[tuple[int, int], int]:
-    """Profile of all subsets whose top (m - low_bits) selection bits equal
-    prefix.  Walks the low bits in Gray-code order, maintaining a coverage
-    counter per classO vertex so each step costs O(degree)."""
-    nbrs = [list(bits_of(row)) for row in adj_e]
+def _profile_scan(nbrs: list[list[int]], o_size: int
+                  ) -> dict[tuple[int, int], int]:
+    """Profile of all subsets of classE, given each classE vertex's
+    neighbours as classO positions.  Walks the subsets in Gray-code order,
+    maintaining a coverage counter per classO vertex so each step costs
+    O(degree)."""
     cover = [0] * o_size
     size = 0
     covered = 0
-    for j in bits_of(prefix):
-        size += 1
-        for w in nbrs[low_bits + j]:
-            if cover[w] == 0:
-                covered += 1
-            cover[w] += 1
-    table: dict[tuple[int, int], int] = {}
-    table[(size, covered)] = 1
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
     table_get = table.get
-    for i in range(1, 1 << low_bits):
+    for i in range(1, 1 << len(nbrs)):
         flip = (i & -i).bit_length() - 1
         if (i ^ (i >> 1)) >> flip & 1:
             size += 1
@@ -161,14 +161,8 @@ def _profile_chunk(adj_e: list[int], o_size: int, m: int,
     return table
 
 
-def side_profile(g: Graph, b: Optional[Bipartition] = None,
-                 workers: int = 1) -> SideProfile:
-    """Exact (|A|, |N(A)|) profile over all 2**|classE| subsets of classE.
-
-    The scan may be partitioned across processes by fixing high-order subset
-    bits; partial tables are merged by addition in a fixed order, so the
-    result does not depend on the worker count.
-    """
+def side_profile(g: Graph, b: Optional[Bipartition] = None) -> SideProfile:
+    """Exact (|A|, |N(A)|) profile over all 2**|classE| subsets of classE."""
     if b is None:
         b = bipartition(g)
     else:
@@ -182,21 +176,10 @@ def side_profile(g: Graph, b: Optional[Bipartition] = None,
     m = len(b.class_e)
     if m > SIDE_BACKEND_CAP:
         raise GraphError(f"|classE| = {m} exceeds cap {SIDE_BACKEND_CAP}")
-    adj_e = _compact_side_adjacency(g, b)
+    o_index = {v: i for i, v in enumerate(b.class_o)}
+    nbrs = [[o_index[w] for w in bits_of(g.adj[v])] for v in b.class_e]
     o_size = len(b.class_o)
-    if workers <= 1 or m < 8:
-        table = _profile_chunk(adj_e, o_size, m, 0, m)
-    else:
-        prefix_bits = max(1, min(m - 4, (workers - 1).bit_length()))
-        low = m - prefix_bits
-        chunks = range(1 << prefix_bits)
-        table = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_profile_chunk, adj_e, o_size, m, p, low)
-                       for p in chunks]
-            for fut in futures:  # fixed merge order
-                for key, c in fut.result().items():
-                    table[key] = table.get(key, 0) + c
+    table = _profile_scan(nbrs, o_size)
     return SideProfile(table=table, class_e_size=m, class_o_size=o_size)
 
 
@@ -215,70 +198,113 @@ def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     return IndSetSequence(tuple(counts))
 
 
-def _add_shifted(base: list[int], shifted: list[int]) -> list[int]:
-    # base + x * shifted, as size-indexed coefficient vectors
-    out = list(base)
-    need = len(shifted) + 1
-    if len(out) < need:
-        out.extend([0] * (need - len(out)))
-    for i, c in enumerate(shifted):
-        out[i + 1] += c
+def _components(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph on mask."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
     return out
 
 
-def _count_general_mask(adj: tuple[int, ...], mask: int) -> list[int]:
-    if mask == 0:
-        return [1]
-    best_v = -1
-    best_deg = -1
-    for v in bits_of(mask):
-        deg = popcount(adj[v] & mask)
+def _max_degree_vertex(adj: tuple[int, ...], mask: int
+                       ) -> tuple[int, int, int]:
+    """Lowest-indexed vertex of maximum degree in the subgraph on mask, with
+    that degree and the subgraph's degree sum."""
+    best_v = best_deg = -1
+    deg_sum = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        deg = (adj[v] & mask).bit_count()
+        deg_sum += deg
         if deg > best_deg:
-            best_deg = deg
-            best_v = v
-    if best_deg == 0:
-        # isolated vertices remain: counts are binomials
-        k = popcount(mask)
-        return [binom(k, t) for t in range(k + 1)]
-    v = best_v
-    without = _count_general_mask(adj, mask & ~(1 << v))
-    with_v = _count_general_mask(adj, mask & ~(adj[v] | (1 << v)))
-    out = _add_shifted(without, with_v)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+            best_v, best_deg = v, deg
+        rest ^= low
+    return best_v, best_deg, deg_sum
+
+
+def _path_sequence(k: int) -> list[int]:
+    """i_t of the path on k vertices, C(k + 1 - t, t), each term from the
+    one before by the exact ratio of consecutive terms."""
+    seq = [1]
+    for t in range((k + 1) // 2):
+        seq.append(seq[-1] * (k + 1 - 2 * t) * (k - 2 * t)
+                   // ((t + 1) * (k + 1 - t)))
+    return seq
+
+
+def _product(memo: dict[int, list[int]], comps: list[int]) -> list[int]:
+    """Sequence of the disjoint union of comps: the product of theirs.  The
+    k single vertices among them contribute the binomial row C(k, t)."""
+    singles = sum(1 for c in comps if c & (c - 1) == 0)
+    out = [1]
+    for t in range(singles):
+        out.append(out[-1] * (singles - t) // (t + 1))
+    for c in comps:
+        if c & (c - 1) == 0:
+            continue
+        factor = memo[c]
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        out = prod
     return out
 
 
-def count_general(g: Graph, cap: Optional[int] = None) -> IndSetSequence:
-    cap = GENERAL_BACKEND_CAP if cap is None else cap
-    if g.n > cap:
-        raise GraphError(f"|V| = {g.n} exceeds general backend cap {cap}")
-    return IndSetSequence(tuple(_count_general_mask(g.adj, (1 << g.n) - 1)))
-
-
-def count_by_size(g: Graph, backend: str = "auto", workers: int = 1,
-                  cap: Optional[int] = None) -> IndSetSequence:
+def count_by_size(g: Graph) -> IndSetSequence:
     """Exact independent-set sequence of g.
 
-    backend "auto" prefers the bipartite side-profile method when the graph
-    is bipartite and within cap, falling back to general branching.
-    Forcing backend "bipartite" on a non-bipartite graph is a hard error.
+    Components that are paths take their closed form instead of branching.
+    The work runs on an explicit stack, so no input can exhaust Python's
+    recursion limit.  A component's memo entry is stored once the sequences
+    of both branches are known; single vertices are never stored.  The memo
+    lives for one call.  Raises CountBudgetError when the memo would exceed
+    MEMO_WORD_BUDGET.
     """
-    if backend not in ("auto", "general", "bipartite"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend in ("auto", "bipartite"):
-        try:
-            b = bipartition(g)
-        except NotBipartiteError:
-            if backend == "bipartite":
-                raise
-            b = None
-        if b is not None and len(b.class_e) <= SIDE_BACKEND_CAP:
-            return sequence_from_profile(side_profile(g, b, workers=workers))
-        if backend == "bipartite":
-            raise GraphError("bipartite backend cap exceeded")
-    return count_general(g, cap=cap)
-
-
-def independence_number(g: Graph, backend: str = "auto") -> int:
-    return count_by_size(g, backend=backend).alpha
+    adj = g.adj
+    memo: dict[int, list[int]] = {}
+    branch_nodes = words = 0
+    top = _components(adj, (1 << g.n) - 1)
+    stack: list[tuple] = [(c, None, None) for c in top]
+    while stack:
+        c, without, with_v = stack.pop()
+        if without is None:
+            if c & (c - 1) == 0 or c in memo:
+                continue
+            v, max_deg, deg_sum = _max_degree_vertex(adj, c)
+            k = c.bit_count()
+            if max_deg <= 2 and deg_sum < 2 * k:
+                # connected, maximum degree 2 and fewer than k edges: a path
+                seq = _path_sequence(k)
+            else:
+                branch_nodes += 1
+                without = _components(adj, c & ~(1 << v))
+                with_v = _components(adj, c & ~(adj[v] | 1 << v))
+                stack.append((c, without, with_v))
+                stack.extend((x, None, None) for x in without + with_v)
+                continue
+        else:
+            # seq(c - v) + x * seq(c - N[v])
+            seq = _product(memo, without)
+            shifted = _product(memo, with_v)
+            seq.extend([0] * (len(shifted) + 1 - len(seq)))
+            for t, count in enumerate(shifted, start=1):
+                seq[t] += count
+        # every coefficient is at most the component's total
+        words += len(seq) * (1 + sum(seq).bit_length() // 64)
+        if words > MEMO_WORD_BUDGET:
+            raise CountBudgetError(branch_nodes, len(memo), words)
+        memo[c] = seq
+    return IndSetSequence(tuple(_product(memo, top)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .numerics import bits_of, popcount
 
@@ -40,7 +40,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -84,7 +83,7 @@ def check_simple(g: Graph) -> None:
                 raise GraphError(f"asymmetric edge {u}->{v}")
 
 
-def from_edges(n: int, edges, labels=None) -> Graph:
+def from_edges(n: int, edges) -> Graph:
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -93,7 +92,7 @@ def from_edges(n: int, edges, labels=None) -> Graph:
             raise GraphError(f"edge ({u},{v}) out of range")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), labels)
+    return Graph(n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -315,8 +314,13 @@ def parse_graph_spec(spec: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
             parts = [int(x) for x in arg.split(",")]
             return circulant_bipartite(parts[0], parts[1:], cap)
         if name == "file":
-            with open(arg, "r", encoding="ascii") as fh:
-                return graph_from_text(fh.read())
+            try:
+                with open(arg, "r", encoding="ascii") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise GraphError(f"cannot read graph file {arg!r}: "
+                                 f"{exc.strerror or exc}") from exc
+            return graph_from_text(text)
     except (ValueError, IndexError) as exc:
         if isinstance(exc, GraphError):
             raise
@@ -331,20 +335,38 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line: str, lineno: int, what: str) -> tuple[int, int]:
+    fields = line.split()
+    try:
+        if len(fields) != 2:
+            raise ValueError
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected {what}, got "
+                         f"{line.strip()!r}") from None
+
+
 def graph_from_text(text: str) -> Graph:
-    rows = [line for line in text.splitlines() if line.strip()]
+    """Inverse of graph_to_text.  Blank lines are skipped; every error names
+    the line it is on, and the header's m must equal the number of distinct
+    edges."""
+    rows = [(i, line) for i, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]
     if not rows:
         raise GraphError("empty graph file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise GraphError("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        u, v = (int(x) for x in line.split())
-        edges.append((u, v))
-    g = from_edges(n, edges)
-    check_simple(g)
-    return g
+    n, m = _int_pair(rows[0][1], rows[0][0], "'n m'")
+    seen: dict[tuple[int, int], int] = {}
+    for lineno, line in rows[1:]:
+        u, v = _int_pair(line, lineno, "'u v'")
+        if u == v:
+            raise GraphError(f"line {lineno}: loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"line {lineno}: edge ({u},{v}) out of range")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphError(f"line {lineno}: duplicate of the edge on line "
+                             f"{seen[key]}")
+        seen[key] = lineno
+    if len(seen) != m:
+        raise GraphError(f"header declares {m} edges, found {len(seen)}")
+    return from_edges(n, seen)

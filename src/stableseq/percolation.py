@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 import mpmath as mp
 
@@ -22,8 +21,6 @@ from .bounds import entropy_derivative
 from .exact import IndSetSequence, count_by_size
 from .graphs import Bipartition, Graph, complete_bipartite, regularity_profile
 from .seqshape import check_property_bgs
-
-EXPERIMENT_SIDE_CAP = 22
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,7 +59,7 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     for u, v in kept:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj), g.labels)
+    return Graph(g.n, tuple(adj))
 
 
 def gnnp(n: int, p, seed: int, trial: int = 0) -> tuple[Graph, Bipartition]:
@@ -150,22 +147,18 @@ class ExperimentSummary:
 
 
 def run_experiment(cfg: PercolationConfig,
-                   epsilon=Fraction(1, 10),
-                   s_rule: Optional[Callable[[int, Fraction, Fraction], int]] = None,
-                   ) -> ExperimentSummary:
+                   epsilon=Fraction(1, 10)) -> ExperimentSummary:
     """Sample cfg.trials graphs from the percolated K_{n,n}, compute each
     exact count sequence, and check the two-sided interval property
-    (epsilon, epsilon, s) with s chosen per trial by s_rule from the
-    sampled graph's regularity defect at the reference degree d' = n p.
+    (epsilon, epsilon, s) with s chosen per trial by default_step_rule
+    from the sampled graph's regularity defect at the reference degree
+    d' = n p.
 
     d' = n p is a recorded experimental choice; it is surfaced in the
     summary next to every verdict.
     """
     epsilon = Fraction(epsilon)
     n = cfg.base_side
-    if n > EXPERIMENT_SIDE_CAP:
-        raise ValueError(f"side {n} exceeds experiment cap {EXPERIMENT_SIDE_CAP}")
-    rule = s_rule or default_step_rule
     d_prime = n * cfg.p
     records = []
     successes = 0
@@ -176,8 +169,8 @@ def run_experiment(cfg: PercolationConfig,
             h = prof.h_value
         else:
             h = Fraction(0)
-        s_used = rule(n, h, epsilon)
-        seq = count_by_size(sample, backend="bipartite")
+        s_used = default_step_rule(n, h, epsilon)
+        seq = count_by_size(sample)
         flagged = seq.alpha != n
         holds = False
         if not flagged:

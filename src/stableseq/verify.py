@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import bounds as bnd
 from . import cube, cube_estimates as est, graphs, percolation, seqshape
-from .exact import count_by_size, count_general, polynomial_eval, side_profile, \
+from .exact import count_by_size, polynomial_eval, side_profile, \
     sequence_from_profile
 
 
@@ -24,21 +24,21 @@ def small_regular_corpus():
     return out
 
 
-def run_suite(suite: str, workers: int = 1):
-    yield from _suite_small(workers)
+def run_suite(suite: str):
+    yield from _suite_small()
     if suite == "full":
-        yield from _suite_full(workers)
+        yield from _suite_full()
 
 
-def _suite_small(workers: int):
+def _suite_small():
     seq = count_by_size(graphs.claw_composite())
     yield ("claw-composite counts", tuple(seq.counts) == (1, 49, 48, 64),
            f"got {list(seq.counts)}")
 
     for d in (3, 4):
         g = graphs.hypercube(d)
-        a = count_general(g)
-        b = sequence_from_profile(side_profile(g, workers=workers))
+        a = count_by_size(g)
+        b = sequence_from_profile(side_profile(g))
         agree = a.counts == b.counts
         uni, _ = seqshape.is_unimodal(a)
         yield (f"qd:{d} backend agreement", agree, "")
@@ -47,14 +47,14 @@ def _suite_small(workers: int):
     corpus = small_regular_corpus()
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g, workers=workers)
+        s = count_by_size(g)
         if bnd.check_sandwich(g.n, d, s):
             bad.append(name)
     yield ("count sandwich on small corpus", not bad, ",".join(bad))
 
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g, workers=workers)
+        s = count_by_size(g)
         b = graphs.bipartition(g)
         if bnd.check_partition_dominance(g, b, d, s):
             bad.append(name)
@@ -84,7 +84,7 @@ def _suite_small(workers: int):
 
     bad = []
     for name, g, _d in corpus:
-        s = count_by_size(g, workers=workers)
+        s = count_by_size(g)
         holds, wit = seqshape.check_final_third(s)
         if not holds:
             bad.append(f"{name}@{wit}")
@@ -96,8 +96,8 @@ def _suite_small(workers: int):
     ok = True
     for d in (3, 4):
         g = graphs.hypercube(d)
-        s = count_by_size(g, workers=workers)
-        prof = cube.small_profile(d, workers=workers)
+        s = count_by_size(g)
+        prof = cube.small_profile(d)
         for t in range(s.alpha + 1):
             if cube.eq_upper_small_sets(d, t, profile=prof) < s[t]:
                 ok = False
@@ -105,7 +105,7 @@ def _suite_small(workers: int):
 
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g, workers=workers)
+        s = count_by_size(g)
         n = g.n // 2
         top = int((Fraction(9, 10) * Fraction(n, 2)))
         for j in range(0, top + 1):
@@ -116,15 +116,15 @@ def _suite_small(workers: int):
            ",".join(bad))
 
 
-def _suite_full(workers: int):
+def _suite_full():
     g5 = graphs.hypercube(5)
-    a = count_general(g5)
-    b = sequence_from_profile(side_profile(g5, workers=workers))
+    a = count_by_size(g5)
+    b = sequence_from_profile(side_profile(g5))
     yield ("qd:5 backend agreement", a.counts == b.counts, "")
     uni, _ = seqshape.is_unimodal(a)
     yield ("qd:5 unimodal", uni, "")
 
-    prof = cube.small_profile(5, workers=workers)
+    prof = cube.small_profile(5)
     ok = all(cube.eq_upper_small_sets(5, t, profile=prof) >= a[t]
              for t in range(a.alpha + 1))
     yield ("small-set upper bound covers exact counts at d=5", ok, "")

@@ -26,7 +26,7 @@ from stableseq import cube, cube_estimates as est, graphs
 from stableseq import percolation as pc
 from stableseq import seqshape as ss
 from stableseq.cube import NotApplicableError
-from stableseq.exact import count_by_size, count_general, polynomial_eval, \
+from stableseq.exact import count_by_size, polynomial_eval, \
     sequence_from_profile, side_profile
 
 from util import bipartite_sample, regular_bipartite_corpus
@@ -53,12 +53,12 @@ def test_criterion_2_hypercube_backends_and_unimodality():
     for d in range(1, 6):
         g = graphs.hypercube(d)
         t0 = time.perf_counter()
-        via_general = count_general(g)
+        via_engine = count_by_size(g)
         via_profile = sequence_from_profile(side_profile(g))
         if d == 5:
             elapsed_q5 = time.perf_counter() - t0
-        agree = via_general.counts == via_profile.counts
-        uni, _ = ss.is_unimodal(via_general)
+        agree = via_engine.counts == via_profile.counts
+        uni, _ = ss.is_unimodal(via_engine)
         ok = ok and agree and uni
         assert agree, f"backends disagree at d={d}"
         assert uni, f"sequence not unimodal at d={d}"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stableseq import exact
 from stableseq.cli import main
 
 
@@ -167,3 +168,56 @@ def test_precision_flag(capsys):
     assert json.loads(out)["total"] == "7"
     import stableseq.numerics as num
     num.set_precision()  # restore the default for later tests
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (["count", "--graph", "qd:3", "--backend", "general"],
+                 ["bounds", "--graph", "qd:3", "--backend", "auto"],
+                 ["check", "--graph", "qd:3", "--property", "unimodal",
+                  "--backend", "bipartite"],
+                 ["--workers", "2", "count", "--graph", "qd:3"],
+                 ["percolate", "--base", "knn:4,4", "--p", "1/2",
+                  "--s-rule", "default"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_missing_graph_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "count", "--graph",
+                             f"file:{tmp_path / 'nonexistent'}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read graph file")
+
+
+def test_duplicate_edge_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("3 3\n0 1\n1 0\n1 2\n")
+    code, _out, err = run_cli(capsys, "count", "--graph", f"file:{path}")
+    assert code == 2
+    assert "line 3: duplicate" in err
+
+
+def test_count_over_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 1000)
+    code, out, err = run_cli(capsys, "count", "--graph", "qd:5",
+                             "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "counting budget of 1000 memo words exceeded" in err
+    assert "branch nodes" in err and "memo entries" in err
+
+
+def test_long_path_counts_or_exits_2(capsys):
+    code, out, err = run_cli(capsys, "count", "--graph", "path:5000",
+                             "--format", "json")
+    if code == 2:
+        assert err.startswith("error: counting budget")
+        return
+    assert code == 0
+    a, b = 0, 1
+    for _ in range(5002):
+        a, b = b, a + b
+    assert json.loads(out)["total"] == str(a)

@@ -208,12 +208,6 @@ def test_small_scan_totals():
         assert total == brute_total, d
 
 
-def test_small_scan_worker_independence():
-    one = small_set_scan(4, workers=1)
-    two = small_set_scan(4, workers=2)
-    assert one == two
-
-
 def test_small_scan_cache_roundtrip(tmp_path):
     fresh = small_set_scan(4, cache_dir=str(tmp_path))
     cached = small_set_scan(4, cache_dir=str(tmp_path))
@@ -223,6 +217,27 @@ def test_small_scan_cache_roundtrip(tmp_path):
         blob.write_text(blob.read_text().replace('"sha256"', '"sha255"'))
     again = small_set_scan(4, cache_dir=str(tmp_path))
     assert again == fresh
+
+
+def test_failed_cache_write_keeps_earlier_file(tmp_path, monkeypatch):
+    fresh = small_set_scan(3, cache_dir=str(tmp_path))
+    (cache_file,) = tmp_path.iterdir()
+    before = cache_file.read_text()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"d": 3, "data": [[')
+        raise OSError("device full")
+
+    monkeypatch.setattr(cube.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="device full"):
+        cube._cache_store(3, "small-scan", [[[0, 0, False], 1]], str(tmp_path))
+    monkeypatch.undo()
+    # the earlier file is untouched, still passes its checksum, and no
+    # temporary file is left behind
+    assert list(tmp_path.iterdir()) == [cache_file]
+    assert cache_file.read_text() == before
+    assert cube._cache_load(3, "small-scan", str(tmp_path)) is not None
+    assert small_set_scan(3, cache_dir=str(tmp_path)) == fresh
 
 
 def test_upper_bound_small_sets_examples():

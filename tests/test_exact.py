@@ -2,13 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stableseq import graphs
-from stableseq.exact import (IndSetSequence, count_by_size, count_general,
-                             polynomial_eval, side_profile)
-from stableseq.graphs import GraphError, NotBipartiteError, bipartition
+from stableseq import exact, graphs
+from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
+                             polynomial_eval, sequence_from_profile,
+                             side_profile)
+from stableseq.graphs import GraphError, bipartition
 
-from util import brute_sequence, brute_side_profile, regular_bipartite_corpus
+from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
+                  regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
 Q4_SEQUENCE = (1, 16, 88, 208, 228, 128, 56, 16, 2)
@@ -46,8 +49,8 @@ def test_backend_equivalence_on_corpus():
     for name, g, _d in regular_bipartite_corpus():
         if g.n > 24:
             continue
-        a = count_general(g)
-        b = count_by_size(g, backend="bipartite")
+        a = count_by_size(g)
+        b = sequence_from_profile(side_profile(g))
         assert a.counts == b.counts, name
 
 
@@ -96,15 +99,6 @@ def test_side_profile_rejects_wrong_bipartition():
     assert side_profile(g, good).table == {(0, 0): 1, (1, 2): 2, (2, 2): 1}
 
 
-def test_side_profile_worker_independence():
-    g = graphs.hypercube(4)
-    b = bipartition(g)
-    one = side_profile(g, b, workers=1)
-    two = side_profile(g, b, workers=2)
-    four = side_profile(g, b, workers=4)
-    assert one.table == two.table == four.table
-
-
 def test_polynomial_eval():
     aems = count_by_size(graphs.claw_composite())
     assert polynomial_eval(aems, 1) == 162
@@ -147,12 +141,7 @@ def test_serialization_roundtrip():
 
 
 def test_backend_forcing_errors():
-    with pytest.raises(NotBipartiteError):
-        count_by_size(graphs.cycle(5), backend="bipartite")
-    with pytest.raises(GraphError):
-        count_general(graphs.hypercube(4), cap=10)
-    with pytest.raises(ValueError):
-        count_by_size(graphs.cycle(4), backend="quantum")
+    # the side-profile oracle keeps its own cap
     with pytest.raises(GraphError):
         side_profile(graphs.complete_bipartite(29, 29))
 
@@ -162,7 +151,7 @@ def test_degenerate_graphs():
     assert count_by_size(empty).counts == (1,)
     single = graphs.path(1)
     assert count_by_size(single).counts == (1, 1)
-    assert count_general(single).counts == (1, 1)
+    assert sequence_from_profile(side_profile(single)).counts == (1, 1)
     no_edges = graphs.Graph(3, (0, 0, 0))
     assert count_by_size(no_edges).counts == (1, 3, 3, 1)
 
@@ -171,3 +160,103 @@ def test_vertex_count_coefficient():
     for name, g, _d in regular_bipartite_corpus():
         seq = count_by_size(g)
         assert seq[1] == g.n, name
+
+
+# ---------------------------------------------------------------------------
+# Ground truth that does not come from the engine
+# ---------------------------------------------------------------------------
+
+# Total independent-set counts of Q_0 .. Q_6 (OEIS A027624).
+HYPERCUBE_TOTALS = (2, 3, 7, 35, 743, 254475, 19768832143)
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_hypercube_totals_match_oeis(d):
+    assert count_by_size(graphs.hypercube(d)).total == HYPERCUBE_TOTALS[d]
+
+
+def test_q6_published_values():
+    seq = count_by_size(graphs.hypercube(6))
+    assert seq.total == HYPERCUBE_TOTALS[6]
+    assert (seq[1], seq[2], seq.alpha, seq[32]) == (64, 1824, 32, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 150, 299, 300])
+def test_path_totals_are_fibonacci(n):
+    seq = count_by_size(graphs.path(n))
+    assert seq.total == _fibonacci(n + 2)
+    assert seq.alpha == (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 64, 150, 299, 300])
+def test_cycle_totals_are_lucas(n):
+    seq = count_by_size(graphs.cycle(n))
+    assert seq.total == _fibonacci(n - 1) + _fibonacci(n + 1)
+    assert seq.alpha == n // 2
+
+
+def _product_of(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@st.composite
+def general_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graphs.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def bipartite_graphs(draw):
+    a = draw(st.integers(1, 9))
+    b = draw(st.integers(0, 9))
+    mask = draw(st.integers(0, (1 << (a * b)) - 1))
+    return bipartite_mask_graph(a, b, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs())
+def test_engine_matches_side_profile_oracle(g):
+    assert count_by_size(g).counts == \
+        sequence_from_profile(side_profile(g)).counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_graphs())
+def test_engine_matches_brute_force(g):
+    assert list(count_by_size(g).counts) == brute_sequence(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_graphs(max_n=10), general_graphs(max_n=10))
+def test_sequence_multiplies_over_disjoint_union(g, h):
+    union = count_by_size(graphs.disjoint_union(g, h))
+    assert union.counts == _product_of(count_by_size(g).counts,
+                                       count_by_size(h).counts)
+
+
+def test_budget_error_carries_counters(monkeypatch):
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 50)
+    with pytest.raises(CountBudgetError) as err:
+        count_by_size(graphs.hypercube(4))
+    exc = err.value
+    assert isinstance(exc, GraphError)
+    assert exc.branch_nodes > 0 and exc.memo_words > 50
+    message = str(exc)
+    assert f"{exc.branch_nodes} branch nodes" in message
+    assert f"{exc.memo_entries} memo entries" in message
+    # a graph within the budget is unaffected
+    assert count_by_size(graphs.hypercube(2)).counts == (1, 4, 2)

@@ -172,3 +172,38 @@ def test_parse_graph_spec():
         graphs.parse_graph_spec("torus:3")
     with pytest.raises(GraphError):
         graphs.parse_graph_spec("qd:notanumber")
+
+
+def test_graph_file_errors_are_typed(tmp_path):
+    with pytest.raises(GraphError, match="cannot read"):
+        graphs.parse_graph_spec(f"file:{tmp_path / 'missing.txt'}")
+    with pytest.raises(GraphError, match="cannot read"):
+        graphs.parse_graph_spec(f"file:{tmp_path}")
+
+
+def test_graph_from_text_rejects_duplicate_edges():
+    with pytest.raises(GraphError, match="line 3: duplicate of the edge on "
+                                         "line 2"):
+        graphs.graph_from_text("3 3\n0 1\n1 0\n1 2\n")
+    with pytest.raises(GraphError, match="line 4: duplicate"):
+        graphs.graph_from_text("3 3\n0 1\n1 2\n0 1\n")
+
+
+def test_graph_from_text_header_must_count_distinct_edges():
+    with pytest.raises(GraphError, match="header declares 1 edges, found 2"):
+        graphs.graph_from_text("3 1\n0 1\n1 2\n")
+    with pytest.raises(GraphError, match="header declares 3 edges, found 2"):
+        graphs.graph_from_text("3 3\n0 1\n1 2\n")
+
+
+def test_graph_from_text_errors_name_the_line():
+    cases = {
+        "3 2\n0 1\n1 x\n": "line 3: expected 'u v'",
+        "3 2\n0 1\n\n1 2 0\n": "line 4: expected 'u v'",
+        "3\n": "line 1: expected 'n m'",
+        "3 1\n1 1\n": "line 2: loop at 1",
+        "3 1\n0 3\n": r"line 2: edge \(0,3\) out of range",
+    }
+    for text, message in cases.items():
+        with pytest.raises(GraphError, match=message):
+            graphs.graph_from_text(text)

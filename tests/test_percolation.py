@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stableseq import graphs, percolation as pc
+from stableseq import exact, graphs, percolation as pc
 from stableseq import seqshape as ss
 from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
@@ -119,12 +119,14 @@ def test_flagged_trials_counted_as_failures():
     assert all(r.alpha == 10 for r in summary.records)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         pc.PercolationConfig(base_side=4, p=Fraction(2), seed=0, trials=1)
     with pytest.raises(ValueError):
         pc.PercolationConfig(base_side=4, p=Fraction(1, 2), seed=0, trials=0)
-    with pytest.raises(ValueError):
+    # an experiment beyond the counting budget is refused, not run
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 100)
+    with pytest.raises(exact.CountBudgetError):
         pc.run_experiment(pc.PercolationConfig(base_side=40, p=Fraction(1, 2),
                                                seed=0, trials=1))
 
