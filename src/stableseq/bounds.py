@@ -285,8 +285,6 @@ def step_bound_regular(n: int, d: int, epsilon) -> tuple[int, mp.mpf]:
 
 TAG_COUNT_UPPER = "entropy-upper"
 TAG_COUNT_LOWER = "binomial-lower"
-TAG_PARTITION_REGULAR = "partition-regular"
-TAG_PARTITION_ALMOST_REGULAR = "partition-almost-regular"
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,17 @@ def _emit(args, payload_json: dict, plain_lines: list[str],
 def cmd_count(args) -> int:
     g = graphs.parse_graph_spec(args.graph)
     seq = count_by_size(g)
-    rows = "\n".join(f"{t},{c}" for t, c in enumerate(seq.counts))
-    _emit(args, seq.to_json_dict(args.graph),
-          [f"graph {args.graph}: alpha = {seq.alpha}, total = {seq.total}"]
-          + [f"  i_{t} = {c}" for t, c in enumerate(seq.counts)],
-          "t,count\n" + rows + "\n")
+    # Only the chosen format is built: converting a long sequence of big
+    # counts to decimal takes seconds.
+    if args.format == "json":
+        print(seq.to_json(args.graph))
+    elif args.format == "csv":
+        sys.stdout.write("t,count\n" + "".join(
+            f"{t},{c}\n" for t, c in enumerate(seq.counts)))
+    else:
+        print(f"graph {args.graph}: alpha = {seq.alpha}, total = {seq.total}")
+        for t, c in enumerate(seq.counts):
+            print(f"  i_{t} = {c}")
     return EXIT_OK
 
 
@@ -357,11 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     numerics.set_precision(args.precision)
+    # A count can be longer than CPython's int-to-str limit (4300 digits by
+    # default, from 3.10.7 on): lift it while the verb runs and restore the
+    # caller's value afterwards.
+    saved_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (graphs.GraphError, cube.NotApplicableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if saved_digits is not None:
+            sys.set_int_max_str_digits(saved_digits)
 
 
 if __name__ == "__main__":

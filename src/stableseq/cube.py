@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .graphs import _components
 from .numerics import binom, bits_of, popcount
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
-SMALL_SCAN_DIM_CAP = 5       # full scans over subsets of one class
+SMALL_SCAN_DIM_CAP = 5       # full scans over subsets of one class; they
+                             # start at d = 2, the least d with 2**(d-2) >= 1
 SPARSE_LOWER_DIM_CAP = 6     # backtracking enumeration for the lower bound
 
 CACHE_ENV = "STABLESEQ_CACHE_DIR"
@@ -34,9 +36,9 @@ class NotApplicableError(ValueError):
     """A formula's validity conditions fail at the requested parameters."""
 
 
-def _check_dim(d: int, cap: int = BITSET_DIM_CAP) -> None:
-    if d < 1 or d > cap:
-        raise ValueError(f"dimension d = {d} outside [1, {cap}]")
+def _check_dim(d: int, cap: int = BITSET_DIM_CAP, low: int = 1) -> None:
+    if d < low or d > cap:
+        raise ValueError(f"dimension d = {d} outside [{low}, {cap}]")
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,15 @@ class VertexSet:
         return list(bits_of(self.bits))
 
 
-def even_class_mask(d: int) -> int:
-    return sum(1 << v for v in range(1 << d) if popcount(v) % 2 == 0)
+def _row(d: int, v: int) -> int:
+    """Neighbours of v in Q_d, as a bitset."""
+    return sum(1 << (v ^ 1 << k) for k in range(d))
 
 
 def _nbhd_bits(d: int, bits: int) -> int:
     out = 0
     for v in bits_of(bits):
-        for k in range(d):
-            out |= 1 << (v ^ (1 << k))
+        out |= _row(d, v)
     return out & ~bits
 
 
@@ -90,29 +92,9 @@ def closure(d: int, a: VertexSet) -> VertexSet:
     na = _nbhd_bits(d, a.bits)
     out = 0
     for v in range(1 << d):
-        nv = 0
-        for k in range(d):
-            nv |= 1 << (v ^ (1 << k))
-        if nv & ~na == 0:
+        if _row(d, v) & ~na == 0:
             out |= 1 << v
     return VertexSet(d, out)
-
-
-def _closure_size_one_class(d: int, bits: int, class_vertices, adj) -> int:
-    # For nonempty A inside one class, [A] stays inside that class: a vertex
-    # of the other class has its whole neighborhood in A's class, disjoint
-    # from N(A).
-    if bits == 0:
-        return 0
-    na = 0
-    for v in bits_of(bits):
-        na |= adj[v]
-    na &= ~bits
-    cnt = 0
-    for v in class_vertices:
-        if adj[v] & ~na == 0:
-            cnt += 1
-    return cnt
 
 
 def is_small(d: int, a: VertexSet) -> bool:
@@ -124,51 +106,26 @@ def is_small(d: int, a: VertexSet) -> bool:
 
 def two_components(d: int, a: VertexSet) -> list[VertexSet]:
     """Partition of A (inside one parity class) into maximal 2-linked
-    pieces.  Within one class two vertices lie in the same piece exactly
-    when they are linked through shared neighbors, i.e. through chains of
-    Hamming-distance-2 steps."""
+    pieces, in order of their lowest vertex.  Within one class two vertices
+    lie in the same piece exactly when they are linked through shared
+    neighbors, i.e. through chains of Hamming-distance-2 steps."""
     _check_dim(d)
     if a.side == SIDE_MIXED:
         raise ValueError("2-component decomposition expects A within one "
                          "parity class")
-    verts = a.vertices()
-    comps = []
-    unseen = set(range(len(verts)))
-    while unseen:
-        start = min(unseen)
-        stack = [start]
-        unseen.discard(start)
-        members = [verts[start]]
-        while stack:
-            i = stack.pop()
-            for j in list(unseen):
-                if popcount(verts[i] ^ verts[j]) == 2:
-                    unseen.discard(j)
-                    stack.append(j)
-                    members.append(verts[j])
-        comps.append(VertexSet(d, sum(1 << v for v in members)))
-    return comps
+    steps = [1 << i ^ 1 << j for i in range(d) for j in range(i)]
+    rows = {v: sum(1 << (v ^ step) for step in steps)
+            for v in bits_of(a.bits)}
+    return [VertexSet(d, c) for c in _components(rows, a.bits)]
 
 
 def is_two_linked(d: int, a: VertexSet) -> bool:
     """Connectivity of the subgraph induced by A together with N(A); works
-    for mixed-parity A via explicit traversal."""
+    for mixed-parity A."""
     _check_dim(d)
-    if a.bits == 0:
-        return False
     region = a.bits | _nbhd_bits(d, a.bits)
-    start = (region & -region).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for k in range(d):
-            w = v ^ (1 << k)
-            wb = 1 << w
-            if region & wb and not seen & wb:
-                seen |= wb
-                stack.append(w)
-    return seen == region
+    rows = {v: _row(d, v) for v in bits_of(region)}
+    return len(_components(rows, region)) == 1
 
 
 @dataclass(frozen=True)
@@ -211,79 +168,38 @@ def structure_stats_json(d: int, a: VertexSet) -> str:
 # ---------------------------------------------------------------------------
 
 def _small_scan(d: int) -> dict:
-    """Scan all subsets A of the even class: Gray-code walk maintaining the
-    neighborhood union, recording (|A|, |N(A)|, 2-linked) for the small A
-    only.
+    """Scan all subsets A of the even class, recording (|A|, |N(A)|,
+    2-linked) for the small A only.
 
     A subset with |A| > 2**(d-2) is never small (A is independent inside
-    the class, so A is contained in [A]); its closure is not computed.
+    the class, so A is contained in [A]); its closure is not computed.  [A]
+    stays inside the even class: an odd vertex has its whole neighborhood in
+    the even class, disjoint from N(A).  So [A] is counted over the even
+    class only.
     """
     evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
-    adj = [sum(1 << (v ^ (1 << k)) for k in range(d)) for v in range(1 << d)]
-    nbr_list = [[v ^ (1 << k) for k in range(d)] for v in range(1 << d)]
-    m = len(evens)
+    rows = [_row(d, v) for v in evens]
+    # in-class distance-2 rows, over positions in evens
+    links = [sum(1 << j for j, w in enumerate(evens) if popcount(v ^ w) == 2)
+             for v in evens]
     quarter = 1 << (d - 2)
-    cover = [0] * (1 << d)
-    nbits = 0
-    abits = 0
-    size = 0
-
-    def apply(idx, add):
-        nonlocal nbits, abits, size
-        v = evens[idx]
-        if add:
-            size += 1
-            abits |= 1 << v
-            for w in nbr_list[v]:
-                if cover[w] == 0:
-                    nbits |= 1 << w
-                cover[w] += 1
-        else:
-            size -= 1
-            abits &= ~(1 << v)
-            for w in nbr_list[v]:
-                cover[w] -= 1
-                if cover[w] == 0:
-                    nbits &= ~(1 << w)
-
     table: dict[tuple[int, int, bool], int] = {}
-
-    def record():
+    for mask in range(1 << len(evens)):
+        size = mask.bit_count()
         if size > quarter:
-            return
-        if size == 0:
-            table[(0, 0, False)] = table.get((0, 0, False), 0) + 1
-            return
-        cl_size = _closure_size_one_class(d, abits, evens, adj)
-        if cl_size > quarter:
-            return
-        g = popcount(nbits)
-        linked = _linked_within_class(abits)
-        key = (size, g, linked)
+            continue
+        nbhd = 0
+        for i in bits_of(mask):
+            nbhd |= rows[i]
+        closed = 0
+        for row in rows:
+            if row | nbhd == nbhd:
+                closed += 1
+        if closed > quarter:
+            continue
+        key = (size, nbhd.bit_count(), len(_components(links, mask)) == 1)
         table[key] = table.get(key, 0) + 1
-
-    record()
-    for i in range(1, 1 << m):
-        flip = (i & -i).bit_length() - 1
-        apply(flip, bool((i ^ (i >> 1)) >> flip & 1))
-        record()
     return table
-
-
-def _linked_within_class(abits: int) -> bool:
-    verts = list(bits_of(abits))
-    k = len(verts)
-    if k == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(k):
-            if j not in seen and popcount(verts[i] ^ verts[j]) == 2:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == k
 
 
 def small_set_scan(d: int, cache_dir: Optional[str] = None
@@ -291,7 +207,7 @@ def small_set_scan(d: int, cache_dir: Optional[str] = None
     """Joint counts over all small A in the even class of Q_d, keyed by
     (|A|, |N(A)|, 2-linked).  Cached to disk when a cache directory is
     configured (argument or STABLESEQ_CACHE_DIR)."""
-    _check_dim(d, SMALL_SCAN_DIM_CAP)
+    _check_dim(d, SMALL_SCAN_DIM_CAP, low=2)
     cached = _cache_load(d, "small-scan", cache_dir)
     if cached is not None:
         return {(int(a), int(g), bool(l)): int(c) for (a, g, l), c in cached}
@@ -362,7 +278,7 @@ def eq_upper_small_sets(d: int, t: int, profile=None) -> int:
     """Rigorous upper bound on i_t(Q_d):
     2 * sum over small A in the even class of C(2**(d-1) - |N(A)|, t - |A|).
     """
-    _check_dim(d, SMALL_SCAN_DIM_CAP)
+    _check_dim(d, SMALL_SCAN_DIM_CAP, low=2)
     half = 1 << (d - 1)
     if not 0 <= t <= half:
         raise ValueError("t outside [0, 2^(d-1)]")

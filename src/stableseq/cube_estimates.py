@@ -20,8 +20,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .numerics import (ceil_of_product_with_e, iv_from, leq_scaled_exp,
-                       log2_fraction, mpf_from)
+from .numerics import (ceil_of_product_with_e, leq_exp_of,
+                       leq_scaled_exp, log2_fraction, mpf_from)
 from .cube import NotApplicableError
 
 SCAN_LIMIT_DEFAULT = 200
@@ -120,7 +120,6 @@ def small_sum_bound_log2(d: int, lam, c=None) -> mp.mpf:
 
 def small_sum_dominates(d: int, lam, total: Fraction) -> bool:
     """Certified test: total <= exp(small_sum_exponent(d, lam))."""
-    from .numerics import leq_exp_of
     return leq_exp_of(Fraction(total), small_sum_exponent(d, lam),
                       max_prec=8192)
 
@@ -454,24 +453,5 @@ def consecutive_ratio_aux_holds(d: int, t: int, tol_spec: str) -> bool:
         raise ValueError("unknown tolerance spec")
     if drop <= 0:
         return True
-    return _exp_leq_one_plus(drop, tol)
-
-
-def _exp_leq_one_plus(drop: Fraction, tol: Fraction,
-                      max_prec: int = 16384) -> bool:
-    """Certified exp(drop) <= 1 + tol for rationals."""
-    saved = mp.iv.prec
-    try:
-        prec = mp.iv.prec
-        while prec <= max_prec:
-            mp.iv.prec = prec
-            lhs = mp.iv.exp(iv_from(drop))
-            rhs = iv_from(1 + tol)
-            if lhs.b <= rhs.a:
-                return True
-            if lhs.a > rhs.b:
-                return False
-            prec *= 2
-        raise ArithmeticError("comparison undecided")
-    finally:
-        mp.iv.prec = saved
+    # exp(drop) is irrational for rational drop > 0, so never equals 1 + tol
+    return not leq_exp_of(1 + tol, drop, max_prec=16384)

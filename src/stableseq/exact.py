@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Bipartition, Graph, GraphError, bipartition
+from .graphs import Bipartition, Graph, GraphError, _components, bipartition
 from .numerics import binom, bits_of
 
 # Largest class the side-profile oracle scans: 2**28 subsets.
@@ -196,24 +196,6 @@ def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return IndSetSequence(tuple(counts))
-
-
-def _components(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Vertex masks of the connected components of the subgraph on mask."""
-    out = []
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        out.append(comp)
-        mask &= ~comp
-    return out
 
 
 def _max_degree_vertex(adj: tuple[int, ...], mask: int

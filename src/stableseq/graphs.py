@@ -83,6 +83,26 @@ def check_simple(g: Graph) -> None:
                 raise GraphError(f"asymmetric edge {u}->{v}")
 
 
+def _components(adj, mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph on mask, in
+    order of their lowest vertex.  adj[v] is the neighbour mask of v (a
+    tuple, list or dict of rows); it is read only at the vertices of mask."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def from_edges(n: int, edges) -> Graph:
     adj = [0] * n
     for u, v in edges:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -145,8 +146,9 @@ def test_byte_stability(capsys):
                       '"graph": "qd:3", "total": "35"}\n')
 
 
-def test_verify_small_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "small")
+@pytest.mark.parametrize("suite", ["small", "full"])
+def test_verify_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
     assert "0 failure(s)" in out
     assert "[PASS]" in out and "[FAIL]" not in out
@@ -221,3 +223,21 @@ def test_long_path_counts_or_exits_2(capsys):
     for _ in range(5002):
         a, b = b, a + b
     assert json.loads(out)["total"] == str(a)
+
+
+def test_count_prints_counts_past_int_digit_limit(capsys, tmp_path):
+    # the total 2^15000 and the middle counts have more than the 4300
+    # decimal digits CPython converts by default
+    path = tmp_path / "edgeless.txt"
+    path.write_text("15000 0\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "count", "--graph", f"file:{path}",
+                             "--format", "json")
+    assert code == 0, err
+    # the verb restores the caller's limit
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["total"] == str(1 << 15000)
+    finally:
+        sys.set_int_max_str_digits(limit)

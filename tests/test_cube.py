@@ -194,18 +194,30 @@ def test_two_linked_singleton_and_empty():
 
 
 def test_small_scan_totals():
-    # scan totals match a brute-force census of small sets
+    # the whole (|A|, |N(A)|, 2-linked) table matches a brute-force census
+    # of the small sets; the empty set is keyed (0, 0, False)
     for d in (3, 4):
-        scan = small_set_scan(d)
         evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
-        total = sum(scan.values())
-        brute_total = 0
-        for size in range(len(evens) + 1):
+        census = {(0, 0, False): 1}
+        for size in range(1, len(evens) + 1):
             for verts in combinations(evens, size):
-                if len(brute_closure(d, verts)) <= (1 << (d - 2)) \
-                        or size == 0:
-                    brute_total += 1
-        assert total == brute_total, d
+                if len(brute_closure(d, verts)) <= (1 << (d - 2)):
+                    key = (size, len(brute_nbhd(d, verts)),
+                           len(brute_two_components(d, verts)) == 1)
+                    census[key] = census.get(key, 0) + 1
+        assert small_set_scan(d) == census, d
+
+
+def test_small_scans_refuse_dimension_below_two():
+    msg = r"dimension d = 1 outside \[2, 5\]"
+    with pytest.raises(ValueError, match=msg):
+        small_set_scan(1)
+    with pytest.raises(ValueError, match=msg):
+        small_profile(1)
+    with pytest.raises(ValueError, match=msg):
+        eq_upper_small_sets(1, 0)
+    # in Q_2 a single even vertex closes to the whole even class
+    assert small_set_scan(2) == {(0, 0, False): 1}
 
 
 def test_small_scan_cache_roundtrip(tmp_path):
