@@ -97,14 +97,14 @@ def count_lower_binomial(nverts: int, t: int) -> int:
 
 
 def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
-    return mp.log(mp.mpf(count_lower_binomial(nverts, t)), 2)
+    return mp.log(mpf_from(count_lower_binomial(nverts, t)), 2)
 
 
 def count_lower_weak_log2(nverts: int, t: int) -> mp.mpf:
     """Stirling-weakened form H(2t/|V|)|V|/2 - (1/2) log2 |V|, exposed for
     comparison; checkers use the exact binomial instead."""
     h = entropy(Fraction(2 * t, nverts)).value
-    return h * Fraction(nverts, 2) - mp.log(mp.mpf(nverts), 2) / 2
+    return h * Fraction(nverts, 2) - mp.log(mpf_from(nverts), 2) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def build_bound_table(nverts: int, d: int,
         exact = None
         if seq is not None:
             it = seq[t] if t <= seq.alpha else 0
-            exact = mp.log(mp.mpf(it), 2) if it > 0 else mp.mpf("-inf")
+            exact = mp.log(mpf_from(it), 2) if it > 0 else mp.mpf("-inf")
         rows.append(BoundRow(t=t, lower_log2=lower, upper_log2=upper,
                              exact_log2=exact,
                              tags=(TAG_COUNT_LOWER, TAG_COUNT_UPPER)))

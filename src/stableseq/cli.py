@@ -362,19 +362,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    numerics.set_precision(args.precision)
-    # A count can be longer than CPython's int-to-str limit (4300 digits by
-    # default, from 3.10.7 on): lift it while the verb runs and restore the
-    # caller's value afterwards.
+    # The verb runs at the requested mpmath precision and, since a count can
+    # be longer than CPython's int-to-str limit (4300 digits by default, from
+    # 3.10.7 on), without that limit; the caller's values come back afterwards.
+    saved_prec = mp.mp.prec, mp.iv.prec
     saved_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
+        numerics.set_precision(args.precision)
         return args.func(args)
-    except (graphs.GraphError, cube.NotApplicableError, ValueError) as exc:
+    except (graphs.GraphError, cube.NotApplicableError, ValueError,
+            numerics.UndecidedComparison) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        mp.mp.prec, mp.iv.prec = saved_prec
         if saved_digits is not None:
             sys.set_int_max_str_digits(saved_digits)
 

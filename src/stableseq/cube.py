@@ -139,6 +139,7 @@ class StructureStats:
 
 
 def structure_stats(d: int, a: VertexSet) -> StructureStats:
+    _check_dim(d, low=2)
     na = neighborhood(d, a)
     cl = closure(d, a)
     mixed = a.side == SIDE_MIXED

@@ -257,7 +257,7 @@ def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
     y_exp = Fraction(d * d * f * f, half)
     x = mpf_from(x_exp)
     type1 = mp.exp(x + mpf_from(y_exp))
-    type2 = mp.power(3, -mp.mpf(f))
+    type2 = mp.power(3, -mpf_from(f))
     type3 = 3 * mp.e ** 5 * mp.mpf(d) ** 10 * mp.power(2, mp.mpf(3 * d) / 2) \
         * mpf_from(big_f(lam, 6, 6 * d - 60)) * mp.exp(x)
     return {"type1": type1, "type2": type2, "type3": type3}
@@ -285,7 +285,7 @@ def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     half = mp.mpf(2) ** (d - 1)
     if t < 0 or t > (1 << (d - 1)):
         return RANGE_DEGENERATE
-    tf = mp.mpf(t)
+    tf = mpf_from(t)
     upper_threshold = half * (1 - 1 / mp.sqrt(2) + 2 * mp.log(d, 2) / d)
     lower_threshold = half * (mpf_from(c) * mp.log(d, 2) / mp.cbrt(d))
     if tf >= upper_threshold:

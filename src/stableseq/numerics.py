@@ -38,10 +38,31 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _odd_part(n: int) -> tuple[int, int]:
+    """(m, k) with n = m * 2**k and m odd; (0, 0) for n = 0."""
+    if not n:
+        return 0, 0
+    k = (n & -n).bit_length() - 1
+    return n >> k, k
+
+
 def mpf_from(q) -> mp.mpf:
-    """Exact conversion of int/Fraction to mpf followed by one rounding."""
+    """An int or Fraction as an mpf at working precision.
+
+    A Fraction p/q is the numerator rounded to working precision, divided by
+    q with a second rounding: the value of mp.mpf(p) / q.  The power-of-two
+    factors of p and q are split off and applied afterwards with an exact
+    binary shift, which leaves every bit of the result unchanged (rounding
+    commutes with scaling by powers of two) and keeps mpmath from stripping
+    trailing zero bits of a huge integer one byte at a time.
+    """
     if isinstance(q, Fraction):
-        return mp.mpf(q.numerator) / q.denominator
+        num, num_shift = _odd_part(q.numerator)
+        den, den_shift = _odd_part(q.denominator)
+        return mp.ldexp(mp.mpf(num) / den, num_shift - den_shift)
+    if isinstance(q, int):
+        num, shift = _odd_part(q)
+        return mp.ldexp(mp.mpf(num), shift)
     return mp.mpf(q)
 
 
@@ -53,10 +74,11 @@ def iv_from(q) -> mp.iv.mpf:
 
 
 def log2_fraction(q: Fraction) -> mp.mpf:
-    """log2 of a positive rational."""
+    """log2 of a positive rational, as log2(p) - log2(q) of its numerator and
+    denominator, each converted by mpf_from."""
     if q <= 0:
         raise ValueError("log2 of a non-positive rational")
-    return mp.log(mp.mpf(q.numerator), 2) - mp.log(mp.mpf(q.denominator), 2)
+    return mp.log(mpf_from(q.numerator), 2) - mp.log(mpf_from(q.denominator), 2)
 
 
 def log2_binom(n: int, k: int) -> mp.mpf:
@@ -64,9 +86,9 @@ def log2_binom(n: int, k: int) -> mp.mpf:
     if k < 0 or k > n:
         return mp.mpf("-inf")
     if n <= 4096:
-        return mp.log(mp.mpf(binom(n, k)), 2)
-    ln = mp.loggamma(mp.mpf(n) + 1) - mp.loggamma(mp.mpf(k) + 1) \
-        - mp.loggamma(mp.mpf(n - k) + 1)
+        return mp.log(mpf_from(binom(n, k)), 2)
+    ln = mp.loggamma(mpf_from(n) + 1) - mp.loggamma(mpf_from(k) + 1) \
+        - mp.loggamma(mpf_from(n - k) + 1)
     return ln / mp.log(2)
 
 

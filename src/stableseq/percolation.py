@@ -20,6 +20,7 @@ import mpmath as mp
 from .bounds import entropy_derivative
 from .exact import IndSetSequence, count_by_size
 from .graphs import Bipartition, Graph, complete_bipartite, regularity_profile
+from .numerics import mpf_from
 from .seqshape import check_property_bgs
 
 _MASK64 = (1 << 64) - 1
@@ -95,7 +96,7 @@ def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
     """Step size ceil(C(eps) * max(log2 n, n h)) with
     C(eps) = 1/H'((1-eps)/2), floored at 1."""
     c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
-    value = c_eps * max(mp.log(n, 2), mp.mpf(h.numerator) / h.denominator * n)
+    value = c_eps * max(mp.log(n, 2), mpf_from(h) * n)
     return max(1, int(mp.ceil(value)))
 
 

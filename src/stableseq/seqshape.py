@@ -168,7 +168,7 @@ def transition_ratio_log2(d: int, t: int, it: Optional[int] = None,
         raise ValueError("t outside [0, 2^(d-1)]")
     if (it is None) == (it_log2 is None):
         raise ValueError("give exactly one of it, it_log2")
-    log_it = mp.log(mp.mpf(it), 2) if it is not None else mp.mpf(it_log2)
+    log_it = mp.log(mpf_from(it), 2) if it is not None else mp.mpf(it_log2)
     return log_it - 1 - log2_binom(1 << (d - 1), t)
 
 

@@ -1,9 +1,11 @@
 import json
 import sys
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from stableseq import exact
+from stableseq import cube_estimates, exact, numerics
 from stableseq.cli import main
 
 
@@ -92,6 +94,72 @@ def test_cube_structure_verb(capsys):
     assert data["components"] == [[0], [15]]
 
 
+def test_cube_structure_refuses_d1(capsys):
+    code, out, err = run_cli(capsys, "cube-structure", "--d", "1",
+                             "--set", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dimension d = 1 outside [2, ")
+
+
+# cube-window --format json rows as printed when rationals were converted
+# with mp.mpf(p) / q directly; any drift in the printed digits fails.  Each
+# row: (c, d, t as a permille of 2^(d-1), range, f_cut, central_log2, e1, e2,
+# e1_reason, e2_reason).
+PINNED_WINDOWS = [
+    ("1", 96, 100, "below", 37841861952528330664674435796,
+     "1.85790866302686985e+28", None, None,
+     "f = 37841861952528330664674435796 not below t/2",
+     "d f = 3632818747442719743808745836416 above 2^(d-2)"),
+    ("1", 96, 600, "range123", 96, "3.84633157453880264e+28", "1.0", "1.0",
+     None, None),
+    ("1/4", 96, 400, "range4", 2827241311570, "3.84633157453880264e+28",
+     "0.998487801319862425", "6.42114295626487041", None, None),
+    ("1", 144, 500, "range123", 106183, "1.11503725992653116e+43", "1.0",
+     "1.0", None, None),
+    ("1", 144, 900, "range123", 144, "5.22947561593409135e+42", None, "1.0",
+     "t above (3/4) 2^(d-1); trivial bound regime", None),
+    ("1/4", 144, 380, "range4", 1845733892487344781,
+     "1.06825255135768594e+43", "0.999997587952097368",
+     "1.00635550725099434", None, None),
+    ("1", 192, 450, "range123", 7696617275931, "3.11587312398721795e+57",
+     "1.0", "1.0", None, None),
+    ("1", 192, 800, "range123", 192, "2.26580804862093127e+57", None, "1.0",
+     "t above (3/4) 2^(d-1); trivial bound regime", None),
+    ("1/4", 192, 340, "range4", 7730085358993121685469570668,
+     "2.90259054895213476e+57", "0.845362839254529592",
+     "6.42495432801528483e+304", None, None),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_WINDOWS,
+                         ids=[f"c{r[0]}-d{r[1]}-t{r[2]}" for r in PINNED_WINDOWS])
+def test_cube_window_json_pinned(capsys, row):
+    c, d, permille, tag, fc, central, e1, e2, reason1, reason2 = row
+    half = 1 << (d - 1)
+    t = half * permille // 1000
+    code, out, _ = run_cli(capsys, "--c-constant", c, "cube-window",
+                           "--d", str(d), "--t", str(t), "--format", "json")
+    assert code == 0
+    lam = Fraction(t, half - t)
+    assert json.loads(out) == {"rows": [{
+        "d": d, "t": t, "lambda": f"{lam.numerator}/{lam.denominator}",
+        "central_log2": central, "f_cut": fc, "e1": e1, "e1_reason": reason1,
+        "e2": e2, "e2_reason": reason2, "range": tag}]}
+
+
+def test_undecided_comparison_exits_2(capsys, monkeypatch):
+    def undecided(q, max_prec=4096):
+        raise numerics.UndecidedComparison(f"ceil({q} * e) undecided at "
+                                           f"{max_prec} bits")
+    monkeypatch.setattr(cube_estimates, "ceil_of_product_with_e", undecided)
+    code, out, err = run_cli(capsys, "cube-window", "--d", "8", "--t", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ceil(")
+    assert "undecided at 4096 bits" in err
+
+
 def test_cube_window_verb(capsys):
     code, out, _ = run_cli(capsys, "cube-window", "--d", "5", "--t", "8",
                            "--format", "csv")
@@ -168,8 +236,29 @@ def test_precision_flag(capsys):
                            "--graph", "qd:2", "--format", "json")
     assert code == 0
     assert json.loads(out)["total"] == "7"
-    import stableseq.numerics as num
-    num.set_precision()  # restore the default for later tests
+
+
+def test_main_restores_caller_precision(capsys):
+    saved = mp.mp.prec, mp.iv.prec
+    try:
+        mp.mp.prec = 300
+        mp.iv.prec = 250
+        code, _out, _err = run_cli(capsys, "--precision", "64", "cube-window",
+                                   "--d", "8", "--t", "20")
+        assert code == 0
+        assert (mp.mp.prec, mp.iv.prec) == (300, 250)
+    finally:
+        mp.mp.prec, mp.iv.prec = saved
+
+
+def test_precision_below_double_exits_2(capsys):
+    prec = mp.mp.prec, mp.iv.prec
+    code, out, err = run_cli(capsys, "--precision", "10", "count",
+                             "--graph", "qd:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: precision below double precision")
+    assert (mp.mp.prec, mp.iv.prec) == prec
 
 
 def test_removed_flags_are_usage_errors(capsys):
