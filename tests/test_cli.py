@@ -5,8 +5,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from stableseq import cube_estimates, exact, numerics
-from stableseq.cli import main
+from stableseq import cli, cube_estimates, exact, numerics
+from stableseq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +222,41 @@ def test_verify_suite(capsys, suite):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_verify_json_matches_plain(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "small")
+    plain = [(line[7:], line[1:5]) for line in out.splitlines()
+             if line.startswith("[")]
+    json_code, json_out, _ = run_cli(capsys, "verify", "--suite", "small",
+                                     "--format", "json")
+    assert json_code == code == 0
+    data = json.loads(json_out)
+    assert data["suite"] == "small" and data["failures"] == 0
+    assert [(c["name"] + (f" ({c['detail']})" if c["detail"] else ""),
+             c["verdict"]) for c in data["checks"]] == plain
+    assert all(c["seconds"] >= 0 for c in data["checks"])
+
+
+def test_verify_formats_report_failures(capsys, monkeypatch):
+    import stableseq.verify
+    monkeypatch.setattr(stableseq.verify, "run_suite", lambda suite: iter(
+        [("good", True, ""), ("bad", False, "got 3, want 4")]))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert out == "[PASS] good\n[FAIL] bad (got 3, want 4)\n1 failure(s)\n"
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["failures"] == 1
+    assert [(c["name"], c["verdict"], c["detail"]) for c in data["checks"]] \
+        == [("good", "PASS", ""), ("bad", "FAIL", "got 3, want 4")]
+    code, out, _ = run_cli(capsys, "verify", "--format", "csv")
+    assert code == 1
+    rows = out.splitlines()
+    assert rows[0] == "name,verdict,detail,seconds"
+    assert [r.rsplit(",", 1)[0] for r in rows[1:]] == \
+        ["good,PASS,", "bad,FAIL,\"got 3, want 4\""]
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-verb"])
@@ -330,3 +365,104 @@ def test_count_prints_counts_past_int_digit_limit(capsys, tmp_path):
         assert json.loads(out)["total"] == str(1 << 15000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# main() parses with one parser built on its first call; these pin that
+# the sharing is invisible.
+
+def test_parser_reuse_carries_no_state(capsys):
+    for t in ("5", "7"):
+        code, out, _ = run_cli(capsys, "cube-window", "--d", "16", "--t", t,
+                               "--format", "json")
+        assert code == 0
+        assert [r["t"] for r in json.loads(out)["rows"]] == [int(t)]
+
+    code, out, _ = run_cli(capsys, "bounds", "--graph", "qd:3",
+                           "--lam", "1/3", "--format", "json")
+    assert [b["lambda"] for b in json.loads(out)["partition_bounds"]] == ["1/3"]
+    code, out, _ = run_cli(capsys, "bounds", "--graph", "qd:3",
+                           "--format", "json")
+    assert [b["lambda"] for b in json.loads(out)["partition_bounds"]] == \
+        ["1/4", "1/2", "1", "2", "4"]
+
+    # --c-constant 1/4 moves t = 0.4 * 2^95 into range4 at d = 96
+    window = ("cube-window", "--d", "96", "--t", str((1 << 95) * 2 // 5),
+              "--format", "json")
+    _code, plain_out, _ = run_cli(capsys, *window)
+    code, flagged_out, _ = run_cli(capsys, "--c-constant", "1/4",
+                                   "--precision", "200", *window)
+    assert code == 0 and flagged_out != plain_out
+    assert run_cli(capsys, *window) == (0, plain_out, "")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["cube-window", "--d", "96", "--t", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *window) == (0, plain_out, "")
+
+
+def test_global_flags_do_not_leak_into_next_call(capsys, monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append((args.c_constant, args.precision, mp.mp.prec))
+        return 0
+    monkeypatch.setattr(cli, "cmd_cube_window", record)
+    assert main(["--c-constant", "1/4", "--precision", "200",
+                 "cube-window", "--d", "8", "--t", "20"]) == 0
+    assert main(["cube-window", "--d", "8", "--t", "20"]) == 0
+    default = numerics.DEFAULT_PRECISION_BITS
+    (c1, bits1, prec1), (c2, bits2, prec2) = seen
+    assert (c1, bits1, c2, bits2) == (Fraction(1, 4), 200, Fraction(1), default)
+    assert prec1 - prec2 == 200 - default
+
+
+VERBS = ("count", "bounds", "check", "cube-structure", "cube-window",
+         "transition", "percolate", "verify")
+HELP_AND_ERROR_ARGVS = (
+    [["--help"]] + [[verb, "--help"] for verb in VERBS]
+    + [[], ["count", "--graph", "qd:3", "--backend", "x"],
+       ["percolate", "--base", "knn:4,4", "--p", "notarational"]])
+
+
+def _parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("columns", ["80", "50"])
+def test_help_and_usage_errors_match_a_fresh_parser(capsys, monkeypatch,
+                                                    columns):
+    run_cli(capsys, "count", "--graph", "qd:2")   # the shared parser exists
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in HELP_AND_ERROR_ARGVS:
+        shared = _parse_outcome(capsys, main, argv)
+        fresh = _parse_outcome(capsys, build_parser().parse_args, argv)
+        assert shared == fresh, argv
+        assert shared[0] == (0 if "--help" in argv else 2), argv
+        assert (shared[1] if "--help" in argv else shared[2]).startswith(
+            "usage: stableseq"), argv
+
+
+def test_verb_dispatch_follows_rebinding(capsys, monkeypatch):
+    run_cli(capsys, "count", "--graph", "qd:2")   # the shared parser exists
+    calls = []
+
+    def replacement(args):
+        calls.append(args.graph)
+        return 7
+    monkeypatch.setattr(cli, "cmd_count", replacement)
+    assert main(["count", "--graph", "qd:3"]) == 7
+    assert calls == ["qd:3"]
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run_cli(capsys, "count", "--graph", "qd:2")   # the shared parser exists
+
+    def rebuild():
+        raise AssertionError("parser rebuilt")
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert run_cli(capsys, "count", "--graph", "qd:2")[0] == 0
