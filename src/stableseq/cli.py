@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verified mathematical invariant failed during the
-run (reserved for CI wiring; it should never fire), 2 usage errors.
+run (reserved for CI wiring; it should never fire), 2 usage errors and a
+stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -39,7 +41,7 @@ def _emit(args, payload_json: dict, plain_lines: list[str],
         print(json.dumps(payload_json, sort_keys=True))
     elif args.format == "csv":
         if csv_text is None:
-            raise SystemExit("csv format not available for this verb")
+            raise ValueError("csv format not available for this verb")
         sys.stdout.write(csv_text)
     else:
         for line in plain_lines:
@@ -380,7 +382,20 @@ def main(argv=None) -> int:
         # The verb is looked up by name on every call, not stored in the
         # shared parser, so a rebinding of a module-level cmd_* function
         # (a test's monkeypatch, a tracing wrapper) takes effect.
-        return globals()["cmd_" + args.verb.replace("-", "_")](args)
+        code = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        # Flushed here, so a reader that has gone shows up below and not in
+        # the interpreter's flush at shutdown.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's signal docs advise pointing stdout at devnull, so that
+        # the flush at shutdown cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     except (graphs.GraphError, cube.NotApplicableError, ValueError,
             numerics.UndecidedComparison) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .graphs import _components
 from .numerics import binom, bits_of, popcount
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
-SMALL_SCAN_DIM_CAP = 5       # full scans over subsets of one class; they
+SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
                              # start at d = 2, the least d with 2**(d-2) >= 1
 SPARSE_LOWER_DIM_CAP = 6     # backtracking enumeration for the lower bound
 
@@ -73,8 +73,11 @@ def _row(d: int, v: int) -> int:
 
 def _nbhd_bits(d: int, bits: int) -> int:
     out = 0
-    for v in bits_of(bits):
-        out |= _row(d, v)
+    rest = bits
+    while rest:
+        low = rest & -rest
+        out |= _row(d, low.bit_length() - 1)
+        rest ^= low
     return out & ~bits
 
 
@@ -165,18 +168,21 @@ def structure_stats_json(d: int, a: VertexSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Full scans over subsets of the even class
+# Small-set walk over subsets of the even class
 # ---------------------------------------------------------------------------
 
 def _small_scan(d: int) -> dict:
-    """Scan all subsets A of the even class, recording (|A|, |N(A)|,
-    2-linked) for the small A only.
+    """Walk the subsets A of the even class that are small, recording
+    (|A|, |N(A)|, 2-linked) for each.
 
-    A subset with |A| > 2**(d-2) is never small (A is independent inside
-    the class, so A is contained in [A]); its closure is not computed.  [A]
-    stays inside the even class: an odd vertex has its whole neighborhood in
-    the even class, disjoint from N(A).  So [A] is counted over the even
-    class only.
+    The walk is depth-first over index sets in increasing index order, on a
+    stack of (A, N(A), next index) entries; a child adds one index above
+    the last and extends N(A) with one OR.  [A] only grows with A, so once
+    |[A]| > 2**(d-2) no superset of A is small and the whole subtree is
+    dropped: the walk visits the small sets and their direct children only.
+    [A] stays inside the even class (an odd vertex has its whole
+    neighborhood in the even class, disjoint from N(A)), so it is counted
+    over the even class only.
     """
     evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
     rows = [_row(d, v) for v in evens]
@@ -185,21 +191,20 @@ def _small_scan(d: int) -> dict:
              for v in evens]
     quarter = 1 << (d - 2)
     table: dict[tuple[int, int, bool], int] = {}
-    for mask in range(1 << len(evens)):
-        size = mask.bit_count()
-        if size > quarter:
-            continue
-        nbhd = 0
-        for i in bits_of(mask):
-            nbhd |= rows[i]
+    stack = [(0, 0, 0)]
+    while stack:
+        mask, nbhd, start = stack.pop()
         closed = 0
         for row in rows:
             if row | nbhd == nbhd:
                 closed += 1
         if closed > quarter:
             continue
-        key = (size, nbhd.bit_count(), len(_components(links, mask)) == 1)
+        key = (mask.bit_count(), nbhd.bit_count(),
+               len(_components(links, mask)) == 1)
         table[key] = table.get(key, 0) + 1
+        for i in range(start, len(evens)):
+            stack.append((mask | 1 << i, nbhd | rows[i], i + 1))
     return table
 
 

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import stableseq
 from stableseq import cli, cube_estimates, exact, numerics
 from stableseq.cli import build_parser, main
 
@@ -255,6 +258,42 @@ def test_verify_formats_report_failures(capsys, monkeypatch):
     assert rows[0] == "name,verdict,detail,seconds"
     assert [r.rsplit(",", 1)[0] for r in rows[1:]] == \
         ["good,PASS,", "bad,FAIL,\"got 3, want 4\""]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--graph", "qd:3", "--property", "unimodal"],
+    ["cube-structure", "--d", "3", "--set", "0"],
+    ["percolate", "--base", "knn:4,4", "--p", "1/2", "--trials", "2"],
+])
+def test_csv_refusal_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv format not available for this verb\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # more output than a pipe holds: the write inside the verb fails
+    ["count", "--graph", "path:3000"],
+    # output held in stdout's buffer until the flush
+    ["count", "--graph", "qd:3", "--format", "json"],
+])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # stdout is a pipe whose reader has already gone, as in `... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(stableseq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)   # keep stdout block-buffered
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stableseq.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        "error: stdout closed before the output was written\n"
 
 
 def test_usage_errors(capsys):

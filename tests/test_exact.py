@@ -248,6 +248,17 @@ def test_sequence_multiplies_over_disjoint_union(g, h):
                                        count_by_size(h).counts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(general_graphs(max_n=14), st.data())
+def test_sequence_is_invariant_under_relabelling(g, data):
+    # the engine branches on a vertex chosen by its index, so a relabelling
+    # changes every branching choice but must not change the sequence
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = graphs.from_edges(g.n, [(perm[u], perm[v])
+                                         for u, v in g.edges()])
+    assert count_by_size(relabelled).counts == count_by_size(g).counts
+
+
 def test_budget_error_carries_counters(monkeypatch):
     monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 50)
     with pytest.raises(CountBudgetError) as err:
