@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -154,23 +155,27 @@ def cmd_check(args) -> int:
 
 
 def cmd_cube_structure(args) -> int:
-    verts = [int(x) for x in args.set.split(",")] if args.set else []
-    a = cube.VertexSet(args.d, sum(1 << v for v in verts))
+    a = cube.vertex_set(args.d, [int(x) for x in args.set.split(",")]
+                        if args.set else [])
     stats = cube.structure_stats(args.d, a)
-    payload = json.loads(cube.structure_stats_json(args.d, a))
-    if a.side == cube.SIDE_MIXED:
-        payload["components"] = None
-    else:
-        payload["components"] = [sorted(c.vertices())
-                                 for c in cube.two_components(args.d, a)]
+    verts = sorted(a.vertices())
+    payload = {"d": args.d, "set": verts, **dataclasses.asdict(stats),
+               "components": None if a.side == cube.SIDE_MIXED else
+               [sorted(c.vertices()) for c in cube.two_components(args.d, a)]}
     _emit(args, payload,
-          [f"d={args.d} A={sorted(a.vertices())}: size {stats.size}, "
+          [f"d={args.d} A={verts}: size {stats.size}, "
            f"nbhd {stats.nbhd}, closure {stats.closure}, small {stats.small}, "
            f"comps {stats.comps}, max comp {stats.max_comp}"])
     return EXIT_OK
 
 
+def _check_cube_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"dimension d = {d} below 1")
+
+
 def cmd_cube_window(args) -> int:
+    _check_cube_dim(args.d)
     rows = []
     for t in args.t:
         est_row = est.estimate_window(args.d, t, args.c_constant)
@@ -199,12 +204,14 @@ def cmd_cube_window(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    if args.d > 5:
-        print("exact transition ratios need d <= 5", file=sys.stderr)
-        return EXIT_USAGE
-    g = graphs.hypercube(args.d)
-    seq = count_by_size(g)
-    ts = args.t or list(range(0, (1 << (args.d - 1)) + 1))
+    # the counting engine's work budget is the only limit on d
+    _check_cube_dim(args.d)
+    half = 1 << (args.d - 1)
+    ts = args.t or list(range(half + 1))
+    for t in ts:
+        if not 0 <= t <= half:
+            raise ValueError(f"t = {t} outside [0, 2^(d-1)]")
+    seq = count_by_size(graphs.hypercube(args.d))
     rows = []
     for t in ts:
         gcoord = seqshape.transition_g(args.d, t)
@@ -245,7 +252,8 @@ def cmd_percolate(args) -> int:
         return EXIT_OK
     g = graphs.parse_graph_spec(args.base)
     sample = percolation.percolate(g, args.p, args.seed)
-    sys.stdout.write(graphs.graph_to_text(sample))
+    _emit(args, {"n": sample.n, "edges": [list(e) for e in sample.edges()]},
+          graphs.graph_to_text(sample).splitlines())
     return EXIT_OK
 
 
@@ -369,7 +377,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     # The verb runs at the requested mpmath precision and, since a count can
     # be longer than CPython's int-to-str limit (4300 digits by default, from
     # 3.10.7 on), without that limit; the caller's values come back afterwards.
@@ -378,6 +385,12 @@ def main(argv=None) -> int:
     if saved_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        finally:
+            # --help leaves through argparse's SystemExit; its text is
+            # flushed here so that a closed stdout is handled below too
+            sys.stdout.flush()
         numerics.set_precision(args.precision)
         # The verb is looked up by name on every call, not stored in the
         # shared parser, so a rebinding of a module-level cmd_* function

@@ -66,6 +66,20 @@ class VertexSet:
         return list(bits_of(self.bits))
 
 
+def vertex_set(d: int, vertices) -> VertexSet:
+    """The set of the listed vertices of Q_d; a vertex outside Q_d or
+    listed twice is an error."""
+    _check_dim(d)
+    bits = 0
+    for v in vertices:
+        if not 0 <= v < 1 << d:
+            raise ValueError(f"vertex {v} is not a vertex of Q_{d}")
+        if bits >> v & 1:
+            raise ValueError(f"vertex {v} is listed twice")
+        bits |= 1 << v
+    return VertexSet(d, bits)
+
+
 def _row(d: int, v: int) -> int:
     """Neighbours of v in Q_d, as a bitset."""
     return sum(1 << (v ^ 1 << k) for k in range(d))
@@ -156,15 +170,6 @@ def structure_stats(d: int, a: VertexSet) -> StructureStats:
         max_comp=(max((c.size for c in comps), default=0)
                   if comps is not None else None),
     )
-
-
-def structure_stats_json(d: int, a: VertexSet) -> str:
-    st = structure_stats(d, a)
-    return json.dumps({
-        "d": d, "set": sorted(a.vertices()), "size": st.size,
-        "nbhd": st.nbhd, "closure": st.closure, "small": st.small,
-        "comps": st.comps, "max_comp": st.max_comp,
-    }, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

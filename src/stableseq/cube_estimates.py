@@ -185,89 +185,71 @@ def central_log2(d: int, t: int) -> mp.mpf:
     return 1 + log2_binom(half, t) + mpf_from(density_weight(d, t)) / mp.log(2)
 
 
-def e1_applicability(d: int, t: int) -> Optional[str]:
-    """Validity conditions of the lower-bound factor; None when applicable.
+def _factors(d: int, t: int) -> tuple:
+    """Both error factors at (d, t) from one cutoff f = f_cut(d, t), as
+    (lam, f, E1, E1 reason, E2 summands, E2 reason); a factor is None where
+    its validity conditions fail, and its reason None where they hold.
 
-    Needs t <= (3/4) 2**(d-1) (above that the trivial bound replaces it),
-    f < t/2 (no overlap in the doubled one-sided sum), and
+    Both need 0 < t < 2**(d-1) for the activity lam.
+
+    Lower factor E1 = exp(-3 f**2 / t) * E0 with E0 = 1 - 2 (e w / f)**f
+    exp(-w), w the density weight: i_t(Q_d) >= central * E1.  It needs
+    t <= (3/4) 2**(d-1) (above that the trivial bound replaces it), f < t/2
+    (no overlap in the doubled one-sided sum), and
     f <= (2**(d-1) - t)/(2d) (product-to-exponential steps).
+
+    Upper factor E2 = type-I + type-II + type-III: i_t(Q_d) <= central * E2,
+    with x = d^2 t^2 2^d / (2^(d-1)-t)^2 * (1-t/2^(d-1))^(2d-2) and
+
+    type-I:   exp(x + d^2 f^2 / 2^(d-1))
+    type-II:  3**(-f)
+    type-III: 3 e^5 d^10 2^(3d/2) F_lam(6, 6d-60) exp(x)
+
+    where F_lam(6, 6d-60) is evaluated as lam^6 (1+lam)^(60-6d), a positive
+    power of (1 + lam) below d = 10.  It needs d f <= 2**(d-2), so the
+    correction-factor estimate for sets of size up to f stays valid.
     """
     half = 1 << (d - 1)
     if not 0 < t < half:
-        return "t outside (0, 2^(d-1))"
+        reason = "t outside (0, 2^(d-1))"
+        return None, None, None, reason, None, reason
+    lam = lambda_of_t(d, t)
+    f = f_cut(d, t)
+    e1 = parts = None
     if 4 * t > 3 * half:
-        return "t above (3/4) 2^(d-1); trivial bound regime"
-    f = f_cut(d, t)
-    if 2 * f >= t:
-        return f"f = {f} not below t/2"
-    if 2 * d * f > half - t:
-        return f"f = {f} above (2^(d-1) - t)/(2d)"
-    return None
-
-
-def e1_factor(d: int, t: int) -> mp.mpf:
-    """Lower-bound factor E1 = exp(-3 f**2 / t) * E0 with
-    E0 = 1 - 2 (e w / f)**f exp(-w), w the density weight.
-
-    i_t(Q_d) >= central * E1 wherever the validity conditions hold; raises
-    NotApplicableError otherwise.
-    """
-    reason = e1_applicability(d, t)
-    if reason is not None:
-        raise NotApplicableError(f"lower-bound factor not applicable: {reason}")
-    f = f_cut(d, t)
-    w = mpf_from(density_weight(d, t))
-    e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
-    return mp.exp(mp.mpf(-3) * f * f / t) * e0
-
-
-def e2_applicability(d: int, t: int) -> Optional[str]:
-    """Validity conditions of the upper-bound factor; None when applicable.
-
-    Needs t strictly inside (0, 2**(d-1)) for the activity, and
-    d f <= 2**(d-2) so the correction-factor estimate for sets of size up
-    to f stays valid.
-    """
-    half = 1 << (d - 1)
-    if not 0 < t < half:
-        return "t outside (0, 2^(d-1))"
-    f = f_cut(d, t)
+        reason1 = "t above (3/4) 2^(d-1); trivial bound regime"
+    elif 2 * f >= t:
+        reason1 = f"f = {f} not below t/2"
+    elif 2 * d * f > half - t:
+        reason1 = f"f = {f} above (2^(d-1) - t)/(2d)"
+    else:
+        reason1 = None
+        w = mpf_from(density_weight(d, t))
+        e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
+        e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
     if d * f > half // 2:
-        return f"d f = {d * f} above 2^(d-2)"
-    return None
+        reason2 = f"d f = {d * f} above 2^(d-2)"
+    else:
+        reason2 = None
+        x = mpf_from(Fraction(d * d * t * t * 2 ** d, (half - t) ** 2)
+                     * (1 - Fraction(t, half)) ** (2 * d - 2))
+        parts = {
+            "type1": mp.exp(x + mpf_from(Fraction(d * d * f * f, half))),
+            "type2": mp.power(3, -mpf_from(f)),
+            "type3": 3 * mp.e ** 5 * mp.mpf(d) ** 10
+            * mp.power(2, mp.mpf(3 * d) / 2)
+            * mpf_from(lam ** 6 * (1 + lam) ** (60 - 6 * d)) * mp.exp(x),
+        }
+    return lam, f, e1, reason1, parts, reason2
 
 
 def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
-    """The three summands of the upper-bound factor E2, exposed separately:
-
-    type-I:   exp(d^2 t^2 2^d / (2^(d-1)-t)^2 * (1-t/2^(d-1))^(2d-2)
-                  + d^2 f^2 / 2^(d-1))
-    type-II:  3**(-f)
-    type-III: 3 e^5 d^10 2^(3d/2) F_lam(6, 6d-60)
-                  * exp(d^2 t^2 2^d / (2^(d-1)-t)^2 * (1-t/2^(d-1))^(2d-2))
-    """
-    reason = e2_applicability(d, t)
-    if reason is not None:
+    """The three summands of the upper-bound factor E2, keyed type1, type2
+    and type3; raises NotApplicableError where E2 does not apply."""
+    *_, parts, reason = _factors(d, t)
+    if parts is None:
         raise NotApplicableError(f"upper-bound factor not applicable: {reason}")
-    half = 1 << (d - 1)
-    f = f_cut(d, t)
-    lam = lambda_of_t(d, t)
-    x_exp = Fraction(d * d * t * t * 2 ** d, (half - t) ** 2) \
-        * (1 - Fraction(t, half)) ** (2 * d - 2)
-    y_exp = Fraction(d * d * f * f, half)
-    x = mpf_from(x_exp)
-    type1 = mp.exp(x + mpf_from(y_exp))
-    type2 = mp.power(3, -mpf_from(f))
-    type3 = 3 * mp.e ** 5 * mp.mpf(d) ** 10 * mp.power(2, mp.mpf(3 * d) / 2) \
-        * mpf_from(big_f(lam, 6, 6 * d - 60)) * mp.exp(x)
-    return {"type1": type1, "type2": type2, "type3": type3}
-
-
-def e2_factor(d: int, t: int) -> mp.mpf:
-    """Upper-bound factor E2: i_t(Q_d) <= central * E2 wherever the validity
-    conditions hold."""
-    parts = e2_parts(d, t)
-    return parts["type1"] + parts["type2"] + parts["type3"]
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +310,14 @@ def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     """Central value with the multiplicative window [E1, E2] where the
     factors apply, plus the density-window tag.  Inapplicable factors are
     reported with their reasons instead of numbers."""
-    tag = range_tag(d, t, c)
-    lam = None
-    fc = None
-    if 0 < t < (1 << (d - 1)):
-        lam = lambda_of_t(d, t)
-        fc = f_cut(d, t)
-    e1 = e2 = None
-    reason1 = e1_applicability(d, t) if 0 < t <= (1 << (d - 1)) else "degenerate t"
-    reason2 = e2_applicability(d, t) if 0 < t <= (1 << (d - 1)) else "degenerate t"
-    if reason1 is None:
-        e1 = e1_factor(d, t)
-    if reason2 is None:
-        e2 = e2_factor(d, t)
+    lam, f, e1, reason1, parts, reason2 = _factors(d, t)
+    if not 0 < t <= (1 << (d - 1)):
+        reason1 = reason2 = "degenerate t"
+    e2 = (parts["type1"] + parts["type2"] + parts["type3"]
+          if parts is not None else None)
     return CubeEstimate(d=d, t=t, lam=lam, central_log2=central_log2(d, t),
-                        f_cut=fc, e1=e1, e1_reason=reason1, e2=e2,
-                        e2_reason=reason2, tag=tag)
+                        f_cut=f, e1=e1, e1_reason=reason1, e2=e2,
+                        e2_reason=reason2, tag=range_tag(d, t, c))
 
 
 # ---------------------------------------------------------------------------

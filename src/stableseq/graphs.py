@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .numerics import bits_of, popcount
 
-DEFAULT_VERTEX_CAP = 1 << 20
+VERTEX_CAP = 1 << 20   # largest graph a generator builds
 
 
 class GraphError(ValueError):
@@ -23,7 +23,7 @@ class GraphError(ValueError):
 
 
 class SizeCapError(GraphError):
-    """A generator or operation was asked to exceed its configured size cap."""
+    """A generator was asked for more than VERTEX_CAP vertices."""
 
 
 class NotBipartiteError(GraphError):
@@ -217,44 +217,44 @@ def regularity_profile(g: Graph, b: Bipartition, d) -> RegularityProfile:
 # Generator families
 # ---------------------------------------------------------------------------
 
-def _check_cap(nverts: int, cap: int) -> None:
-    if nverts > cap:
-        raise SizeCapError(f"|V| = {nverts} exceeds cap {cap}")
+def _check_cap(nverts: int) -> None:
+    if nverts > VERTEX_CAP:
+        raise SizeCapError(f"|V| = {nverts} exceeds cap {VERTEX_CAP}")
 
 
-def hypercube(d: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def hypercube(d: int) -> Graph:
     """Q_d on {0,1}^d; vertex index i is the binary string of value i,
     adjacency flips exactly one coordinate."""
     if d < 0:
         raise GraphError("d < 0")
-    _check_cap(1 << d, cap)
+    _check_cap(1 << d)
     n = 1 << d
     adj = tuple(sum(1 << (v ^ (1 << k)) for k in range(d)) for v in range(n))
     return Graph(n, adj)
 
 
-def complete_bipartite(a: int, b: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with side A = {0..a-1}, side B = {a..a+b-1}."""
     if a < 0 or b < 0:
         raise GraphError("negative side size")
-    _check_cap(a + b, cap)
+    _check_cap(a + b)
     amask = (1 << a) - 1
     bmask = ((1 << b) - 1) << a
     adj = tuple([bmask] * a + [amask] * b)
     return Graph(a + b, adj)
 
 
-def cycle(n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    _check_cap(n, cap)
+    _check_cap(n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path(n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
-    _check_cap(n, cap)
+    _check_cap(n)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -272,23 +272,22 @@ def claw_composite() -> Graph:
     return from_edges(49, edges)
 
 
-def crown(d: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def crown(d: int) -> Graph:
     """K_{d,d} minus a perfect matching; (d-1)-regular bipartite."""
     if d < 2:
         raise GraphError("crown needs d >= 2")
-    _check_cap(2 * d, cap)
+    _check_cap(2 * d)
     edges = [(i, d + j) for i in range(d) for j in range(d) if i != j]
     return from_edges(2 * d, edges)
 
 
-def circulant_bipartite(n: int, offsets: Sequence[int],
-                        cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def circulant_bipartite(n: int, offsets: Sequence[int]) -> Graph:
     """Circulant on Z_n with odd offsets only, hence bipartite by parity."""
     if n % 2:
         raise GraphError("bipartite circulant needs even n")
     if any(o % 2 == 0 for o in offsets):
         raise GraphError("offsets must be odd to stay bipartite")
-    _check_cap(n, cap)
+    _check_cap(n)
     edges = {(min(i, (i + o) % n), max(i, (i + o) % n))
              for i in range(n) for o in offsets}
     return from_edges(n, sorted(edges))
@@ -308,7 +307,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # Graph spec strings and the plain-text file format
 # ---------------------------------------------------------------------------
 
-def parse_graph_spec(spec: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from a CLI spec string.
 
     Supported: "qd:D", "knn:A,B", "cycle:N", "path:N", "aems", "crown:D",
@@ -318,21 +317,21 @@ def parse_graph_spec(spec: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     name = name.strip().lower()
     try:
         if name == "qd":
-            return hypercube(int(arg), cap)
+            return hypercube(int(arg))
         if name == "knn":
             a, b = (int(x) for x in arg.split(","))
-            return complete_bipartite(a, b, cap)
+            return complete_bipartite(a, b)
         if name == "cycle":
-            return cycle(int(arg), cap)
+            return cycle(int(arg))
         if name == "path":
-            return path(int(arg), cap)
+            return path(int(arg))
         if name == "aems":
             return claw_composite()
         if name == "crown":
-            return crown(int(arg), cap)
+            return crown(int(arg))
         if name == "circ":
             parts = [int(x) for x in arg.split(",")]
-            return circulant_bipartite(parts[0], parts[1:], cap)
+            return circulant_bipartite(parts[0], parts[1:])
         if name == "file":
             try:
                 with open(arg, "r", encoding="ascii") as fh:

@@ -3,13 +3,13 @@ two-sided interval property for balanced bipartite graphs, the decreasing
 final third, and the hypercube transition ratio.
 
 All verdicts use exact integer comparisons; ties satisfy the non-strict
-definitions.  A strict mode is available for chains that must strictly
-increase or decrease.
+definitions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,8 +33,8 @@ class MonotonicityReport:
     witness: Optional[tuple[int, int]]  # lexicographically first violation
 
 
-def check_sstep(seq, kind: str, lo: int, hi: int, s: int,
-                strict: bool = False) -> MonotonicityReport:
+def check_sstep(seq, kind: str, lo: int, hi: int,
+                s: int) -> MonotonicityReport:
     """Check s-step monotonicity of seq on [lo, hi]: for every pair
     lo <= i <= j <= hi with j - i >= s the counts must satisfy
     a_i <= a_j (increasing kind) or a_i >= a_j (decreasing kind).
@@ -56,20 +56,20 @@ def check_sstep(seq, kind: str, lo: int, hi: int, s: int,
         return MonotonicityReport(kind, lo, hi, s, True, None)
 
     # suffix extremum of the comparison target: for increasing kind a
-    # violation at i needs some later a_j strictly below a_i (or <= in
-    # strict mode), so track suffix minima; symmetric for decreasing.
+    # violation at i needs some later a_j strictly below a_i, so track
+    # suffix minima; symmetric for decreasing.
     if kind == INCREASING:
         suffix = [0] * m
         suffix[m - 1] = window[m - 1]
         for i in range(m - 2, -1, -1):
             suffix[i] = min(window[i], suffix[i + 1])
-        bad = (lambda a, b: a >= b) if strict else (lambda a, b: a > b)
+        bad = operator.gt
     else:
         suffix = [0] * m
         suffix[m - 1] = window[m - 1]
         for i in range(m - 2, -1, -1):
             suffix[i] = max(window[i], suffix[i + 1])
-        bad = (lambda a, b: a <= b) if strict else (lambda a, b: a < b)
+        bad = operator.lt
 
     for i in range(0, m - s):
         if bad(window[i], suffix[i + s]):
@@ -160,16 +160,11 @@ def transition_g(d: int, t: int) -> Fraction:
     return Fraction(d) * (Fraction(t, 1 << (d - 1)) - Fraction(1, 2))
 
 
-def transition_ratio_log2(d: int, t: int, it: Optional[int] = None,
-                          it_log2=None) -> mp.mpf:
-    """log2 of i_t(Q_d) / (2 C(2**(d-1), t)), from an exact count or from a
-    precomputed log2 value."""
+def transition_ratio_log2(d: int, t: int, it: int) -> mp.mpf:
+    """log2 of i_t(Q_d) / (2 C(2**(d-1), t)), from the exact count it."""
     if not 0 <= t <= 1 << (d - 1):
         raise ValueError("t outside [0, 2^(d-1)]")
-    if (it is None) == (it_log2 is None):
-        raise ValueError("give exactly one of it, it_log2")
-    log_it = mp.log(mpf_from(it), 2) if it is not None else mp.mpf(it_log2)
-    return log_it - 1 - log2_binom(1 << (d - 1), t)
+    return mp.log(mpf_from(it), 2) - 1 - log2_binom(1 << (d - 1), t)
 
 
 def predicted_transition_limit(g) -> mp.mpf:

@@ -272,16 +272,19 @@ def test_criterion_12_error_factor_window_at_d64():
     e1_checked = e2_checked = 0
     violations = []
     for t in grid:
-        if est.e1_applicability(d, t) is None:
+        if t > half:   # float rounding; neither factor exists past 2^(d-1)
+            continue
+        w = est.estimate_window(d, t)
+        if w.e1_reason is None:
             e1_checked += 1
-            e1 = est.e1_factor(d, t)
+            e1 = w.e1
             if not e1 >= e1_bar:
                 violations.append(
                     ("E1", t, f"1 - E1 = {mp.nstr(1 - e1, 6)} exceeds "
                               f"1/d^5 = {mp.nstr(1 - e1_bar, 6)}"))
-        if est.e2_applicability(d, t) is None:
+        if w.e2_reason is None:
             e2_checked += 1
-            e2 = est.e2_factor(d, t)
+            e2 = w.e2
             if not e2 <= e2_bar:
                 violations.append(
                     ("E2", t, f"E2 - 1 = {mp.nstr(e2 - 1, 6)} exceeds "

@@ -105,6 +105,54 @@ def test_cube_structure_refuses_d1(capsys):
     assert err.startswith("error: dimension d = 1 outside [2, ")
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["--d", "4", "--set", "0,15"],
+     '{"closure": 8, "components": [[0], [15]], "comps": 2, "d": 4, '
+     '"max_comp": 1, "nbhd": 8, "set": [0, 15], "size": 2, "small": false}'),
+    (["--d", "5", "--set", "24,0,5,3"],
+     '{"closure": 6, "components": [[0, 3, 5, 24]], "comps": 1, "d": 5, '
+     '"max_comp": 4, "nbhd": 13, "set": [0, 3, 5, 24], "size": 4, '
+     '"small": true}'),
+    (["--d", "3", "--set", "0,1"],   # mixed parity: no 2-components
+     '{"closure": 0, "components": null, "comps": null, "d": 3, '
+     '"max_comp": null, "nbhd": 4, "set": [0, 1], "size": 2, "small": true}'),
+    (["--d", "3"],
+     '{"closure": 0, "components": [], "comps": 0, "d": 3, "max_comp": 0, '
+     '"nbhd": 0, "set": [], "size": 0, "small": true}'),
+])
+def test_cube_structure_json_pinned(capsys, argv, payload):
+    code, out, err = run_cli(capsys, "cube-structure", *argv,
+                             "--format", "json")
+    assert (code, out, err) == (0, payload + "\n", "")
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ("0,0", "vertex 0 is listed twice"),
+    ("999", "vertex 999 is not a vertex of Q_3"),
+    ("8", "vertex 8 is not a vertex of Q_3"),
+    ("-1", "vertex -1 is not a vertex of Q_3"),
+])
+def test_cube_structure_rejects_bad_sets(capsys, vertices, message):
+    code, out, err = run_cli(capsys, "cube-structure", "--d", "3",
+                             "--set", vertices)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cube_structure_computes_once(capsys, monkeypatch):
+    # one structure_stats call, and one two_components call beside the one
+    # inside it for the component lists
+    calls = []
+    for name in ("structure_stats", "two_components"):
+        fn = getattr(cli.cube, name)
+        monkeypatch.setattr(cli.cube, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    code, _out, _err = run_cli(capsys, "cube-structure", "--d", "4",
+                               "--set", "0,3,5", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == ["structure_stats", "two_components",
+                             "two_components"]
+
+
 # cube-window --format json rows as printed when rationals were converted
 # with mp.mpf(p) / q directly; any drift in the printed digits fails.  Each
 # row: (c, d, t as a permille of 2^(d-1), range, f_cut, central_log2, e1, e2,
@@ -175,14 +223,38 @@ def test_cube_window_verb(capsys):
     assert "not applicable" in out
 
 
-def test_transition_verb(capsys):
+def test_transition_verb(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "transition", "--d", "4", "--t", "4",
                            "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert rows[0]["g"] == "0/1"
+    # Q_9 is far over the work budget; a lower budget makes it fail fast
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 1000)
     code, _out, err = run_cli(capsys, "transition", "--d", "9")
     assert code == 2
+    assert err.startswith("error: counting budget of 1000 memo words")
+
+
+def test_transition_budget_is_the_only_limit(capsys, monkeypatch):
+    # d = 6 is counted (Q_6 is within the default budget, in seconds);
+    # below its needs the budget error is the refusal
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 1000)
+    code, out, err = run_cli(capsys, "transition", "--d", "6", "--t", "32")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: counting budget of 1000 memo words "
+                          "exceeded after ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transition", "--d", "0"], "dimension d = 0 below 1"),
+    (["transition", "--d", "-2"], "dimension d = -2 below 1"),
+    (["cube-window", "--d", "0", "--t", "0"], "dimension d = 0 below 1"),
+    (["transition", "--d", "2", "--t", "5"], "t = 5 outside [0, 2^(d-1)]"),
+])
+def test_cube_verbs_reject_bad_dimension_and_t(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_percolate_experiment(capsys):
@@ -200,6 +272,15 @@ def test_percolate_sample_emission(capsys):
                            "--p", "1", "--seed", "1", "--trials", "1")
     assert code == 0
     assert out.splitlines()[0] == "8 8"
+
+
+def test_percolate_sample_formats(capsys):
+    base = ("percolate", "--base", "cycle:6", "--p", "1/2", "--seed", "5")
+    code, out, err = run_cli(capsys, *base)
+    assert (code, out, err) == (0, "6 2\n2 3\n4 5\n", "")
+    code, out, err = run_cli(capsys, *base, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{"edges": [[2, 3], [4, 5]], "n": 6}\n'
 
 
 def test_byte_stability(capsys):
@@ -264,6 +345,7 @@ def test_verify_formats_report_failures(capsys, monkeypatch):
     ["check", "--graph", "qd:3", "--property", "unimodal"],
     ["cube-structure", "--d", "3", "--set", "0"],
     ["percolate", "--base", "knn:4,4", "--p", "1/2", "--trials", "2"],
+    ["percolate", "--base", "cycle:6", "--p", "1/2"],
 ])
 def test_csv_refusal_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
@@ -277,6 +359,8 @@ def test_csv_refusal_is_a_usage_error(capsys, argv):
     ["count", "--graph", "path:3000"],
     # output held in stdout's buffer until the flush
     ["count", "--graph", "qd:3", "--format", "json"],
+    # argparse prints the help and exits before any verb runs
+    ["--help"],
 ])
 def test_closed_stdout_exits_2_without_traceback(argv):
     # stdout is a pipe whose reader has already gone, as in `... | head`

@@ -376,10 +376,3 @@ def test_neighborhood_additive_over_two_components():
         comps = two_components(d, a)
         assert neighborhood(d, a).size == \
             sum(neighborhood(d, c).size for c in comps)
-
-
-def test_structure_stats_json_stable():
-    s1 = cube.structure_stats_json(4, vs(4, [0, 3]))
-    s2 = cube.structure_stats_json(4, vs(4, [0, 3]))
-    assert s1 == s2
-    assert '"small": true' in s1

@@ -9,8 +9,8 @@ from stableseq.cube import NotApplicableError, small_set_scan
 from stableseq.cube_estimates import (big_f, big_f_log2, case_inequalities,
                                       case_scan, central_log2,
                                       consecutive_ratio_aux_holds,
-                                      density_weight, e1_factor, e2_factor,
-                                      e2_parts, estimate_window, f_cut,
+                                      density_weight, e2_parts,
+                                      estimate_window, f_cut,
                                       lambda_of_t, linked_sum_bound_parts,
                                       linked_sum_dominates, range_tag,
                                       small_sum_dominates, small_sum_exponent,
@@ -153,11 +153,12 @@ def test_linked_sum_exact_equality_case():
 
 
 def test_error_factors_not_applicable_at_desk_scale():
-    with pytest.raises(NotApplicableError):
-        e1_factor(5, 8)  # cutoff near 1e5 dwarfs t/2
+    w = estimate_window(5, 8)
+    assert w.e1 is None  # cutoff near 1e5 dwarfs t/2
     assert f_cut(5, 8) > 10 ** 5
+    assert w.e2 is None
     with pytest.raises(NotApplicableError):
-        e2_factor(5, 8)
+        e2_parts(5, 8)
 
 
 def test_error_factors_bracket_one_when_applicable():
@@ -166,15 +167,15 @@ def test_error_factors_bracket_one_when_applicable():
         half = 1 << (d - 1)
         for frac in (Fraction(1, 2), Fraction(5, 8), Fraction(11, 16),
                      Fraction(3, 4), Fraction(7, 8), Fraction(15, 16)):
-            t = int(half * frac)
-            ok1 = est.e1_applicability(d, t) is None
-            ok2 = est.e2_applicability(d, t) is None
+            w = estimate_window(d, int(half * frac))
+            ok1 = w.e1_reason is None
+            ok2 = w.e2_reason is None
             if ok1:
-                assert e1_factor(d, t) < 1
+                assert w.e1 < 1
             if ok2:
-                assert e2_factor(d, t) > 1
+                assert w.e2 > 1
             if ok1 and ok2:
-                assert e1_factor(d, t) <= e2_factor(d, t)
+                assert w.e1 <= w.e2
                 found += 1
     assert found >= 10
 
@@ -189,9 +190,11 @@ def test_window_never_empty_on_upper_range_grid():
         both = 0
         for i in range(50):
             t = lo + round(i * (half - lo) / 49)
-            if est.e1_applicability(d, t) is None \
-                    and est.e2_applicability(d, t) is None:
-                assert e1_factor(d, t) <= e2_factor(d, t), (d, t)
+            if t > half:   # float rounding at d = 100; neither factor exists
+                continue
+            w = estimate_window(d, t)
+            if w.e1_reason is None and w.e2_reason is None:
+                assert w.e1 <= w.e2, (d, t)
                 both += 1
         # the window narrows at small d: the three-quarters cap on the lower
         # factor meets a window floor already above 0.72 half at d = 20
@@ -342,3 +345,39 @@ def test_estimate_window_refuses_nothing_silently():
     w = estimate_window(64, 1 << 62)
     assert w.e1 is not None and w.e2 is not None
     assert w.e1 <= 1 <= w.e2
+
+
+def test_estimate_window_certifies_one_ceiling(monkeypatch):
+    # the cutoff f is computed once per (d, t), whichever factors apply
+    calls = []
+    ceil = est.ceil_of_product_with_e
+    monkeypatch.setattr(est, "ceil_of_product_with_e",
+                        lambda x: calls.append(x) or ceil(x))
+    for d, t in ((5, 8), (9, 100), (40, 1 << 38), (64, 1 << 62),
+                 (64, (1 << 63) - 1)):
+        calls.clear()
+        estimate_window(d, t)
+        assert len(calls) == 1, (d, t)
+
+
+def test_e2_above_one_wherever_it_applies_at_small_d():
+    # below d = 10 the type-III weight F_lam(6, 6d - 60) has a negative
+    # second argument and stands for lam^6 (1 + lam)^(60 - 6d)
+    applicable = {}
+    for d in range(2, 12):
+        half = 1 << (d - 1)
+        for t in range(1, half):
+            w = estimate_window(d, t)
+            if w.e2_reason is not None:
+                continue
+            assert w.e2 > 1, (d, t)
+            applicable[d] = applicable.get(d, 0) + 1
+            lam = mp.mpf(t) / (half - t)
+            x = mp.mpf(d * d * t * t) * 2 ** d / (half - t) ** 2 \
+                * (1 - mp.mpf(t) / half) ** (2 * d - 2)
+            type3 = 3 * mp.e ** 5 * mp.mpf(d) ** 10 * mp.mpf(2) ** (1.5 * d) \
+                * lam ** 6 * (1 + lam) ** (60 - 6 * d) * mp.exp(x)
+            got = e2_parts(d, t)["type3"]
+            assert abs(got / type3 - 1) < mp.mpf(10) ** -25, (d, t)
+    assert sorted(applicable) == [8, 9, 10, 11]
+    assert applicable[8] + applicable[9] == 54
