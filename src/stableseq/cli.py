@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -169,13 +170,8 @@ def cmd_cube_structure(args) -> int:
     return EXIT_OK
 
 
-def _check_cube_dim(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"dimension d = {d} below 1")
-
-
 def cmd_cube_window(args) -> int:
-    _check_cube_dim(args.d)
+    cube._check_dim(args.d, cap=math.inf)
     rows = []
     for t in args.t:
         est_row = est.estimate_window(args.d, t, args.c_constant)
@@ -204,14 +200,15 @@ def cmd_cube_window(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    # the counting engine's work budget is the only limit on d
-    _check_cube_dim(args.d)
+    # d is capped at 20 (Q_20 is the largest hypercube a generator builds);
+    # below that the counting engine's work budget is the only limit
+    cube._check_dim(args.d)
     half = 1 << (args.d - 1)
-    ts = args.t or list(range(half + 1))
-    for t in ts:
+    for t in args.t or ():
         if not 0 <= t <= half:
             raise ValueError(f"t = {t} outside [0, 2^(d-1)]")
     seq = count_by_size(graphs.hypercube(args.d))
+    ts = args.t or range(half + 1)
     rows = []
     for t in ts:
         gcoord = seqshape.transition_g(args.d, t)

@@ -36,7 +36,8 @@ class NotApplicableError(ValueError):
     """A formula's validity conditions fail at the requested parameters."""
 
 
-def _check_dim(d: int, cap: int = BITSET_DIM_CAP, low: int = 1) -> None:
+def _check_dim(d: int, cap: float = BITSET_DIM_CAP, low: int = 1) -> None:
+    """Raise ValueError unless low <= d <= cap (cap may be math.inf)."""
     if d < low or d > cap:
         raise ValueError(f"dimension d = {d} outside [{low}, {cap}]")
 
@@ -69,7 +70,7 @@ class VertexSet:
 def vertex_set(d: int, vertices) -> VertexSet:
     """The set of the listed vertices of Q_d; a vertex outside Q_d or
     listed twice is an error."""
-    _check_dim(d)
+    _check_dim(d, low=2)
     bits = 0
     for v in vertices:
         if not 0 <= v < 1 << d:

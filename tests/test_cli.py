@@ -247,9 +247,15 @@ def test_transition_budget_is_the_only_limit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["transition", "--d", "0"], "dimension d = 0 below 1"),
-    (["transition", "--d", "-2"], "dimension d = -2 below 1"),
-    (["cube-window", "--d", "0", "--t", "0"], "dimension d = 0 below 1"),
+    (["transition", "--d", "0"], "dimension d = 0 outside [1, 20]"),
+    (["transition", "--d", "-2"], "dimension d = -2 outside [1, 20]"),
+    (["transition", "--d", "21"], "dimension d = 21 outside [1, 20]"),
+    (["transition", "--d", "64"], "dimension d = 64 outside [1, 20]"),
+    (["cube-window", "--d", "0", "--t", "0"],
+     "dimension d = 0 outside [1, inf]"),
+    (["cube-structure", "--d", "0"], "dimension d = 0 outside [2, 20]"),
+    (["cube-structure", "--d", "1", "--set", "0"],
+     "dimension d = 1 outside [2, 20]"),
     (["transition", "--d", "2", "--t", "5"], "t = 5 outside [0, 2^(d-1)]"),
 ])
 def test_cube_verbs_reject_bad_dimension_and_t(capsys, argv, message):
