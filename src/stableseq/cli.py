@@ -159,10 +159,8 @@ def cmd_cube_structure(args) -> int:
     a = cube.vertex_set(args.d, [int(x) for x in args.set.split(",")]
                         if args.set else [])
     stats = cube.structure_stats(args.d, a)
-    verts = sorted(a.vertices())
-    payload = {"d": args.d, "set": verts, **dataclasses.asdict(stats),
-               "components": None if a.side == cube.SIDE_MIXED else
-               [sorted(c.vertices()) for c in cube.two_components(args.d, a)]}
+    verts = a.vertices()
+    payload = {"d": args.d, "set": verts, **dataclasses.asdict(stats)}
     _emit(args, payload,
           [f"d={args.d} A={verts}: size {stats.size}, "
            f"nbhd {stats.nbhd}, closure {stats.closure}, small {stats.small}, "
@@ -200,8 +198,8 @@ def cmd_cube_window(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    # d is capped at 20 (Q_20 is the largest hypercube a generator builds);
-    # below that the counting engine's work budget is the only limit
+    # d is capped at 20 here and at 15 by graphs.VERTEX_CAP; below that the
+    # counting engine's work budget is the only limit
     cube._check_dim(args.d)
     half = 1 << (args.d - 1)
     for t in args.t or ():

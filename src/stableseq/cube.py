@@ -2,6 +2,8 @@
 neighborhoods N(A), closures [A], smallness, 2-linkage and 2-components,
 plus the two enumeration inequalities that bracket the size-t count
 i_t(Q_d) from below (sparse one-sided sets) and above (small-set scan).
+The sparse sets are the independent sets of the halved cube (the even
+class, joined at distance 2), which the exact module's engine counts.
 
 Vertex v of Q_d is the integer whose binary digits are the coordinates;
 a vertex set is a Python-int bitset of width 2**d.
@@ -17,13 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import _components
+from .exact import _binom_sum, count_by_size
+from .graphs import Graph, _components, _cube_row
 from .numerics import binom, bits_of, popcount
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
 SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
                              # start at d = 2, the least d with 2**(d-2) >= 1
-SPARSE_LOWER_DIM_CAP = 6     # backtracking enumeration for the lower bound
+SPARSE_LOWER_DIM_CAP = 6     # the largest d whose Q_d the engine counts, so
+                             # every scattered-set bound is checked by i_t
 
 CACHE_ENV = "STABLESEQ_CACHE_DIR"
 
@@ -81,17 +85,12 @@ def vertex_set(d: int, vertices) -> VertexSet:
     return VertexSet(d, bits)
 
 
-def _row(d: int, v: int) -> int:
-    """Neighbours of v in Q_d, as a bitset."""
-    return sum(1 << (v ^ 1 << k) for k in range(d))
-
-
 def _nbhd_bits(d: int, bits: int) -> int:
     out = 0
     rest = bits
     while rest:
         low = rest & -rest
-        out |= _row(d, low.bit_length() - 1)
+        out |= _cube_row(d, low.bit_length() - 1)
         rest ^= low
     return out & ~bits
 
@@ -110,7 +109,7 @@ def closure(d: int, a: VertexSet) -> VertexSet:
     na = _nbhd_bits(d, a.bits)
     out = 0
     for v in range(1 << d):
-        if _row(d, v) & ~na == 0:
+        if _cube_row(d, v) & ~na == 0:
             out |= 1 << v
     return VertexSet(d, out)
 
@@ -142,7 +141,7 @@ def is_two_linked(d: int, a: VertexSet) -> bool:
     for mixed-parity A."""
     _check_dim(d)
     region = a.bits | _nbhd_bits(d, a.bits)
-    rows = {v: _row(d, v) for v in bits_of(region)}
+    rows = {v: _cube_row(d, v) for v in bits_of(region)}
     return len(_components(rows, region)) == 1
 
 
@@ -154,23 +153,35 @@ class StructureStats:
     small: bool
     comps: Optional[int]      # None for mixed-parity sets, where the
     max_comp: Optional[int]   # 2-component decomposition is not defined
+    components: Optional[tuple[tuple[int, ...], ...]]   # likewise
 
 
 def structure_stats(d: int, a: VertexSet) -> StructureStats:
     _check_dim(d, low=2)
     na = neighborhood(d, a)
     cl = closure(d, a)
-    mixed = a.side == SIDE_MIXED
-    comps = two_components(d, a) if not mixed else None
+    comps = (None if a.side == SIDE_MIXED else
+             tuple(tuple(c.vertices()) for c in two_components(d, a)))
     return StructureStats(
         size=a.size,
         nbhd=na.size,
         closure=cl.size,
         small=cl.size <= 1 << (d - 2),
         comps=len(comps) if comps is not None else None,
-        max_comp=(max((c.size for c in comps), default=0)
+        max_comp=(max(map(len, comps), default=0)
                   if comps is not None else None),
+        components=comps,
     )
+
+
+def _halved_cube(d: int) -> Graph:
+    """The halved cube of Q_d: the even class, two vertices adjacent when at
+    Hamming distance 2.  Vertex i is the i-th even vertex in increasing
+    order, the one of 2i, 2i + 1 of even weight; two of them are at distance
+    2 exactly when their indices differ in one or two bits."""
+    steps = [1 << i | 1 << j for i in range(d - 1) for j in range(i + 1)]
+    return Graph(1 << (d - 1), tuple(sum(1 << (i ^ s) for s in steps)
+                                     for i in range(1 << (d - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +201,8 @@ def _small_scan(d: int) -> dict:
     neighborhood in the even class, disjoint from N(A)), so it is counted
     over the even class only.
     """
-    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
-    rows = [_row(d, v) for v in evens]
-    # in-class distance-2 rows, over positions in evens
-    links = [sum(1 << j for j, w in enumerate(evens) if popcount(v ^ w) == 2)
-             for v in evens]
+    rows = [_cube_row(d, v) for v in range(1 << d) if popcount(v) % 2 == 0]
+    links = _halved_cube(d).adj  # in-class distance-2 rows, indexed as rows
     quarter = 1 << (d - 2)
     table: dict[tuple[int, int, bool], int] = {}
     stack = [(0, 0, 0)]
@@ -209,7 +217,7 @@ def _small_scan(d: int) -> dict:
         key = (mask.bit_count(), nbhd.bit_count(),
                len(_components(links, mask)) == 1)
         table[key] = table.get(key, 0) + 1
-        for i in range(start, len(evens)):
+        for i in range(start, len(rows)):
             stack.append((mask | 1 << i, nbhd | rows[i], i + 1))
     return table
 
@@ -296,11 +304,7 @@ def eq_upper_small_sets(d: int, t: int, profile=None) -> int:
         raise ValueError("t outside [0, 2^(d-1)]")
     if profile is None:
         profile = small_profile(d)
-    total = 0
-    for (a, g), c in profile.items():
-        if t - a >= 0:
-            total += c * binom(half - g, t - a)
-    return 2 * total
+    return 2 * _binom_sum(profile, half, t)
 
 
 # ---------------------------------------------------------------------------
@@ -308,28 +312,12 @@ def eq_upper_small_sets(d: int, t: int, profile=None) -> int:
 # ---------------------------------------------------------------------------
 
 def scattered_count_by_size(d: int, kmax: int) -> dict[int, int]:
-    """Exact number of A in the even class with cl(A) <= 1 and |A| = k,
-    for k = 0..kmax: subsets with pairwise Hamming distance at least 4,
-    counted by backtracking with distance pruning."""
+    """Exact number of A in the even class with cl(A) <= 1 and |A| = k, for
+    the k = 0..kmax with such an A: the independent sets of the halved cube
+    (pairwise Hamming distance at least 4), counted by the engine."""
     _check_dim(d, SPARSE_LOWER_DIM_CAP)
-    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
-    counts = {0: 1}
-
-    def rec(start: int, chosen: list[int]) -> None:
-        k = len(chosen)
-        if k:
-            counts[k] = counts.get(k, 0) + 1
-        if k == kmax:
-            return
-        for i in range(start, len(evens)):
-            v = evens[i]
-            if all(popcount(v ^ u) >= 4 for u in chosen):
-                chosen.append(v)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return counts
+    counts = count_by_size(_halved_cube(d)).counts
+    return {k: c for k, c in enumerate(counts) if k <= kmax}
 
 
 def lower_bound_scattered(d: int, t: int, f: Optional[int] = None) -> int:
@@ -338,8 +326,8 @@ def lower_bound_scattered(d: int, t: int, f: Optional[int] = None) -> int:
     C(2**(d-1) - d|A|, t - |A|).
 
     The doubling is only valid without overlap, which requires f < t/2;
-    outside that the bound is refused.  The cutoff f defaults to the
-    enumeration cutoff tied to the density weight of (d, t).
+    outside that the bound is refused, as is a negative f.  The cutoff f
+    defaults to the enumeration cutoff tied to the density weight of (d, t).
     """
     from .cube_estimates import f_cut
     _check_dim(d, SPARSE_LOWER_DIM_CAP)
@@ -348,17 +336,14 @@ def lower_bound_scattered(d: int, t: int, f: Optional[int] = None) -> int:
         raise ValueError("t outside [0, 2^(d-1)]")
     if f is None:
         f = f_cut(d, t)
+    if f < 0:
+        raise ValueError(f"cutoff f = {f} is negative")
     if 2 * f >= t:
         raise NotApplicableError(
             f"cutoff f = {f} is not below t/2 = {Fraction(t, 2)}; the "
             "doubled one-sided sum would overlap")
-    kmax = min(f, t)
-    counts = scattered_count_by_size(d, kmax)
-    total = 0
-    for k, c in counts.items():
-        if t - k >= 0:
-            total += c * binom(half - d * k, t - k)
-    return 2 * total
+    counts = scattered_count_by_size(d, f)
+    return 2 * _binom_sum({(k, d * k): c for k, c in counts.items()}, half, t)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,7 @@ def small_sum_bound_log2(d: int, lam, c=None) -> mp.mpf:
 
 def small_sum_dominates(d: int, lam, total: Fraction) -> bool:
     """Certified test: total <= exp(small_sum_exponent(d, lam))."""
-    return leq_exp_of(Fraction(total), small_sum_exponent(d, lam),
-                      max_prec=8192)
+    return leq_exp_of(Fraction(total), small_sum_exponent(d, lam))
 
 
 def linked_sum_bound_parts(d: int, lam, k: int) -> tuple[int, Fraction]:
@@ -428,4 +427,4 @@ def consecutive_ratio_aux_holds(d: int, t: int, tol_spec: str) -> bool:
     if drop <= 0:
         return True
     # exp(drop) is irrational for rational drop > 0, so never equals 1 + tol
-    return not leq_exp_of(1 + tol, drop, max_prec=16384)
+    return not leq_exp_of(1 + tol, drop)

@@ -183,16 +183,16 @@ def side_profile(g: Graph, b: Optional[Bipartition] = None) -> SideProfile:
     return SideProfile(table=table, class_e_size=m, class_o_size=o_size)
 
 
+def _binom_sum(table: dict[tuple[int, int], int], m: int, t: int) -> int:
+    """sum over the cells (a, g) -> c of table of c * C(m - g, t - a)."""
+    return sum(c * binom(m - g, t - a) for (a, g), c in table.items())
+
+
 def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     """i_t = sum over profile cells of count * C(|O| - m, t - a)."""
     alpha_cap = prof.class_e_size + prof.class_o_size
-    counts = []
-    for t in range(alpha_cap + 1):
-        total = 0
-        for (a, mm), c in prof.table.items():
-            if t - a >= 0:
-                total += c * binom(prof.class_o_size - mm, t - a)
-        counts.append(total)
+    counts = [_binom_sum(prof.table, prof.class_o_size, t)
+              for t in range(alpha_cap + 1)]
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return IndSetSequence(tuple(counts))

@@ -15,7 +15,9 @@ from typing import Iterator, Sequence
 
 from .numerics import bits_of, popcount
 
-VERTEX_CAP = 1 << 20   # largest graph a generator builds
+# Largest graph built, by a generator or from a file: each row is as wide as
+# the graph, so the rows take n**2 / 8 bytes, 128 MB at the cap.
+VERTEX_CAP = 1 << 15
 
 
 class GraphError(ValueError):
@@ -23,7 +25,7 @@ class GraphError(ValueError):
 
 
 class SizeCapError(GraphError):
-    """A generator was asked for more than VERTEX_CAP vertices."""
+    """A graph of more than VERTEX_CAP vertices was asked for."""
 
 
 class NotBipartiteError(GraphError):
@@ -104,6 +106,8 @@ def _components(adj, mask: int) -> list[int]:
 
 
 def from_edges(n: int, edges) -> Graph:
+    """Graph on n vertices; n is capped before the (lazy) edges are read."""
+    _check_cap(n)
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -222,15 +226,18 @@ def _check_cap(nverts: int) -> None:
         raise SizeCapError(f"|V| = {nverts} exceeds cap {VERTEX_CAP}")
 
 
+def _cube_row(d: int, v: int) -> int:
+    """Neighbours of v in Q_d, as a bitset: v with one coordinate flipped."""
+    return sum(1 << (v ^ 1 << k) for k in range(d))
+
+
 def hypercube(d: int) -> Graph:
     """Q_d on {0,1}^d; vertex index i is the binary string of value i,
     adjacency flips exactly one coordinate."""
     if d < 0:
         raise GraphError("d < 0")
     _check_cap(1 << d)
-    n = 1 << d
-    adj = tuple(sum(1 << (v ^ (1 << k)) for k in range(d)) for v in range(n))
-    return Graph(n, adj)
+    return Graph(1 << d, tuple(_cube_row(d, v) for v in range(1 << d)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -247,15 +254,13 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    _check_cap(n)
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
-    _check_cap(n)
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def claw_composite() -> Graph:
@@ -276,9 +281,8 @@ def crown(d: int) -> Graph:
     """K_{d,d} minus a perfect matching; (d-1)-regular bipartite."""
     if d < 2:
         raise GraphError("crown needs d >= 2")
-    _check_cap(2 * d)
-    edges = [(i, d + j) for i in range(d) for j in range(d) if i != j]
-    return from_edges(2 * d, edges)
+    return from_edges(2 * d, ((i, d + j) for i in range(d) for j in range(d)
+                              if i != j))
 
 
 def circulant_bipartite(n: int, offsets: Sequence[int]) -> Graph:

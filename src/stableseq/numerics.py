@@ -109,32 +109,49 @@ class UndecidedComparison(ArithmeticError):
     """An interval comparison stayed ambiguous after precision escalation."""
 
 
-def leq_exp_of(x: Fraction, exponent: Fraction, max_prec: int = 4096) -> bool:
+_MAX_PREC = 16384   # interval precision at which a comparison gives up
+
+
+def _escalate(decide, what: str, arg):
+    """The first verdict other than None of decide() at the working interval
+    precision, doubled up to _MAX_PREC bits; the precision is restored.
+    what.format(arg) names the comparison if it stays undecided."""
+    saved = mp.iv.prec
+    try:
+        prec = saved
+        while prec <= _MAX_PREC:
+            mp.iv.prec = prec
+            verdict = decide()
+            if verdict is not None:
+                return verdict
+            prec *= 2
+        raise UndecidedComparison(
+            f"{what.format(arg)} undecided at {_MAX_PREC} bits")
+    finally:
+        mp.iv.prec = saved
+
+
+def leq_exp_of(x: Fraction, exponent: Fraction) -> bool:
     """Certified test of x <= exp(exponent) for rationals x and exponent.
 
     Escalates interval precision until the comparison is decided.
     """
     if x <= 0:
         return True
-    saved = mp.iv.prec
-    try:
-        prec = saved
-        while prec <= max_prec:
-            mp.iv.prec = prec
-            rhs = mp.iv.exp(iv_from(exponent))
-            lhs = iv_from(x)
-            if lhs.b <= rhs.a:
-                return True
-            if lhs.a > rhs.b:
-                return False
-            prec *= 2
-        raise UndecidedComparison(f"x vs exp({exponent}) undecided at {max_prec} bits")
-    finally:
-        mp.iv.prec = saved
+
+    def decide():
+        rhs = mp.iv.exp(iv_from(exponent))
+        lhs = iv_from(x)
+        if lhs.b <= rhs.a:
+            return True
+        if lhs.a > rhs.b:
+            return False
+        return None
+
+    return _escalate(decide, "x vs exp({})", exponent)
 
 
-def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int,
-                   max_prec: int = 4096) -> bool:
+def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int) -> bool:
     """Certified test of x <= scale * e**exp_arg (integer exp_arg >= 0).
 
     exp_arg == 0 is decided exactly in rational arithmetic; this matters
@@ -144,10 +161,10 @@ def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int,
         return x <= scale
     if scale <= 0:
         return x <= 0
-    return leq_exp_of(x / scale, Fraction(exp_arg), max_prec=max_prec)
+    return leq_exp_of(x / scale, Fraction(exp_arg))
 
 
-def ceil_of_product_with_e(q: Fraction, max_prec: int = 4096) -> int:
+def ceil_of_product_with_e(q: Fraction) -> int:
     """ceil(q * e) for rational q >= 0, certified by interval escalation.
 
     q * e is irrational for q > 0, so the ceiling is always well defined.
@@ -156,20 +173,14 @@ def ceil_of_product_with_e(q: Fraction, max_prec: int = 4096) -> int:
         raise ValueError("negative argument")
     if q == 0:
         return 0
-    saved = mp.iv.prec
-    try:
-        prec = saved
-        while prec <= max_prec:
-            mp.iv.prec = prec
-            prod = iv_from(q) * mp.iv.exp(mp.iv.mpf(1))
-            lo = mp.ceil(mp.mpf(prod.a))
-            hi = mp.ceil(mp.mpf(prod.b))
-            if lo == hi:
-                return int(lo)
-            prec *= 2
-        raise UndecidedComparison(f"ceil({q} * e) undecided at {max_prec} bits")
-    finally:
-        mp.iv.prec = saved
+
+    def decide():
+        prod = iv_from(q) * mp.iv.exp(mp.iv.mpf(1))
+        lo = mp.ceil(mp.mpf(prod.a))
+        hi = mp.ceil(mp.mpf(prod.b))
+        return int(lo) if lo == hi else None
+
+    return _escalate(decide, "ceil({} * e)", q)
 
 
 def popcount(x: int) -> int:

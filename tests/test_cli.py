@@ -139,8 +139,8 @@ def test_cube_structure_rejects_bad_sets(capsys, vertices, message):
 
 
 def test_cube_structure_computes_once(capsys, monkeypatch):
-    # one structure_stats call, and one two_components call beside the one
-    # inside it for the component lists
+    # one structure_stats call, and the one two_components call inside it,
+    # which also gives the component lists
     calls = []
     for name in ("structure_stats", "two_components"):
         fn = getattr(cli.cube, name)
@@ -149,8 +149,7 @@ def test_cube_structure_computes_once(capsys, monkeypatch):
     code, _out, _err = run_cli(capsys, "cube-structure", "--d", "4",
                                "--set", "0,3,5", "--format", "json")
     assert code == 0
-    assert sorted(calls) == ["structure_stats", "two_components",
-                             "two_components"]
+    assert sorted(calls) == ["structure_stats", "two_components"]
 
 
 # cube-window --format json rows as printed when rationals were converted
@@ -200,9 +199,9 @@ def test_cube_window_json_pinned(capsys, row):
 
 
 def test_undecided_comparison_exits_2(capsys, monkeypatch):
-    def undecided(q, max_prec=4096):
+    def undecided(q):
         raise numerics.UndecidedComparison(f"ceil({q} * e) undecided at "
-                                           f"{max_prec} bits")
+                                           "4096 bits")
     monkeypatch.setattr(cube_estimates, "ceil_of_product_with_e", undecided)
     code, out, err = run_cli(capsys, "cube-window", "--d", "8", "--t", "20")
     assert code == 2
@@ -494,6 +493,13 @@ def test_count_prints_counts_past_int_digit_limit(capsys, tmp_path):
         assert json.loads(out)["total"] == str(1 << 15000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_count_refuses_graph_over_vertex_cap(capsys):
+    # refused before the adjacency rows are allocated
+    code, out, err = run_cli(capsys, "count", "--graph", "path:100000")
+    assert (code, out) == (2, "")
+    assert err == "error: |V| = 100000 exceeds cap 32768\n"
 
 
 # main() parses with one parser built on its first call; these pin that

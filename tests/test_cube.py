@@ -65,6 +65,20 @@ def brute_two_components(d, verts):
     return sorted(frozenset(s) for s in groups.values())
 
 
+def brute_scattered_counts(d):
+    # every k-subset of the even class, checked pair by pair, for k = 0, 1,
+    # ... until a size has none
+    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+    counts = []
+    for k in range(len(evens) + 1):
+        c = sum(1 for s in combinations(evens, k)
+                if all(popcount(u ^ v) >= 4 for u, v in combinations(s, 2)))
+        if c == 0:
+            break
+        counts.append(c)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 
 def test_neighborhood_examples():
@@ -322,6 +336,16 @@ def test_scattered_counts_small_cases():
     assert counts.get(3, 0) == 0
 
 
+def test_scattered_counts_match_brute_force():
+    for d in range(1, 7):
+        counts = scattered_count_by_size(d, 1 << (d - 1))
+        assert counts == dict(enumerate(brute_scattered_counts(d))), d
+    # the halved cubes of Q_5 and Q_6
+    assert scattered_count_by_size(5, 16) == {0: 1, 1: 16, 2: 40}
+    assert scattered_count_by_size(6, 32) == {0: 1, 1: 32, 2: 256, 3: 480,
+                                              4: 120}
+
+
 def test_lower_bound_scattered_values():
     assert lower_bound_scattered(5, 16) == 2 == Q_SEQ[5][16]
     # only the empty set contributes at the top of dimension 6
@@ -346,6 +370,17 @@ def test_lower_bound_truncation_formula():
     assert lower_bound_scattered(d, t, f=f) == expect
     with pytest.raises(NotApplicableError):
         lower_bound_scattered(d, 4, f=2)
+
+
+def test_lower_bound_scattered_rejects_negative_cutoff():
+    # a negative cutoff once lifted the size limit altogether, giving
+    # "lower bounds" above the exact counts i_1(Q_4) = 16 and i_2(Q_4) = 88
+    for t in (1, 2):
+        with pytest.raises(ValueError, match="cutoff f = -1 is negative"):
+            lower_bound_scattered(4, t, f=-1)
+    for t in range(len(Q_SEQ[4])):
+        for f in range((t + 1) // 2):
+            assert lower_bound_scattered(4, t, f=f) <= Q_SEQ[4][t]
 
 
 def test_identity_reweight_exact():

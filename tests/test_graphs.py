@@ -46,6 +46,18 @@ def test_generator_errors():
         graphs.hypercube(-1)
     with pytest.raises(SizeCapError):
         graphs.hypercube(25)
+    with pytest.raises(SizeCapError):
+        graphs.hypercube(16)
+
+
+def test_vertex_cap_holds_for_edge_lists_and_files():
+    # each row is as wide as the graph, so the cap bounds the rows' memory
+    assert graphs.VERTEX_CAP == 1 << 15
+    assert graphs.from_edges(graphs.VERTEX_CAP, []).n == graphs.VERTEX_CAP
+    with pytest.raises(SizeCapError):
+        graphs.from_edges(graphs.VERTEX_CAP + 1, [])
+    with pytest.raises(SizeCapError, match="32769 exceeds cap 32768"):
+        graphs.graph_from_text("32769 0\n")
     with pytest.raises(GraphError):
         graphs.cycle(2)
     with pytest.raises(GraphError):

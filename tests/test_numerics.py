@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stableseq import numerics
 from stableseq.numerics import log2_binom, log2_fraction, mpf_from
 
 # an odd part of up to 400 bits times a power of two up to 2^5000
@@ -53,3 +55,20 @@ def test_log2_binom_matches_direct_conversion():
             direct = (mp.loggamma(mp.mpf(n) + 1) - mp.loggamma(mp.mpf(k) + 1)
                       - mp.loggamma(mp.mpf(n - k) + 1)) / mp.log(2)
         assert log2_binom(n, k)._mpf_ == direct._mpf_
+
+
+def test_escalation_gives_up_at_its_cap_and_restores_precision():
+    # a rational within 2^-20000 of e: no interval below the 16384-bit cap
+    # separates it from exp(1)
+    with mp.workprec(20100):
+        man, exp = mp.mpf(mp.e).man_exp
+    x = Fraction(man, 1 << -exp)
+    saved = mp.iv.prec
+    with pytest.raises(numerics.UndecidedComparison,
+                       match=r"^x vs exp\(1\) undecided at 16384 bits$"):
+        numerics.leq_exp_of(x, Fraction(1))
+    assert mp.iv.prec == saved
+    assert numerics.leq_exp_of(Fraction(2718, 1000), Fraction(1))
+    assert not numerics.leq_exp_of(Fraction(2719, 1000), Fraction(1))
+    assert numerics.ceil_of_product_with_e(Fraction(1)) == 3
+    assert mp.iv.prec == saved
