@@ -302,15 +302,6 @@ class BoundTable:
     degree: int
     rows: tuple[BoundRow, ...] = field(default_factory=tuple)
 
-    def to_csv(self, digits: int = 18) -> str:
-        out = ["t,lower_log2,upper_log2,exact_log2,tags"]
-        for r in self.rows:
-            exact = mp.nstr(r.exact_log2, digits) if r.exact_log2 is not None else ""
-            out.append(f"{r.t},{mp.nstr(r.lower_log2, digits)},"
-                       f"{mp.nstr(r.upper_log2, digits)},{exact},"
-                       f"{'|'.join(r.tags)}")
-        return "\n".join(out) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.half_order,

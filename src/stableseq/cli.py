@@ -11,12 +11,13 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,14 +38,21 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _emit(args, payload_json: dict, plain_lines: list[str],
-          csv_text: str | None = None) -> None:
+def _emit(args, payload: dict, plain_lines: Iterable[str],
+          csv_header: Iterable[str] | None = None,
+          csv_rows: Iterable[Iterable] = ()) -> None:
+    """Write a verb's output in the chosen format: the JSON payload, the
+    plain lines, or the CSV header and rows (no header for a verb without a
+    CSV form).  Every CSV line ends in "\n".  Only the chosen output is
+    read, so the lines and rows may be generators."""
     if args.format == "json":
-        print(json.dumps(payload_json, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        if csv_text is None:
+        if csv_header is None:
             raise ValueError("csv format not available for this verb")
-        sys.stdout.write(csv_text)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
     else:
         for line in plain_lines:
             print(line)
@@ -55,19 +63,15 @@ def _emit(args, payload_json: dict, plain_lines: list[str],
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    g = graphs.parse_graph_spec(args.graph)
-    seq = count_by_size(g)
-    # Only the chosen format is built: converting a long sequence of big
-    # counts to decimal takes seconds.
-    if args.format == "json":
-        print(seq.to_json(args.graph))
-    elif args.format == "csv":
-        sys.stdout.write("t,count\n" + "".join(
-            f"{t},{c}\n" for t, c in enumerate(seq.counts)))
-    else:
-        print(f"graph {args.graph}: alpha = {seq.alpha}, total = {seq.total}")
-        for t, c in enumerate(seq.counts):
-            print(f"  i_{t} = {c}")
+    seq = count_by_size(graphs.parse_graph_spec(args.graph))
+    # Each count is converted to decimal once, here, and every format reuses
+    # the strings: for a long sequence of big counts that takes seconds.
+    payload = seq.to_json_dict(args.graph)
+    counts = payload["counts"]
+    head = f"graph {args.graph}: alpha = {seq.alpha}, total = {payload['total']}"
+    _emit(args, payload,
+          itertools.chain([head], (f"  i_{t} = {c}" for t, c in enumerate(counts))),
+          ("t", "count"), enumerate(counts))
     return EXIT_OK
 
 
@@ -76,20 +80,14 @@ def cmd_bounds(args) -> int:
     b = graphs.bipartition(g)
     degs = set(g.degrees())
     if len(degs) != 1:
-        print("bounds verb needs a regular bipartite graph", file=sys.stderr)
-        return EXIT_USAGE
-    d = args.d if args.d is not None else degs.pop()
-    if args.d is not None and degs != {args.d}:
-        print(f"graph is {degs.pop()}-regular, not {args.d}-regular",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("bounds verb needs a regular bipartite graph")
+    d = degs.pop()
     seq = count_by_size(g)
-    table = bnd.build_bound_table(g.n, d, seq)
+    payload = bnd.build_bound_table(g.n, d, seq).to_json_dict()
     violations = bnd.check_sandwich(g.n, d, seq)
     lambdas = [Fraction(x) for x in args.lam] or \
         [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
     violations += bnd.check_partition_dominance(g, b, d, seq, lambdas)
-    payload = table.to_json_dict()
     payload["violations"] = [v.detail for v in violations]
     payload["partition_bounds"] = [
         {
@@ -101,10 +99,12 @@ def cmd_bounds(args) -> int:
         }
         for lam in lambdas
     ]
-    plain = [f"bound table for {args.graph} (d = {d}); "
-             f"violations: {len(violations)}"]
-    plain += [v.detail for v in violations]
-    _emit(args, payload, plain, table.to_csv())
+    _emit(args, payload,
+          [f"bound table for {args.graph} (d = {d}); "
+           f"violations: {len(violations)}", *payload["violations"]],
+          ("t", "lower_log2", "upper_log2", "exact_log2", "tags"),
+          ((r["t"], r["lower_log2"], r["upper_log2"], r["exact_log2"],
+            "|".join(r["tags"])) for r in payload["rows"]))
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
@@ -113,45 +113,36 @@ def cmd_check(args) -> int:
     seq = count_by_size(g)
     payload: dict = {"graph": args.graph, "property": args.property,
                      "alpha": seq.alpha}
-    if args.property == "unimodal":
-        holds, witness = seqshape.is_unimodal(seq)
-        payload["holds"] = holds
-        payload["witness"] = list(witness) if witness else None
-        verdict = "unimodal" if holds else f"not unimodal, witness {witness}"
-    elif args.property == "final-third":
-        holds, witness = seqshape.check_final_third(seq)
-        payload["holds"] = holds
-        payload["witness"] = list(witness) if witness else None
-        verdict = ("final third decreasing" if holds
-                   else f"final third violated at {witness}")
-    else:  # bgs
+    details = []
+    if args.property == "bgs":
         try:
             rep = seqshape.check_property_bgs(
                 seq, g.n // 2, args.beta, args.gamma, args.step)
         except ValueError as exc:
-            print(f"property check rejected: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        payload["holds"] = rep.holds
-        payload["increasing"] = {
-            "interval": [rep.increasing.lo, rep.increasing.hi],
-            "holds": rep.increasing.holds,
-            "witness": list(rep.increasing.witness) if rep.increasing.witness else None,
-        }
-        payload["decreasing"] = {
-            "interval": [rep.decreasing.lo, rep.decreasing.hi],
-            "holds": rep.decreasing.holds,
-            "witness": list(rep.decreasing.witness) if rep.decreasing.witness else None,
-        }
-        verdict = ("holds" if rep.holds else "fails") + \
+            raise ValueError(f"property check rejected: {exc}") from exc
+        holds = rep.holds
+        verdict = ("holds" if holds else "fails") + \
             f" for (beta={args.beta}, gamma={args.gamma}, s={args.step})"
-        lines = [f"{args.graph}: {verdict}"]
         for rpt in (rep.increasing, rep.decreasing):
+            payload[rpt.kind] = {
+                "interval": [rpt.lo, rpt.hi],
+                "holds": rpt.holds,
+                "witness": list(rpt.witness) if rpt.witness else None,
+            }
             wit = f", witness {rpt.witness}" if rpt.witness else ""
-            lines.append(f"  {rpt.kind:<10} [{rpt.lo}, {rpt.hi}] step {rpt.s}: "
-                         f"{'holds' if rpt.holds else 'fails'}{wit}")
-        _emit(args, payload, lines)
-        return EXIT_OK
-    _emit(args, payload, [f"{args.graph}: {verdict}"])
+            details.append(f"  {rpt.kind:<10} [{rpt.lo}, {rpt.hi}] step {rpt.s}: "
+                           f"{'holds' if rpt.holds else 'fails'}{wit}")
+    else:
+        if args.property == "unimodal":
+            holds, witness = seqshape.is_unimodal(seq)
+            verdict = "unimodal" if holds else f"not unimodal, witness {witness}"
+        else:
+            holds, witness = seqshape.check_final_third(seq)
+            verdict = ("final third decreasing" if holds
+                       else f"final third violated at {witness}")
+        payload["witness"] = list(witness) if witness else None
+    payload["holds"] = holds
+    _emit(args, payload, [f"{args.graph}: {verdict}", *details])
     return EXIT_OK
 
 
@@ -170,21 +161,7 @@ def cmd_cube_structure(args) -> int:
 
 def cmd_cube_window(args) -> int:
     cube._check_dim(args.d, cap=math.inf)
-    rows = []
-    for t in args.t:
-        est_row = est.estimate_window(args.d, t, args.c_constant)
-        rows.append(est_row)
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["d", "t", "range", "central_log2", "e1_log2", "e2_log2",
-                "e1_applicable", "e2_applicable"])
-    for r in rows:
-        w.writerow([
-            r.d, r.t, r.tag, mp.nstr(r.central_log2, 18),
-            mp.nstr(mp.log(r.e1, 2), 12) if r.e1 is not None else "",
-            mp.nstr(mp.log(r.e2, 2), 12) if r.e2 is not None else "",
-            r.e1 is not None, r.e2 is not None,
-        ])
+    rows = [est.estimate_window(args.d, t, args.c_constant) for t in args.t]
     plain = []
     for r in rows:
         win = (f"window [{mp.nstr(r.e1, 10)}, {mp.nstr(r.e2, 10)}]"
@@ -193,7 +170,13 @@ def cmd_cube_window(args) -> int:
                     "central value only")
         plain.append(f"d={r.d} t={r.t} [{r.tag}] central_log2 = "
                      f"{mp.nstr(r.central_log2, 12)}; {win}")
-    _emit(args, {"rows": [r.to_json_dict() for r in rows]}, plain, out.getvalue())
+    _emit(args, {"rows": [r.to_json_dict() for r in rows]}, plain,
+          ("d", "t", "range", "central_log2", "e1_log2", "e2_log2",
+           "e1_applicable", "e2_applicable"),
+          ((r.d, r.t, r.tag, mp.nstr(r.central_log2, 18),
+            mp.nstr(mp.log(r.e1, 2), 12) if r.e1 is not None else "",
+            mp.nstr(mp.log(r.e2, 2), 12) if r.e2 is not None else "",
+            r.e1 is not None, r.e2 is not None) for r in rows))
     return EXIT_OK
 
 
@@ -206,9 +189,8 @@ def cmd_transition(args) -> int:
         if not 0 <= t <= half:
             raise ValueError(f"t = {t} outside [0, 2^(d-1)]")
     seq = count_by_size(graphs.hypercube(args.d))
-    ts = args.t or range(half + 1)
     rows = []
-    for t in ts:
+    for t in args.t or range(half + 1):
         gcoord = seqshape.transition_g(args.d, t)
         ratio = seqshape.transition_ratio_log2(args.d, t, it=seq[t])
         predicted = seqshape.predicted_transition_limit(gcoord)
@@ -218,34 +200,26 @@ def cmd_transition(args) -> int:
             "ratio_log2": mp.nstr(ratio, 12),
             "predicted_limit": mp.nstr(predicted, 12),
         })
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["d", "t", "g", "ratio_log2", "predicted_limit"])
-    for r in rows:
-        w.writerow([r["d"], r["t"], r["g"], r["ratio_log2"],
-                    r["predicted_limit"]])
     _emit(args, {"rows": rows},
           [f"d={r['d']} t={r['t']} g={r['g']} ratio_log2={r['ratio_log2']} "
            f"predicted={r['predicted_limit']}" for r in rows],
-          out.getvalue())
+          rows[0].keys(), (r.values() for r in rows))
     return EXIT_OK
 
 
 def cmd_percolate(args) -> int:
-    name, _, rest = args.base.partition(":")
-    if name == "knn":
-        a, b = (int(x) for x in rest.split(","))
-        if a != b:
-            print("experiment base must be a balanced knn:n,n", file=sys.stderr)
-            return EXIT_USAGE
-        cfg = percolation.PercolationConfig(base_side=a, p=args.p,
+    g = graphs.parse_graph_spec(args.base)
+    if graphs.spec_family(args.base) == "knn":
+        side, odd = divmod(g.n, 2)
+        if odd or any(deg != side for deg in g.degrees()):
+            raise ValueError("experiment base must be a balanced knn:n,n")
+        cfg = percolation.PercolationConfig(base_side=side, p=args.p,
                                             seed=args.seed, trials=args.trials)
         summary = percolation.run_experiment(cfg, args.epsilon)
         _emit(args, summary.to_json_dict(),
               [f"success rate {summary.success_rate} over {cfg.trials} trials "
                f"(epsilon = {args.epsilon}, d' = {summary.d_prime})"])
         return EXIT_OK
-    g = graphs.parse_graph_spec(args.base)
     sample = percolation.percolate(g, args.p, args.seed)
     _emit(args, {"n": sample.n, "edges": [list(e) for e in sample.edges()]},
           graphs.graph_to_text(sample).splitlines())
@@ -265,12 +239,10 @@ def cmd_verify(args) -> int:
             suffix = f" ({detail})" if detail else ""
             print(f"[{checks[-1]['verdict']}] {name}{suffix}")
     failures = sum(c["verdict"] == "FAIL" for c in checks)
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=["name", "verdict", "detail", "seconds"])
-    w.writeheader()
-    w.writerows(checks)
     _emit(args, {"suite": args.suite, "checks": checks, "failures": failures},
-          [f"{failures} failure(s)"], out.getvalue())
+          [f"{failures} failure(s)"],
+          ("name", "verdict", "detail", "seconds"),
+          (c.values() for c in checks))
     return EXIT_INVARIANT if failures else EXIT_OK
 
 
@@ -307,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "sandwich/domination checks for a regular bipartite "
                        "graph")
     p.add_argument("--graph", required=True, help="graph spec")
-    p.add_argument("--d", type=int, default=None,
-                   help="degree (default: inferred)")
     p.add_argument("--lam", action="append", default=[], metavar="RATIONAL",
                    help="activity for the partition-function checks "
                    "(repeatable; default 1/4 1/2 1 2 4)")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
 from .exact import _binom_sum, count_by_size
 from .graphs import Graph, _components, _cube_row
 from .numerics import binom, bits_of, popcount
@@ -34,10 +35,6 @@ CACHE_ENV = "STABLESEQ_CACHE_DIR"
 SIDE_EVEN = "E"
 SIDE_ODD = "O"
 SIDE_MIXED = "mixed"
-
-
-class NotApplicableError(ValueError):
-    """A formula's validity conditions fail at the requested parameters."""
 
 
 def _check_dim(d: int, cap: float = BITSET_DIM_CAP, low: int = 1) -> None:
@@ -329,7 +326,6 @@ def lower_bound_scattered(d: int, t: int, f: Optional[int] = None) -> int:
     outside that the bound is refused, as is a negative f.  The cutoff f
     defaults to the enumeration cutoff tied to the density weight of (d, t).
     """
-    from .cube_estimates import f_cut
     _check_dim(d, SPARSE_LOWER_DIM_CAP)
     half = 1 << (d - 1)
     if not 0 <= t <= half:
@@ -378,7 +374,6 @@ def identity_reweight_check(d: int, t: int, a: int, g: int
     The extreme t in {0, 2**(d-1)} are refused: lam(t) or the products in
     E(a, g) degenerate there.
     """
-    from .cube_estimates import big_f, lambda_of_t
     half = 1 << (d - 1)
     if not (0 <= a <= g):
         raise ValueError("need 0 <= a <= g")

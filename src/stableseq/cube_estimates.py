@@ -20,9 +20,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .numerics import (ceil_of_product_with_e, leq_exp_of,
-                       leq_scaled_exp, log2_fraction, mpf_from)
-from .cube import NotApplicableError
+from .numerics import (ceil_of_product_with_e, leq_exp_of, leq_scaled_exp,
+                       log2_binom, log2_fraction, mpf_from)
 
 SCAN_LIMIT_DEFAULT = 200
 
@@ -30,6 +29,10 @@ RANGE_DENSE = "range123"      # upper density window, t/2^(d-1) above 1 - 1/sqrt
 RANGE_SPARSE = "range4"       # lower window where only near-matching bounds hold
 RANGE_BELOW = "below"         # below the classification threshold
 RANGE_DEGENERATE = "degenerate"
+
+
+class NotApplicableError(ValueError):
+    """A formula's validity conditions fail at the requested parameters."""
 
 
 def lambda_of_t(d: int, t: int) -> Fraction:
@@ -179,7 +182,6 @@ def partition_asymptotic_display_log2(d: int, lam) -> mp.mpf:
 
 def central_log2(d: int, t: int) -> mp.mpf:
     """log2 of the central value 2 C(2**(d-1), t) exp(density weight)."""
-    from .numerics import log2_binom
     half = 1 << (d - 1)
     return 1 + log2_binom(half, t) + mpf_from(density_weight(d, t)) / mp.log(2)
 

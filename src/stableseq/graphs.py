@@ -311,14 +311,18 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # Graph spec strings and the plain-text file format
 # ---------------------------------------------------------------------------
 
+def spec_family(spec: str) -> str:
+    """The family name of a graph spec, as parse_graph_spec reads it."""
+    return spec.partition(":")[0].strip().lower()
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from a CLI spec string.
 
     Supported: "qd:D", "knn:A,B", "cycle:N", "path:N", "aems", "crown:D",
     "circ:N,O1,O2,...", "file:PATH".
     """
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
+    name, arg = spec_family(spec), spec.partition(":")[2]
     try:
         if name == "qd":
             return hypercube(int(arg))

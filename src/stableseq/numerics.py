@@ -112,10 +112,12 @@ class UndecidedComparison(ArithmeticError):
 _MAX_PREC = 16384   # interval precision at which a comparison gives up
 
 
-def _escalate(decide, what: str, arg):
+def _escalate(decide, what: str, arg: Fraction):
     """The first verdict other than None of decide() at the working interval
     precision, doubled up to _MAX_PREC bits; the precision is restored.
-    what.format(arg) names the comparison if it stays undecided."""
+    what.format(arg) names the comparison if it stays undecided; a rational
+    whose numerator or denominator has more than 64 bits is named by their
+    bit lengths, which keeps the message short."""
     saved = mp.iv.prec
     try:
         prec = saved
@@ -125,8 +127,10 @@ def _escalate(decide, what: str, arg):
             if verdict is not None:
                 return verdict
             prec *= 2
+        bits = arg.numerator.bit_length(), arg.denominator.bit_length()
+        name = arg if max(bits) <= 64 else "a {}-bit / {}-bit rational".format(*bits)
         raise UndecidedComparison(
-            f"{what.format(arg)} undecided at {_MAX_PREC} bits")
+            f"{what.format(name)} undecided at {_MAX_PREC} bits")
     finally:
         mp.iv.prec = saved
 
@@ -176,9 +180,12 @@ def ceil_of_product_with_e(q: Fraction) -> int:
 
     def decide():
         prod = iv_from(q) * mp.iv.exp(mp.iv.mpf(1))
-        lo = mp.ceil(mp.mpf(prod.a))
-        hi = mp.ceil(mp.mpf(prod.b))
-        return int(lo) if lo == hi else None
+        # The endpoints are read as exact rationals.  Rounded to mp.prec,
+        # both would land on an integer lying within about 2**-mp.prec of
+        # the interval, and the ceiling could come out one too small.
+        lo, hi = (-(-num // den) for num, den in
+                  map(mp.libmp.to_rational, prod._mpi_))
+        return lo if lo == hi else None
 
     return _escalate(decide, "ceil({} * e)", q)
 

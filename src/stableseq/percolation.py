@@ -159,6 +159,8 @@ def run_experiment(cfg: PercolationConfig,
     summary next to every verdict.
     """
     epsilon = Fraction(epsilon)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     n = cfg.base_side
     d_prime = n * cfg.p
     records = []

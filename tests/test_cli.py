@@ -62,10 +62,12 @@ def test_check_final_third_and_bgs(capsys):
 
 
 def test_check_bgs_rejects_unbalanced(capsys):
-    code, _out, err = run_cli(capsys, "check", "--graph", "aems",
-                              "--property", "bgs")
-    assert code == 2
-    assert "rejected" in err
+    code, out, err = run_cli(capsys, "check", "--graph", "aems",
+                             "--property", "bgs")
+    assert (code, out) == (2, "")
+    assert err == ("error: property check rejected: sequence alpha = 3 "
+                   "differs from n = 24; the property is defined for balanced "
+                   "bipartite graphs with full-range sequences\n")
 
 
 def test_bounds_verb(capsys):
@@ -83,9 +85,9 @@ def test_bounds_verb(capsys):
 
 
 def test_bounds_rejects_irregular(capsys):
-    code, _out, err = run_cli(capsys, "bounds", "--graph", "knn:2,3")
-    assert code == 2
-    assert "regular" in err
+    code, out, err = run_cli(capsys, "bounds", "--graph", "knn:2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: bounds verb needs a regular bipartite graph\n"
 
 
 def test_cube_structure_verb(capsys):
@@ -272,6 +274,28 @@ def test_percolate_experiment(capsys):
     assert len(data["per_trial"]) == 3
 
 
+def test_percolate_reads_the_base_as_a_graph_spec(capsys):
+    # the family name is case-insensitive, as for every other verb
+    argv = ("percolate", "--p", "1/2", "--seed", "3", "--trials", "2",
+            "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--base", "KNN:4,4")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, "--base", "knn:4,4")[1]
+    assert json.loads(out)["base"] == "knn:4,4"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--base", "knn:4,5"], "experiment base must be a balanced knn:n,n"),
+    (["--base", "knn:4"], "malformed graph spec 'knn:4': not enough values "
+                          "to unpack (expected 2, got 1)"),
+    (["--base", "knn:4,4", "--epsilon", "0"], "epsilon = 0 outside (0, 1)"),
+    (["--base", "knn:4,4", "--epsilon", "1"], "epsilon = 1 outside (0, 1)"),
+])
+def test_percolate_refusals_are_typed_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "percolate", "--p", "1/2", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_percolate_sample_emission(capsys):
     code, out, _ = run_cli(capsys, "percolate", "--base", "cycle:8",
                            "--p", "1", "--seed", "1", "--trials", "1")
@@ -344,6 +368,60 @@ def test_verify_formats_report_failures(capsys, monkeypatch):
     assert rows[0] == "name,verdict,detail,seconds"
     assert [r.rsplit(",", 1)[0] for r in rows[1:]] == \
         ["good,PASS,", "bad,FAIL,\"got 3, want 4\""]
+
+
+WINDOW_T = str((1 << 94) * 6 // 5)     # 0.6 * 2^95: range123 at d = 96
+
+# Plain and CSV stdout of the verbs on small inputs, byte for byte; every
+# CSV line ends in "\n".
+PINNED_STDOUT = [
+    (["count", "--graph", "cycle:6", "--format", "csv"],
+     "t,count\n0,1\n1,6\n2,9\n3,2\n"),
+    (["count", "--graph", "cycle:6"],
+     "graph cycle:6: alpha = 3, total = 18\n"
+     "  i_0 = 1\n  i_1 = 6\n  i_2 = 9\n  i_3 = 2\n"),
+    (["bounds", "--graph", "qd:2", "--format", "csv"],
+     "t,lower_log2,upper_log2,exact_log2,tags\n"
+     "0,0.0,1.0,0.0,binomial-lower|entropy-upper\n"
+     "1,1.0,3.0,2.0,binomial-lower|entropy-upper\n"
+     "2,0.0,1.0,1.0,binomial-lower|entropy-upper\n"),
+    (["bounds", "--graph", "qd:2"],
+     "bound table for qd:2 (d = 2); violations: 0\n"),
+    (["check", "--graph", "aems", "--property", "unimodal"],
+     "aems: not unimodal, witness (1, 2)\n"),
+    (["check", "--graph", "qd:3", "--property", "final-third"],
+     "qd:3: final third decreasing\n"),
+    (["check", "--graph", "qd:4", "--property", "bgs", "--gamma", "1/5"],
+     "qd:4: holds for (beta=0, gamma=1/5, s=1)\n"
+     "  increasing [0, 3] step 1: holds\n"
+     "  decreasing [5, 8] step 1: holds\n"),
+    (["transition", "--d", "3", "--format", "csv"],
+     "d,t,g,ratio_log2,predicted_limit\n"
+     "3,0,-3/2,-1.0,22988.9388943\n"
+     "3,1,-3/4,0.0,9.40126763686\n"
+     "3,2,0/1,0.415037499279,1.6487212707\n"
+     "3,3,3/4,0.0,1.11802650289\n"
+     "3,4,3/2,0.0,1.02520596532\n"),
+    (["transition", "--d", "3", "--t", "2"],
+     "d=3 t=2 g=0/1 ratio_log2=0.415037499279 predicted=1.6487212707\n"),
+    (["cube-window", "--d", "96", "--t", WINDOW_T, "--t", "8",
+      "--format", "csv"],
+     "d,t,range,central_log2,e1_log2,e2_log2,e1_applicable,e2_applicable\n"
+     f"96,{WINDOW_T},range123,3.84633157453880264e+28,-1.67817567326e-24,"
+     "3.09321340095e-21,True,True\n"
+     "96,8,below,757.242352308724428,,9.68761461514e-13,False,True\n"),
+    (["cube-window", "--d", "96", "--t", WINDOW_T, "--t", "8"],
+     f"d=96 t={WINDOW_T} [range123] central_log2 = 3.84633157454e+28; "
+     "window [1.0, 1.0]\n"
+     "d=96 t=8 [below] central_log2 = 757.242352309; window not applicable "
+     "(f = 1698927 not below t/2); central value only\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT,
+                         ids=[" ".join(a[:1] + a[-2:]) for a, _ in PINNED_STDOUT])
+def test_plain_and_csv_stdout_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, *argv) == (0, stdout, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -429,6 +507,7 @@ def test_removed_flags_are_usage_errors(capsys):
                  ["bounds", "--graph", "qd:3", "--backend", "auto"],
                  ["check", "--graph", "qd:3", "--property", "unimodal",
                   "--backend", "bipartite"],
+                 ["bounds", "--graph", "qd:3", "--d", "3"],
                  ["--workers", "2", "count", "--graph", "qd:3"],
                  ["percolate", "--base", "knn:4,4", "--p", "1/2",
                   "--s-rule", "default"]):

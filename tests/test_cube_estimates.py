@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,6 +27,17 @@ def test_lambda_of_t():
     assert lambda_of_t(5, 0) == 0
     with pytest.raises(NotApplicableError):
         lambda_of_t(5, 16)
+
+
+def test_estimates_do_not_import_the_cube_module():
+    # the dependency runs one way, cube -> cube_estimates, and the exception
+    # both raise is one class under both names
+    assert NotApplicableError is est.NotApplicableError
+    src = os.path.dirname(os.path.dirname(est.__file__))
+    code = ("import sys, stableseq.cube_estimates; "
+            "sys.exit('stableseq.cube' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src)).returncode == 0
 
 
 def test_big_f_values():

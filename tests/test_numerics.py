@@ -72,3 +72,39 @@ def test_escalation_gives_up_at_its_cap_and_restores_precision():
     assert not numerics.leq_exp_of(Fraction(2719, 1000), Fraction(1))
     assert numerics.ceil_of_product_with_e(Fraction(1)) == 3
     assert mp.iv.prec == saved
+
+
+def test_escalation_message_names_a_huge_rational_by_size():
+    # str() of a 4771-digit numerator would exceed CPython's default limit
+    # on int-to-str conversion (4300 digits) and raise ValueError instead
+    with pytest.raises(numerics.UndecidedComparison,
+                       match=r"^ceil\(a 15850-bit / 101-bit rational \* e\) "
+                             r"undecided at 16384 bits$"):
+        numerics._escalate(lambda: None, "ceil({} * e)",
+                           Fraction(3 ** 10000, 2 ** 100))
+
+
+def _e_bounds(n=100):
+    """Exact rationals lo < e < hi: the Taylor sum to 1/n! and its tail bound
+    1/(n! n)."""
+    lo, term = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        lo += term
+        term /= k + 1
+    return lo, lo + term * (n + 1) / n
+
+
+def test_ceil_of_product_with_e_next_to_integers():
+    # q is k/e rounded to `bits` bits, moved by one unit in the last place:
+    # q*e is within about 2^-bits of k, so rounding the interval endpoints to
+    # the working precision would make both equal to k
+    e_lo, e_hi = _e_bounds()
+    for bits in (200, 400):
+        for k in (1, 7, 100, 12345):
+            with mp.workprec(bits):
+                man, exp = (mp.mpf(k) / mp.e).man_exp
+            for ulp in (-1, 1):
+                q = Fraction(man + ulp, 1 << -exp)
+                want = math.floor(q * e_lo) + 1
+                assert want == math.ceil(q * e_hi)
+                assert numerics.ceil_of_product_with_e(q) == want, (bits, k, ulp)
