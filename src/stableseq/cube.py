@@ -187,22 +187,32 @@ def _halved_cube(d: int) -> Graph:
 
 def _small_scan(d: int) -> dict:
     """Walk the subsets A of the even class that are small, recording
-    (|A|, |N(A)|, 2-linked) for each.
+    (|A|, |N(A)|, 2-linked) for each; keys in ascending order.
 
-    The walk is depth-first over index sets in increasing index order, on a
-    stack of (A, N(A), next index) entries; a child adds one index above
-    the last and extends N(A) with one OR.  [A] only grows with A, so once
-    |[A]| > 2**(d-2) no superset of A is small and the whole subtree is
-    dropped: the walk visits the small sets and their direct children only.
-    [A] stays inside the even class (an odd vertex has its whole
-    neighborhood in the even class, disjoint from N(A)), so it is counted
-    over the even class only.
+    Only the sets that contain even vertex 0 are walked.  Translation by an
+    even vector x, v -> v ^ x, is an automorphism of Q_d that maps the even
+    class onto itself, so it keeps |A|, |N(A)|, the closure size and
+    2-linkage; and these translations act transitively on the 2**(d-1) even
+    vertices.  Counting the pairs (A, v) with v in A and A of key k both
+    ways gives |A| * #{A of key k} = 2**(d-1) * #{A of key k containing 0},
+    so each count from the walk is scaled by 2**(d-1)/|A|, a division the
+    identity makes exact.  The empty set, which no walk below {0} reaches,
+    is added under its own key (0, 0, False).
+
+    The walk is depth-first over index sets in increasing index order from
+    {0}, on a stack of (A, N(A), next index) entries; a child adds one
+    index above the last and extends N(A) with one OR.  [A] only grows
+    with A, so once |[A]| > 2**(d-2) no superset of A is small and the
+    whole subtree is dropped: the walk visits the small sets and their
+    direct children only.  [A] stays inside the even class (an odd vertex
+    has its whole neighborhood in the even class, disjoint from N(A)), so
+    it is counted over the even class only.
     """
     rows = [_cube_row(d, v) for v in range(1 << d) if popcount(v) % 2 == 0]
     links = _halved_cube(d).adj  # in-class distance-2 rows, indexed as rows
     quarter = 1 << (d - 2)
-    table: dict[tuple[int, int, bool], int] = {}
-    stack = [(0, 0, 0)]
+    rooted: dict[tuple[int, int, bool], int] = {}
+    stack = [(1, rows[0], 1)]
     while stack:
         mask, nbhd, start = stack.pop()
         closed = 0
@@ -213,10 +223,12 @@ def _small_scan(d: int) -> dict:
             continue
         key = (mask.bit_count(), nbhd.bit_count(),
                len(_components(links, mask)) == 1)
-        table[key] = table.get(key, 0) + 1
+        rooted[key] = rooted.get(key, 0) + 1
         for i in range(start, len(rows)):
             stack.append((mask | 1 << i, nbhd | rows[i], i + 1))
-    return table
+    table = {key: (len(rows) * c) // key[0] for key, c in rooted.items()}
+    table[0, 0, False] = 1
+    return dict(sorted(table.items()))
 
 
 def small_set_scan(d: int, cache_dir: Optional[str] = None

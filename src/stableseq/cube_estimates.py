@@ -312,8 +312,6 @@ def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     factors apply, plus the density-window tag.  Inapplicable factors are
     reported with their reasons instead of numbers."""
     lam, f, e1, reason1, parts, reason2 = _factors(d, t)
-    if not 0 < t <= (1 << (d - 1)):
-        reason1 = reason2 = "degenerate t"
     e2 = (parts["type1"] + parts["type2"] + parts["type3"]
           if parts is not None else None)
     return CubeEstimate(d=d, t=t, lam=lam, central_log2=central_log2(d, t),

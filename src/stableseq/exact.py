@@ -19,7 +19,6 @@ floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -96,9 +95,6 @@ class IndSetSequence:
         if "alpha" in data and int(data["alpha"]) != seq.alpha:
             raise ValueError("alpha does not match counts")
         return seq
-
-    def to_json(self, graph_spec: Optional[str] = None) -> str:
-        return json.dumps(self.to_json_dict(graph_spec), sort_keys=True)
 
 
 def polynomial_eval(seq: IndSetSequence, lam) -> Fraction:

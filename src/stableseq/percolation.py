@@ -10,7 +10,6 @@ output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,18 +32,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _trial_key(seed: int, trial: int) -> int:
+    """Prefix of the counter-based stream shared by every counter of one
+    (seed, trial)."""
+    return _splitmix64(_splitmix64(seed & _MASK64) ^ (trial & _MASK64))
+
+
 def _stream64(seed: int, trial: int, counter: int) -> int:
     """64-bit word of the counter-based stream at (seed, trial, counter)."""
-    h = _splitmix64(seed & _MASK64)
-    h = _splitmix64(h ^ (trial & _MASK64))
-    return _splitmix64(h ^ (counter & _MASK64))
-
-
-def _keep_edge(p: Fraction, seed: int, trial: int, edge_index: int) -> bool:
-    # Threshold floor(p * 2^64) makes the keep probability exact for dyadic
-    # p and within 2^-64 otherwise.
-    threshold = (p.numerator << 64) // p.denominator
-    return _stream64(seed, trial, edge_index) < threshold
+    return _splitmix64(_trial_key(seed, trial) ^ (counter & _MASK64))
 
 
 def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
@@ -54,12 +50,15 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0, 1]")
-    kept = [e for i, e in enumerate(g.edges())
-            if _keep_edge(p, seed, trial, i)]
+    # Threshold floor(p * 2^64) makes the keep probability exact for dyadic
+    # p and within 2^-64 otherwise.
+    threshold = (p.numerator << 64) // p.denominator
+    key = _trial_key(seed, trial)
     adj = [0] * g.n
-    for u, v in kept:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for i, (u, v) in enumerate(g.edges()):
+        if _splitmix64(key ^ i) < threshold:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return Graph(g.n, tuple(adj))
 
 
@@ -142,9 +141,6 @@ class ExperimentSummary:
                             f"{self.success_rate.denominator}",
             "per_trial": [r.to_json_dict() for r in self.records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def run_experiment(cfg: PercolationConfig,

@@ -249,7 +249,8 @@ def test_criterion_11_percolation_harness():
                                  seed=20240501, trials=10)
     one = pc.run_experiment(small, Fraction(1, 10))
     two = pc.run_experiment(small, Fraction(1, 10))
-    assert one.to_json() == two.to_json(), "summary not reproducible"
+    assert one.to_json_dict() == two.to_json_dict(), \
+        "summary not reproducible"
     full = pc.PercolationConfig(base_side=16, p=Fraction(1, 2),
                                 seed=20240501, trials=100)
     summary = pc.run_experiment(full, Fraction(1, 10))

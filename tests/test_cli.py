@@ -258,6 +258,8 @@ def test_transition_budget_is_the_only_limit(capsys, monkeypatch):
     (["cube-structure", "--d", "1", "--set", "0"],
      "dimension d = 1 outside [2, 20]"),
     (["transition", "--d", "2", "--t", "5"], "t = 5 outside [0, 2^(d-1)]"),
+    (["cube-window", "--d", "5", "--t", "17"], "t outside [0, 2^(d-1)]"),
+    (["cube-window", "--d", "5", "--t", "-1"], "t outside [0, 2^(d-1)]"),
 ])
 def test_cube_verbs_reject_bad_dimension_and_t(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -271,6 +271,16 @@ def test_small_scans_refuse_dimension_below_two():
     assert small_set_scan(2) == {(0, 0, False): 1}
 
 
+def test_small_scan_table_is_ordered(tmp_path):
+    # keys ascend, and a cache hit reads back the miss item for item, in
+    # the same order, not only as an equal mapping
+    for d in (2, 3, 4, 5):
+        miss = small_set_scan(d, cache_dir=str(tmp_path))
+        assert list(miss) == sorted(miss), d
+        hit = small_set_scan(d, cache_dir=str(tmp_path))
+        assert list(hit.items()) == list(miss.items()), d
+
+
 def test_small_scan_cache_roundtrip(tmp_path):
     fresh = small_set_scan(4, cache_dir=str(tmp_path))
     cached = small_set_scan(4, cache_dir=str(tmp_path))

@@ -262,6 +262,17 @@ def test_estimate_window_at_small_d_reports_reasons():
     assert payload["e1"] is None and payload["lambda"] == "1/1"
 
 
+def test_estimate_window_endpoints_share_one_reason():
+    # t = 0 and t = 2^(d-1) both lie outside the open range (0, 2^(d-1))
+    # the activity lam needs, and say so with the same reason
+    for d in (2, 5, 64):
+        for t in (0, 1 << (d - 1)):
+            w = estimate_window(d, t)
+            assert w.lam is None and w.f_cut is None, (d, t)
+            assert w.e1 is None and w.e2 is None, (d, t)
+            assert w.e1_reason == w.e2_reason == "t outside (0, 2^(d-1))"
+
+
 def test_central_value_matches_exact_binomial_form():
     # d small enough for the exact binomial path
     val = central_log2(5, 8)

@@ -132,8 +132,7 @@ def test_sequence_validation():
 
 def test_serialization_roundtrip():
     seq = count_by_size(graphs.hypercube(4))
-    blob = seq.to_json("qd:4")
-    data = json.loads(blob)
+    data = json.loads(json.dumps(seq.to_json_dict("qd:4")))
     assert data["graph"] == "qd:4"
     assert data["total"] == "743"
     again = IndSetSequence.from_json_dict(data)

@@ -10,6 +10,45 @@ from stableseq.exact import count_by_size
 from stableseq.graphs import check_simple
 
 
+def test_splitmix64_published_vectors():
+    # the first outputs of the reference SplitMix64 generator (Steele, Lea
+    # and Flood 2014) from states 0 and 1234567, and the second from state 0
+    assert pc._splitmix64(0) == 0xE220A8397B1DCDAF
+    assert pc._splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+    assert pc._splitmix64(1234567) == 6457827717110365317
+
+
+def naive_percolate(g, p, seed, trial):
+    """Reference sampler: for every edge u < v in ascending order, three
+    SplitMix64 calls on (seed, trial, edge index) and the threshold
+    floor(p * 2^64) computed afresh."""
+    mask = (1 << 64) - 1
+    adj = [0] * g.n
+    index = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                continue
+            word = pc._splitmix64(pc._splitmix64(pc._splitmix64(
+                seed & mask) ^ (trial & mask)) ^ index)
+            if word < (p.numerator << 64) // p.denominator:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            index += 1
+    return adj
+
+
+def test_percolate_matches_naive_stream():
+    for spec in ("knn:4,4", "qd:4", "cycle:9"):
+        g = graphs.parse_graph_spec(spec)
+        for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+            for seed, trial in ((0, 0), (2024, 3), (1 << 64, 1),
+                                (3 << 70 | 5, 7), (99, 10 ** 6)):
+                got = pc.percolate(g, p, seed, trial).adj
+                assert list(got) == naive_percolate(g, p, seed, trial), \
+                    (spec, p, seed, trial)
+
+
 def test_percolate_p_one_and_zero():
     g = graphs.complete_bipartite(6, 6)
     assert pc.percolate(g, 1, 99).adj == g.adj
@@ -67,7 +106,7 @@ def test_run_experiment_deterministic():
                                trials=12)
     one = pc.run_experiment(cfg)
     two = pc.run_experiment(cfg)
-    assert one.to_json() == two.to_json()
+    assert one.to_json_dict() == two.to_json_dict()
     assert len(one.records) == 12
     assert one.success_rate == Fraction(
         sum(1 for r in one.records if r.holds), 12)
