@@ -234,7 +234,7 @@ def _small_scan(d: int) -> dict:
 def small_set_scan(d: int, cache_dir: Optional[str] = None
                    ) -> dict[tuple[int, int, bool], int]:
     """Joint counts over all small A in the even class of Q_d, keyed by
-    (|A|, |N(A)|, 2-linked).  Cached to disk when a cache directory is
+    (|A|, |N(A)|, 2-linked), keys in ascending order.  Cached to disk when a cache directory is
     configured (argument or STABLESEQ_CACHE_DIR)."""
     _check_dim(d, SMALL_SCAN_DIM_CAP, low=2)
     cached = _cache_load(d, "small-scan", cache_dir)
