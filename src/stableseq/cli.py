@@ -85,7 +85,7 @@ def cmd_bounds(args) -> int:
     seq = count_by_size(g)
     payload = bnd.build_bound_table(g.n, d, seq).to_json_dict()
     violations = bnd.check_sandwich(g.n, d, seq)
-    lambdas = [Fraction(x) for x in args.lam] or \
+    lambdas = args.lam or \
         [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
     violations += bnd.check_partition_dominance(g, b, d, seq, lambdas)
     payload["violations"] = [v.detail for v in violations]
@@ -208,21 +208,12 @@ def cmd_transition(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    g = graphs.parse_graph_spec(args.base)
-    if graphs.spec_family(args.base) == "knn":
-        side, odd = divmod(g.n, 2)
-        if odd or any(deg != side for deg in g.degrees()):
-            raise ValueError("experiment base must be a balanced knn:n,n")
-        cfg = percolation.PercolationConfig(base_side=side, p=args.p,
-                                            seed=args.seed, trials=args.trials)
-        summary = percolation.run_experiment(cfg, args.epsilon)
-        _emit(args, summary.to_json_dict(),
-              [f"success rate {summary.success_rate} over {cfg.trials} trials "
-               f"(epsilon = {args.epsilon}, d' = {summary.d_prime})"])
-        return EXIT_OK
-    sample = percolation.percolate(g, args.p, args.seed)
-    _emit(args, {"n": sample.n, "edges": [list(e) for e in sample.edges()]},
-          graphs.graph_to_text(sample).splitlines())
+    cfg = percolation.PercolationConfig(base=args.base, p=args.p,
+                                        seed=args.seed, trials=args.trials)
+    summary = percolation.run_experiment(cfg, args.epsilon)
+    _emit(args, summary.to_json_dict(),
+          [f"success rate {summary.success_rate} over {cfg.trials} trials "
+           f"(epsilon = {args.epsilon}, d' = {summary.d_prime})"])
     return EXIT_OK
 
 
@@ -279,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "sandwich/domination checks for a regular bipartite "
                        "graph")
     p.add_argument("--graph", required=True, help="graph spec")
-    p.add_argument("--lam", action="append", default=[], metavar="RATIONAL",
+    p.add_argument("--lam", type=_fraction, action="append", default=[],
+                   metavar="RATIONAL",
                    help="activity for the partition-function checks "
                    "(repeatable; default 1/4 1/2 1 2 4)")
     add_format(p)
@@ -313,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="set size (repeatable; default: all)")
     add_format(p)
 
-    p = sub.add_parser("percolate", help="seeded percolation; on a balanced "
-                       "knn base runs the interval-property experiment, on "
-                       "any other base emits one sampled graph")
-    p.add_argument("--base", required=True, help="base graph spec")
+    p = sub.add_parser("percolate", help="interval-property experiment on "
+                       "seeded percolations of a regular bipartite base")
+    p.add_argument("--base", required=True, help="regular bipartite base "
+                   "graph spec, e.g. knn:16,16 or qd:5")
     p.add_argument("--p", type=_fraction, required=True,
                    help="edge retention probability (rational)")
     p.add_argument("--seed", type=int, default=0, help="stream seed")

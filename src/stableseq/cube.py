@@ -22,7 +22,7 @@ from typing import Optional
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
 from .exact import _binom_sum, count_by_size
 from .graphs import Graph, _components, _cube_row
-from .numerics import binom, bits_of, popcount
+from .numerics import binom, bits_of
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
 SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
@@ -50,13 +50,13 @@ class VertexSet:
 
     @property
     def size(self) -> int:
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     @property
     def side(self) -> str:
         evens = odds = False
         for v in bits_of(self.bits):
-            if popcount(v) % 2 == 0:
+            if v.bit_count() % 2 == 0:
                 evens = True
             else:
                 odds = True
@@ -208,7 +208,7 @@ def _small_scan(d: int) -> dict:
     has its whole neighborhood in the even class, disjoint from N(A)), so
     it is counted over the even class only.
     """
-    rows = [_cube_row(d, v) for v in range(1 << d) if popcount(v) % 2 == 0]
+    rows = [_cube_row(d, v) for v in range(1 << d) if v.bit_count() % 2 == 0]
     links = _halved_cube(d).adj  # in-class distance-2 rows, indexed as rows
     quarter = 1 << (d - 2)
     rooted: dict[tuple[int, int, bool], int] = {}

@@ -119,13 +119,6 @@ class SideProfile:
     def total(self) -> int:
         return sum(self.table.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class_e_size": self.class_e_size,
-            "class_o_size": self.class_o_size,
-            "table": {f"{a},{m}": str(c) for (a, m), c in sorted(self.table.items())},
-        }
-
 
 def _profile_scan(nbrs: list[list[int]], o_size: int
                   ) -> dict[tuple[int, int], int]:

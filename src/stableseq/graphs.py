@@ -8,12 +8,11 @@ construction and safe for concurrent shared reads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numerics import bits_of, popcount
+from .numerics import bits_of
 
 # Largest graph built, by a generator or from a file: each row is as wide as
 # the graph, so the rows take n**2 / 8 bytes, 128 MB at the cap.
@@ -56,14 +55,14 @@ class Graph:
                 raise GraphError(f"loop at vertex {v}")
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [popcount(row) for row in self.adj]
+        return [row.bit_count() for row in self.adj]
 
     @property
     def edge_count(self) -> int:
-        return sum(popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs u < v, ascending lexicographically."""
@@ -138,45 +137,52 @@ class Bipartition:
 def bipartition(g: Graph) -> Bipartition:
     """Two-coloring via breadth-first layering.
 
-    Classes are normalized so that |classO| >= |classE|; when the sizes tie,
-    the class containing the first BFS root of each component stays classE.
-    Raises NotBipartiteError with an odd-cycle witness otherwise.
+    Each component is walked in bitset layers from its lowest vertex, and
+    the even layers form one class.  Classes are normalized so that
+    |classO| >= |classE|; when the sizes tie, the class containing the
+    lowest vertex of each component stays classE.  Raises NotBipartiteError
+    with an odd-cycle witness otherwise.
     """
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in bits_of(g.adj[u]):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise NotBipartiteError(_odd_cycle(u, v, parent))
-    cls0 = tuple(v for v in range(g.n) if color[v] == 0)
-    cls1 = tuple(v for v in range(g.n) if color[v] == 1)
+    adj = g.adj
+    colors = [0, 0]
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layers = []
+        layer = unseen & -unseen
+        while layer:
+            unseen ^= layer
+            colors[len(layers) & 1] |= layer
+            layers.append(layer)
+            reach = 0
+            frontier = layer
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if reach & layer:
+                raise NotBipartiteError(_odd_cycle(adj, layers, reach & layer))
+            layer = reach & unseen
+    cls0, cls1 = (tuple(bits_of(mask)) for mask in colors)
     if len(cls1) < len(cls0):
         cls0, cls1 = cls1, cls0
     return Bipartition(class_e=cls0, class_o=cls1)
 
 
-def _odd_cycle(u: int, v: int, parent: list[int]) -> list[int]:
-    # Walk both endpoints of the conflicting edge up to their lowest common
-    # ancestor; the two paths plus the edge form an odd cycle.
-    anc_u = [u]
-    while parent[anc_u[-1]] != -1:
-        anc_u.append(parent[anc_u[-1]])
-    pos = {x: i for i, x in enumerate(anc_u)}
-    path_v = [v]
-    while path_v[-1] not in pos:
-        path_v.append(parent[path_v[-1]])
-    lca = path_v[-1]
-    return anc_u[:pos[lca] + 1] + path_v[-2::-1]
+def _odd_cycle(adj, layers: list[int], inside: int) -> list[int]:
+    """An odd cycle through an edge inside the last BFS layer; inside is the
+    set of its vertices with a neighbour in that layer.  Both ends of the
+    edge walk up through their lowest-indexed parent in the layer above
+    until the walks meet; the two walks and the edge form the cycle."""
+    u = (inside & -inside).bit_length() - 1
+    w = adj[u] & layers[-1]
+    walks = [u], [(w & -w).bit_length() - 1]
+    depth = len(layers) - 1
+    while walks[0][-1] != walks[1][-1]:
+        depth -= 1
+        for walk in walks:
+            up = adj[walk[-1]] & layers[depth]
+            walk.append((up & -up).bit_length() - 1)
+    return walks[0] + walks[1][-2::-1]
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,6 @@ def ceil_of_product_with_e(q: Fraction) -> int:
     return _escalate(decide, "ceil({} * e)", q)
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int):
     """Iterate set bit positions of a Python-int bitset, ascending."""
     while mask:

@@ -1,6 +1,6 @@
-"""Random subgraphs by independent edge deletion, the random equi-bipartite
-graph, and the experiment harness that estimates how often sampled graphs
-satisfy the two-sided interval property.
+"""Random subgraphs by independent edge deletion, and the experiment harness
+that estimates how often percolated regular bipartite graphs satisfy the
+two-sided interval property.
 
 Randomness is a counter-based stream keyed by (seed, trial, edge index):
 no generator state is carried between draws, so runs are reproducible and
@@ -18,7 +18,8 @@ import mpmath as mp
 
 from .bounds import entropy_derivative
 from .exact import IndSetSequence, count_by_size
-from .graphs import Bipartition, Graph, complete_bipartite, regularity_profile
+from .graphs import (Graph, bipartition, parse_graph_spec, regularity_profile,
+                     spec_family)
 from .numerics import mpf_from
 from .seqshape import check_property_bgs
 
@@ -62,23 +63,9 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def gnnp(n: int, p, seed: int, trial: int = 0) -> tuple[Graph, Bipartition]:
-    """Random equi-bipartite graph: percolation on K_{n,n}.  Returns the
-    sample together with the bipartition retained from K_{n,n} (sides
-    {0..n-1} and {n..2n-1}), which is the reference frame for the property
-    checks even when the sample is disconnected."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    base = complete_bipartite(n, n)
-    sample = percolate(base, p, seed, trial)
-    retained = Bipartition(class_e=tuple(range(n)),
-                           class_o=tuple(range(n, 2 * n)))
-    return sample, retained
-
-
 @dataclass(frozen=True)
 class PercolationConfig:
-    base_side: int                 # n: side size of the K_{n,n} base
+    base: str                      # graph spec of a regular bipartite base
     p: Fraction
     seed: int
     trials: int
@@ -130,8 +117,9 @@ class ExperimentSummary:
     success_rate: Fraction
 
     def to_json_dict(self) -> dict:
+        _, sep, arg = self.config.base.partition(":")
         return {
-            "base": f"knn:{self.config.base_side},{self.config.base_side}",
+            "base": spec_family(self.config.base) + sep + arg,
             "p": f"{self.config.p.numerator}/{self.config.p.denominator}",
             "seed": self.config.seed,
             "trials": self.config.trials,
@@ -145,24 +133,32 @@ class ExperimentSummary:
 
 def run_experiment(cfg: PercolationConfig,
                    epsilon=Fraction(1, 10)) -> ExperimentSummary:
-    """Sample cfg.trials graphs from the percolated K_{n,n}, compute each
-    exact count sequence, and check the two-sided interval property
-    (epsilon, epsilon, s) with s chosen per trial by default_step_rule
-    from the sampled graph's regularity defect at the reference degree
-    d' = n p.
+    """Sample cfg.trials graphs by percolating the base graph cfg.base,
+    compute each exact count sequence, and check the two-sided interval
+    property (epsilon, epsilon, s) with s chosen per trial by
+    default_step_rule from the sampled graph's regularity defect at the
+    reference degree d' = d p, where d is the base's degree.  Every sample
+    is measured against the base's bipartition, even when it is
+    disconnected, and n = |V|/2.
 
-    d' = n p is a recorded experimental choice; it is surfaced in the
+    d' = d p is a recorded experimental choice; it is surfaced in the
     summary next to every verdict.
     """
+    base = parse_graph_spec(cfg.base)
+    degrees = set(base.degrees())
+    if len(degrees) != 1 or 0 in degrees:
+        raise ValueError("experiment base must be regular of degree >= 1")
+    frame = bipartition(base)
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
-    n = cfg.base_side
-    d_prime = n * cfg.p
+    # a regular bipartite graph of degree >= 1 has equal classes
+    n = base.n // 2
+    d_prime = degrees.pop() * cfg.p
     records = []
     successes = 0
     for trial in range(cfg.trials):
-        sample, frame = gnnp(n, cfg.p, cfg.seed, trial)
+        sample = percolate(base, cfg.p, cfg.seed, trial)
         if d_prime > 0:
             prof = regularity_profile(sample, frame, d_prime)
             h = prof.h_value

@@ -140,7 +140,7 @@ def _suite_full():
            "(informational)", True,
            f"fails at {len(scan['case4']['fails'])} dimensions")
 
-    cfg = percolation.PercolationConfig(base_side=16, p=Fraction(1, 2),
+    cfg = percolation.PercolationConfig(base="knn:16,16", p=Fraction(1, 2),
                                         seed=20240501, trials=100)
     summary = percolation.run_experiment(cfg, Fraction(1, 10))
     yield ("percolation interval-property success rate >= 0.9",

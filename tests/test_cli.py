@@ -286,32 +286,31 @@ def test_percolate_reads_the_base_as_a_graph_spec(capsys):
     assert json.loads(out)["base"] == "knn:4,4"
 
 
+def test_percolate_runs_the_experiment_on_any_regular_bipartite_base(capsys):
+    code, out, err = run_cli(capsys, "percolate", "--base", "qd:4", "--p",
+                             "1/2", "--seed", "2", "--trials", "3",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["base"], data["d_prime"], data["trials"]) == ("qd:4", "2/1", 3)
+    assert len(data["per_trial"]) == 3
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--base", "knn:4,5"], "experiment base must be a balanced knn:n,n"),
+    (["--base", "knn:4,5"], "experiment base must be regular of degree >= 1"),
     (["--base", "knn:4"], "malformed graph spec 'knn:4': not enough values "
                           "to unpack (expected 2, got 1)"),
     (["--base", "knn:4,4", "--epsilon", "0"], "epsilon = 0 outside (0, 1)"),
     (["--base", "knn:4,4", "--epsilon", "1"], "epsilon = 1 outside (0, 1)"),
+    (["--base", "path:4"], "experiment base must be regular of degree >= 1"),
+    (["--base", "knn:0,0"], "experiment base must be regular of degree >= 1"),
+    (["--base", "knn:2,0"], "experiment base must be regular of degree >= 1"),
+    (["--base", "cycle:5"], "graph is not bipartite (odd cycle "
+                            "[2, 1, 0, 4, 3])"),
 ])
 def test_percolate_refusals_are_typed_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, "percolate", "--p", "1/2", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_percolate_sample_emission(capsys):
-    code, out, _ = run_cli(capsys, "percolate", "--base", "cycle:8",
-                           "--p", "1", "--seed", "1", "--trials", "1")
-    assert code == 0
-    assert out.splitlines()[0] == "8 8"
-
-
-def test_percolate_sample_formats(capsys):
-    base = ("percolate", "--base", "cycle:6", "--p", "1/2", "--seed", "5")
-    code, out, err = run_cli(capsys, *base)
-    assert (code, out, err) == (0, "6 2\n2 3\n4 5\n", "")
-    code, out, err = run_cli(capsys, *base, "--format", "json")
-    assert (code, err) == (0, "")
-    assert out == '{"edges": [[2, 3], [4, 5]], "n": 6}\n'
 
 
 def test_byte_stability(capsys):
@@ -638,7 +637,8 @@ VERBS = ("count", "bounds", "check", "cube-structure", "cube-window",
 HELP_AND_ERROR_ARGVS = (
     [["--help"]] + [[verb, "--help"] for verb in VERBS]
     + [[], ["count", "--graph", "qd:3", "--backend", "x"],
-       ["percolate", "--base", "knn:4,4", "--p", "notarational"]])
+       ["percolate", "--base", "knn:4,4", "--p", "notarational"],
+       ["bounds", "--graph", "qd:3", "--lam", "1/0"]])
 
 
 def _parse_outcome(capsys, parse, argv):

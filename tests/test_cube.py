@@ -12,7 +12,7 @@ from stableseq.cube import (NotApplicableError, VertexSet, closure,
                             small_profile, small_set_scan, structure_stats,
                             two_components)
 from stableseq.exact import count_by_size
-from stableseq.numerics import binom, popcount
+from stableseq.numerics import binom
 
 Q_SEQ = {d: count_by_size(graphs.hypercube(d)).counts for d in (3, 4, 5)}
 
@@ -68,11 +68,11 @@ def brute_two_components(d, verts):
 def brute_scattered_counts(d):
     # every k-subset of the even class, checked pair by pair, for k = 0, 1,
     # ... until a size has none
-    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+    evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
     counts = []
     for k in range(len(evens) + 1):
         c = sum(1 for s in combinations(evens, k)
-                if all(popcount(u ^ v) >= 4 for u, v in combinations(s, 2)))
+                if all((u ^ v).bit_count() >= 4 for u, v in combinations(s, 2)))
         if c == 0:
             break
         counts.append(c)
@@ -98,7 +98,7 @@ def test_closure_examples():
             assert closure(d, vs(d, [v])).vertices() == [v]
     # the whole even class closes to itself and is not small
     d = 4
-    evens = [v for v in range(16) if popcount(v) % 2 == 0]
+    evens = [v for v in range(16) if v.bit_count() % 2 == 0]
     cl = closure(d, vs(d, evens))
     assert sorted(cl.vertices()) == evens
     assert not is_small(d, vs(d, evens))
@@ -141,7 +141,7 @@ def test_structure_stats_sides():
 
 def test_against_brute_force_small_sets():
     for d in (3, 4):
-        evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+        evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
         for size in (1, 2, 3):
             for verts in combinations(evens, size):
                 a = vs(d, verts)
@@ -155,7 +155,7 @@ def test_against_brute_force_small_sets():
 def test_against_brute_force_random_larger_sets():
     rng = random.Random(4242)
     for d in (5, 6):
-        evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+        evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
         for _ in range(100):
             size = rng.randrange(1, 9)
             verts = tuple(sorted(rng.sample(evens, size)))
@@ -171,7 +171,7 @@ def test_against_brute_force_random_larger_sets():
 def test_scattered_sets_have_full_neighborhoods():
     # cl(A) <= 1 forces |N(A)| = d |A|: no two members share a neighbor
     for d in (3, 4, 5):
-        evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+        evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
         for size in (1, 2, 3):
             for verts in combinations(evens, size):
                 a = vs(d, verts)
@@ -192,7 +192,7 @@ def test_neighborhood_lower_bound_small_sets():
     # |N(A)| >= d|A| - 2|A|(|A|-1) within one class: exhaustive over all
     # subsets of the even class up to size 5
     for d in (3, 4, 5):
-        evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+        evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
         for a in range(1, 6):
             if a > len(evens):
                 continue
@@ -212,7 +212,7 @@ def test_small_scan_totals():
     # the whole (|A|, |N(A)|, 2-linked) table matches a brute-force census
     # of the small sets; the empty set is keyed (0, 0, False)
     for d in (3, 4):
-        evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+        evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
         census = {(0, 0, False): 1}
         for size in range(1, len(evens) + 1):
             for verts in combinations(evens, size):
@@ -242,7 +242,7 @@ def test_small_scan_d5_pinned():
 @st.composite
 def nested_even_sets(draw):
     d = draw(st.integers(3, 5))
-    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+    evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
     outer = draw(st.integers(0, (1 << len(evens)) - 1))
     inner = outer & draw(st.integers(0, (1 << len(evens)) - 1))
 
@@ -413,7 +413,7 @@ def test_identity_reweight_refuses_extremes():
 def test_neighborhood_additive_over_two_components():
     rng = random.Random(5)
     d = 5
-    evens = [v for v in range(1 << d) if popcount(v) % 2 == 0]
+    evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
     for _ in range(200):
         size = rng.randrange(1, 8)
         verts = tuple(sorted(rng.sample(evens, size)))

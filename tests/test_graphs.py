@@ -1,5 +1,8 @@
-import pytest
+import random
+from collections import deque
 from fractions import Fraction
+
+import pytest
 
 from stableseq import graphs
 from stableseq.graphs import (GraphError, NotBipartiteError, SizeCapError,
@@ -94,6 +97,52 @@ def test_odd_cycle_witness_on_tangled_graphs():
         assert len(set(cyc)) == len(cyc)
         for u, v in zip(cyc, cyc[1:] + cyc[:1]):
             assert g.has_edge(u, v)
+
+
+def reference_bipartition(g):
+    """Per-edge breadth-first two-colouring from the lowest uncoloured
+    vertex; None when an edge joins two vertices of one colour."""
+    color = [None] * g.n
+    for root in range(g.n):
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in range(g.n):
+                if not g.has_edge(u, v):
+                    continue
+                if color[v] is None:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    classes = sorted(([v for v in range(g.n) if color[v] == c]
+                      for c in (0, 1)), key=len)
+    return tuple(classes[0]), tuple(classes[1])
+
+
+def test_bipartition_matches_reference_bfs():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        p = rng.random() * 0.4
+        side = [rng.random() < 0.5 for _ in range(n)]
+        mixed = rng.random() < 0.5   # edges inside a side too: odd cycles
+        g = graphs.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (mixed or side[u] != side[v]) and rng.random() < p])
+        expected = reference_bipartition(g)
+        if expected is None:
+            with pytest.raises(NotBipartiteError) as err:
+                bipartition(g)
+            cyc = err.value.odd_cycle
+            assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc) >= 3
+            assert all(g.has_edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+        else:
+            b = bipartition(g)
+            assert (b.class_e, b.class_o) == expected
 
 
 def test_bipartition_no_internal_edges_on_corpus():

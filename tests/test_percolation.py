@@ -87,22 +87,26 @@ def test_percolate_binomial_mean_band():
 
 
 def test_gnnp_single_edge_and_degree_band():
-    g, frame = pc.gnnp(1, 1, 5)
+    g = pc.percolate(graphs.complete_bipartite(1, 1), 1, 5)
     assert g.n == 2 and g.edge_count == 1
-    assert frame.class_e == (0,) and frame.class_o == (1,)
-    # expected vertex degree n p; averaged over trials stays within 3 sigma
+    # the experiment's frame on knn:n,n is the base's own bipartition: the
+    # sides {0..n-1} and {n..2n-1}
     n, p, trials = 12, Fraction(1, 3), 400
+    base = graphs.complete_bipartite(n, n)
+    frame = graphs.bipartition(base)
+    assert frame.class_e == tuple(range(n))
+    assert frame.class_o == tuple(range(n, 2 * n))
+    # expected vertex degree n p; averaged over trials stays within 3 sigma
     degsum = 0
     for i in range(trials):
-        sample, _ = pc.gnnp(n, p, 777, trial=i)
-        degsum += sample.degree(0)
+        degsum += pc.percolate(base, p, 777, trial=i).degree(0)
     mean = degsum / trials
     sigma_mean = math.sqrt(n * (1 / 3) * (2 / 3)) / math.sqrt(trials)
     assert abs(mean - n * p) <= 3 * sigma_mean
 
 
 def test_run_experiment_deterministic():
-    cfg = pc.PercolationConfig(base_side=10, p=Fraction(1, 2), seed=91,
+    cfg = pc.PercolationConfig(base="knn:10,10", p=Fraction(1, 2), seed=91,
                                trials=12)
     one = pc.run_experiment(cfg)
     two = pc.run_experiment(cfg)
@@ -116,7 +120,8 @@ def test_run_experiment_p_one_matches_closed_form():
     # at p = 1 every sample is K_{n,n} itself: the verdict must match a
     # direct check on the closed-form sequence
     n = 9
-    cfg = pc.PercolationConfig(base_side=n, p=Fraction(1), seed=3, trials=2)
+    cfg = pc.PercolationConfig(base=f"knn:{n},{n}", p=Fraction(1), seed=3,
+                               trials=2)
     summary = pc.run_experiment(cfg, Fraction(1, 10))
     seq = pc.knn_sequence(n)
     assert seq.counts == count_by_size(graphs.complete_bipartite(n, n)).counts
@@ -127,6 +132,22 @@ def test_run_experiment_p_one_matches_closed_form():
     assert summary.success_rate == (1 if direct.holds else 0)
     # K_{n,n} is n-regular: the defect collapses to 1/n
     assert all(r.h_value == Fraction(1, n) for r in summary.records)
+
+
+def test_run_experiment_on_qd4_at_p_one_matches_direct_check():
+    # Q_4 is a 4-regular bipartite base: at p = 1 every sample is Q_4, the
+    # defect is 1/4 and each verdict is a direct check on the exact count
+    cfg = pc.PercolationConfig(base="qd:4", p=Fraction(1), seed=8, trials=3)
+    summary = pc.run_experiment(cfg, Fraction(1, 10))
+    seq = count_by_size(graphs.hypercube(4))
+    s_used = pc.default_step_rule(8, Fraction(1, 4), Fraction(1, 10))
+    direct = ss.check_property_bgs(seq, 8, Fraction(1, 10), Fraction(1, 10),
+                                   s_used)
+    assert summary.d_prime == 4
+    for r in summary.records:
+        assert (r.h_value, r.s_used, r.alpha, r.flagged) == \
+            (Fraction(1, 4), s_used, 8, False)
+        assert r.holds == direct.holds
 
 
 def test_theorem_step_consistency_at_p_one():
@@ -151,7 +172,8 @@ def test_default_step_rule():
 
 def test_flagged_trials_counted_as_failures():
     # p = 0 gives the empty graph: alpha = 2n != n, so every trial flags
-    cfg = pc.PercolationConfig(base_side=5, p=Fraction(0), seed=1, trials=3)
+    cfg = pc.PercolationConfig(base="knn:5,5", p=Fraction(0), seed=1,
+                               trials=3)
     summary = pc.run_experiment(cfg)
     assert summary.success_rate == 0
     assert all(r.flagged and not r.holds for r in summary.records)
@@ -160,18 +182,21 @@ def test_flagged_trials_counted_as_failures():
 
 def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
-        pc.PercolationConfig(base_side=4, p=Fraction(2), seed=0, trials=1)
+        pc.PercolationConfig(base="knn:4,4", p=Fraction(2), seed=0,
+                             trials=1)
     with pytest.raises(ValueError):
-        pc.PercolationConfig(base_side=4, p=Fraction(1, 2), seed=0, trials=0)
+        pc.PercolationConfig(base="knn:4,4", p=Fraction(1, 2), seed=0,
+                             trials=0)
     # an experiment beyond the counting budget is refused, not run
     monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 100)
     with pytest.raises(exact.CountBudgetError):
-        pc.run_experiment(pc.PercolationConfig(base_side=40, p=Fraction(1, 2),
-                                               seed=0, trials=1))
+        pc.run_experiment(pc.PercolationConfig(base="knn:40,40",
+                                               p=Fraction(1, 2), seed=0,
+                                               trials=1))
 
 
 def test_summary_json_fields():
-    cfg = pc.PercolationConfig(base_side=6, p=Fraction(1, 2), seed=11,
+    cfg = pc.PercolationConfig(base="knn:6,6", p=Fraction(1, 2), seed=11,
                                trials=4)
     payload = pc.run_experiment(cfg).to_json_dict()
     assert payload["base"] == "knn:6,6"
