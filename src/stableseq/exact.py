@@ -6,6 +6,19 @@ remaining vertex set into connected components whose sequences multiply,
 and memoises every component's sequence by its vertex mask.  Components
 that are paths take their closed form.
 
+Inside one connected component C of the input, every sequence is packed
+into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
+with a slot width of w = 8 * ceil(|C| / 8) bits.  The branch rule becomes
+P(c) = P(c - v) + (P(c - N[v]) << w), and a union of components becomes
+the product of their packed integers, so one big-integer multiply does a
+whole convolution.  No slot ever carries into the next: every polynomial
+packed while counting C (a memo entry, a partial product or a branch sum)
+is that of an induced subgraph H of C, whose coefficients are
+i_t(H) <= C(|H|, t) < 2**|C| <= 2**w (for |H| = 0 the one coefficient is
+1 < 2**w).  The sequences of the components of the input are unpacked
+once each and multiplied as coefficient lists, so each component keeps a
+width fitted to its own size.
+
 side_profile with sequence_from_profile is an independent oracle for
 bipartite graphs, which the tests and the verify suite compare the engine
 against.  Every independent set is a subset A of one class plus an
@@ -29,10 +42,13 @@ from .numerics import binom, bits_of
 # Largest class the side-profile oracle scans: 2**28 subsets.
 SIDE_BACKEND_CAP = 28
 
-# Work budget of one count_by_size call, in 64-bit words of memoised
-# coefficients (a coefficient of b bits counts 1 + b // 64 words).  Q_6 takes
-# about 0.92 million words in 110 thousand entries; Q_7 stops at the budget
-# after 9 s at a peak RSS of about 100 MB (Python 3.11, x86-64).
+# Work budget of one count_by_size call, in 64-bit words of memo entries.
+# An entry is one packed integer of b bits and counts 1 + b // 64 words, its
+# real size.  For components of at most 64 vertices that is never more than
+# the L * (1 + B // 64) words a list of L coefficients summing to a B-bit
+# total was charged before the entries were packed.  Q_6 takes 918617 words
+# in 110 thousand entries (2.3 s, 43 MB peak RSS); Q_7 stops at the budget
+# after 2.9 s at 48 MB (Python 3.11, x86-64).
 MEMO_WORD_BUDGET = 1 << 21
 
 
@@ -215,17 +231,38 @@ def _path_sequence(k: int) -> list[int]:
     return seq
 
 
-def _product(memo: dict[int, list[int]], comps: list[int]) -> list[int]:
+def _binomial_row(s: int) -> list[int]:
+    """C(s, t) for t = 0 .. s, the sequence of s single vertices, each term
+    from the one before by the exact ratio."""
+    row = [1]
+    for t in range(s):
+        row.append(row[-1] * (s - t) // (t + 1))
+    return row
+
+
+def _pack(seq: list[int], width: int) -> int:
+    """sum_t seq[t] * 2**(8 * width * t), for 0 <= seq[t] < 2**(8 * width).
+    Goes through bytes: shifting each slot into place is quadratic."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little")
+                                    for c in seq]), "little")
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """Inverse of _pack for a sequence whose last term is nonzero."""
+    slots = -(-packed.bit_length() // (8 * width))
+    data = packed.to_bytes(slots * width, "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
+def _product(seqs: dict[int, list[int]], comps: list[int]) -> list[int]:
     """Sequence of the disjoint union of comps: the product of theirs.  The
     k single vertices among them contribute the binomial row C(k, t)."""
-    singles = sum(1 for c in comps if c & (c - 1) == 0)
-    out = [1]
-    for t in range(singles):
-        out.append(out[-1] * (singles - t) // (t + 1))
+    out = _binomial_row(sum(1 for c in comps if c & (c - 1) == 0))
     for c in comps:
         if c & (c - 1) == 0:
             continue
-        factor = memo[c]
+        factor = seqs[c]
         prod = [0] * (len(out) + len(factor) - 1)
         for i, a in enumerate(out):
             for j, b in enumerate(factor):
@@ -234,48 +271,79 @@ def _product(memo: dict[int, list[int]], comps: list[int]) -> list[int]:
     return out
 
 
+def _packed_product(memo: dict[int, int], comps: list[int],
+                    rows: dict[int, int], width: int) -> int:
+    """Packed sequence of the disjoint union of comps: the product of their
+    memo entries and of the packed binomial row of the single vertices
+    among them, which rows caches by count."""
+    out = 1
+    singles = 0
+    for c in comps:
+        if c & (c - 1):
+            out *= memo[c]
+        else:
+            singles += 1
+    if singles:
+        row = rows.get(singles)
+        if row is None:
+            row = rows[singles] = _pack(_binomial_row(singles), width)
+        out *= row
+    return out
+
+
 def count_by_size(g: Graph) -> IndSetSequence:
     """Exact independent-set sequence of g.
 
-    Components that are paths take their closed form instead of branching.
-    The work runs on an explicit stack, so no input can exhaust Python's
-    recursion limit.  A component's memo entry is stored once the sequences
-    of both branches are known; single vertices are never stored.  The memo
-    lives for one call.  Raises CountBudgetError when the memo would exceed
-    MEMO_WORD_BUDGET.
+    Each connected component of g is counted with packed sequences (see the
+    module docstring) at a slot width of ceil(|C| / 8) bytes.  Components
+    that are paths take their closed form instead of branching; the packed
+    binomial rows of single vertices and packed path sequences are cached
+    by size for the component being counted.  The work runs on an explicit
+    stack, so no input can exhaust Python's recursion limit.  A component's
+    memo entry is stored once the sequences of both branches are known;
+    single vertices are never stored.  The memo lives for one call.  Raises
+    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET.
     """
     adj = g.adj
-    memo: dict[int, list[int]] = {}
+    memo: dict[int, int] = {}
+    seqs: dict[int, list[int]] = {}
     branch_nodes = words = 0
     top = _components(adj, (1 << g.n) - 1)
-    stack: list[tuple] = [(c, None, None) for c in top]
-    while stack:
-        c, without, with_v = stack.pop()
-        if without is None:
-            if c & (c - 1) == 0 or c in memo:
-                continue
-            v, max_deg, deg_sum = _max_degree_vertex(adj, c)
-            k = c.bit_count()
-            if max_deg <= 2 and deg_sum < 2 * k:
-                # connected, maximum degree 2 and fewer than k edges: a path
-                seq = _path_sequence(k)
+    for root in top:
+        if root & (root - 1) == 0:
+            continue
+        width = (root.bit_count() + 7) // 8
+        shift = 8 * width
+        rows: dict[int, int] = {}
+        paths: dict[int, int] = {}
+        stack: list[tuple] = [(root, None, None)]
+        while stack:
+            c, without, with_v = stack.pop()
+            if without is None:
+                if c & (c - 1) == 0 or c in memo:
+                    continue
+                v, max_deg, deg_sum = _max_degree_vertex(adj, c)
+                k = c.bit_count()
+                if max_deg <= 2 and deg_sum < 2 * k:
+                    # connected, maximum degree 2 and fewer than k edges:
+                    # a path
+                    packed = paths.get(k)
+                    if packed is None:
+                        packed = paths[k] = _pack(_path_sequence(k), width)
+                else:
+                    branch_nodes += 1
+                    without = _components(adj, c & ~(1 << v))
+                    with_v = _components(adj, c & ~(adj[v] | 1 << v))
+                    stack.append((c, without, with_v))
+                    stack.extend((x, None, None) for x in without + with_v)
+                    continue
             else:
-                branch_nodes += 1
-                without = _components(adj, c & ~(1 << v))
-                with_v = _components(adj, c & ~(adj[v] | 1 << v))
-                stack.append((c, without, with_v))
-                stack.extend((x, None, None) for x in without + with_v)
-                continue
-        else:
-            # seq(c - v) + x * seq(c - N[v])
-            seq = _product(memo, without)
-            shifted = _product(memo, with_v)
-            seq.extend([0] * (len(shifted) + 1 - len(seq)))
-            for t, count in enumerate(shifted, start=1):
-                seq[t] += count
-        # every coefficient is at most the component's total
-        words += len(seq) * (1 + sum(seq).bit_length() // 64)
-        if words > MEMO_WORD_BUDGET:
-            raise CountBudgetError(branch_nodes, len(memo), words)
-        memo[c] = seq
-    return IndSetSequence(tuple(_product(memo, top)))
+                # P(c - v) + (P(c - N[v]) << w)
+                packed = _packed_product(memo, without, rows, width) + (
+                    _packed_product(memo, with_v, rows, width) << shift)
+            words += 1 + packed.bit_length() // 64
+            if words > MEMO_WORD_BUDGET:
+                raise CountBudgetError(branch_nodes, len(memo), words)
+            memo[c] = packed
+        seqs[root] = _unpack(memo[root], width)
+    return IndSetSequence(tuple(_product(seqs, top)))

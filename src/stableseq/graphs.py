@@ -361,13 +361,6 @@ def parse_graph_spec(spec: str) -> Graph:
     raise GraphError(f"unknown graph family in spec {spec!r}")
 
 
-def graph_to_text(g: Graph) -> str:
-    """Plain text format: first line "n m", then one "u v" line per edge."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def _int_pair(line: str, lineno: int, what: str) -> tuple[int, int]:
     fields = line.split()
     try:
@@ -380,9 +373,9 @@ def _int_pair(line: str, lineno: int, what: str) -> tuple[int, int]:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Inverse of graph_to_text.  Blank lines are skipped; every error names
-    the line it is on, and the header's m must equal the number of distinct
-    edges."""
+    """Graph from its text form: a first line "n m", then one "u v" line per
+    edge.  Blank lines are skipped; every error names the line it is on, and
+    the header's m must equal the number of distinct edges."""
     rows = [(i, line) for i, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
     if not rows:

@@ -10,7 +10,6 @@ output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,11 +188,3 @@ def run_experiment(cfg: PercolationConfig,
         records=tuple(records),
         success_rate=Fraction(successes, cfg.trials),
     )
-
-
-def knn_sequence(n: int) -> IndSetSequence:
-    """Closed form for K_{n,n}: i_0 = 1 and i_t = 2 C(n, t) for t >= 1
-    (an independent set lives inside one side; only the empty set is
-    counted by both)."""
-    return IndSetSequence(tuple([1] + [2 * math.comb(n, t)
-                                       for t in range(1, n + 1)]))

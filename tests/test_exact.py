@@ -1,4 +1,6 @@
 import json
+import random
+from math import comb
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from stableseq import exact, graphs
 from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
                              polynomial_eval, sequence_from_profile,
                              side_profile)
-from stableseq.graphs import GraphError, bipartition
+from stableseq.graphs import (Bipartition, GraphError, _components,
+                              bipartition)
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
                   regular_bipartite_corpus)
@@ -40,7 +43,6 @@ def test_q4_q5_frozen_values():
 def test_knn_closed_form(d):
     seq = count_by_size(graphs.complete_bipartite(d, d))
     assert seq[0] == 1
-    from math import comb
     for t in range(1, d + 1):
         assert seq[t] == 2 * comb(d, t)
 
@@ -270,3 +272,60 @@ def test_budget_error_carries_counters(monkeypatch):
     assert f"{exc.memo_entries} memo entries" in message
     # a graph within the budget is unaffected
     assert count_by_size(graphs.hypercube(2)).counts == (1, 4, 2)
+
+
+# ---------------------------------------------------------------------------
+# Packed sequences: slot widths at byte boundaries
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9])
+def test_pack_roundtrip_at_full_slots(width):
+    full = (1 << (8 * width)) - 1
+    seq = [1, full, 0, full - 1, 0, 0, full]
+    packed = exact._pack(seq, width)
+    assert packed == sum(c << (8 * width * t) for t, c in enumerate(seq))
+    assert exact._unpack(packed, width) == seq
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 14, 15, 16, 17, 22, 63, 64, 65])
+def test_star_fills_slots_at_byte_boundaries(k):
+    # K_{1,k}: the centre alone, or any subset of the k leaves.  The slot is
+    # 8 * ceil((k + 1) / 8) bits; at k = 14 and 22, C(k, k/2) would overflow
+    # a slot of 8 * floor((k + 1) / 8) bits
+    seq = count_by_size(graphs.complete_bipartite(1, k))
+    assert seq.counts == (1, k + 1) + tuple(comb(k, t)
+                                            for t in range(2, k + 1))
+
+
+def test_union_of_components_of_different_widths():
+    parts = [graphs.complete_bipartite(1, 8), graphs.cycle(9),
+             graphs.complete_bipartite(3, 3), graphs.Graph(3, (0, 0, 0))]
+    expected = (1,)
+    for part in parts:
+        expected = _product_of(expected, count_by_size(part).counts)
+    union = graphs.disjoint_union(*parts)
+    assert count_by_size(union).counts == expected
+    # the same parts interleaved by a relabelling
+    perm = list(range(union.n))
+    random.Random(5).shuffle(perm)
+    shuffled = graphs.from_edges(union.n, [(perm[u], perm[v])
+                                           for u, v in union.edges()])
+    assert count_by_size(shuffled).counts == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_wide_random_bipartite_matches_side_profile(seed):
+    # more than 64 vertices, so slots wider than 8 bytes, with a small
+    # class the side-profile oracle scans in full
+    rng = random.Random(seed)
+    a = rng.randint(10, 14)
+    b = rng.randint(70, 85)
+    p = rng.choice([0.2, 0.3, 0.5])
+    edges = [(i, a + j) for i in range(a) for j in range(b)
+             if rng.random() < p]
+    g = graphs.from_edges(a + b, edges)
+    assert max(c.bit_count() for c in _components(g.adj, (1 << g.n) - 1)) > 64
+    sides = Bipartition(class_e=tuple(range(a)),
+                        class_o=tuple(range(a, a + b)))
+    assert count_by_size(g).counts == \
+        sequence_from_profile(side_profile(g, sides)).counts

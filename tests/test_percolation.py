@@ -9,6 +9,8 @@ from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
 from stableseq.graphs import check_simple
 
+from util import knn_sequence
+
 
 def test_splitmix64_published_vectors():
     # the first outputs of the reference SplitMix64 generator (Steele, Lea
@@ -123,7 +125,7 @@ def test_run_experiment_p_one_matches_closed_form():
     cfg = pc.PercolationConfig(base=f"knn:{n},{n}", p=Fraction(1), seed=3,
                                trials=2)
     summary = pc.run_experiment(cfg, Fraction(1, 10))
-    seq = pc.knn_sequence(n)
+    seq = knn_sequence(n)
     assert seq.counts == count_by_size(graphs.complete_bipartite(n, n)).counts
     s_used = summary.records[0].s_used
     direct = ss.check_property_bgs(seq, n, Fraction(1, 10), Fraction(1, 10),
@@ -155,7 +157,7 @@ def test_theorem_step_consistency_at_p_one():
     # sequence: the two-sided property with beta = 0 must hold
     for n in range(2, 23, 4):
         s, _c = bnd.step_bound_regular(n, n, Fraction(1, 10))
-        seq = pc.knn_sequence(n)
+        seq = knn_sequence(n)
         rep = ss.check_property_bgs(seq, n, 0, Fraction(1, 10),
                                     max(1, min(s, n + 1)))
         assert rep.holds, n

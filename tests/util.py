@@ -7,11 +7,21 @@ paths they validate.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from stableseq import graphs
+from stableseq.exact import IndSetSequence
 from stableseq.graphs import Graph
+
+
+def knn_sequence(n: int) -> IndSetSequence:
+    """Closed form for K_{n,n}: i_0 = 1 and i_t = 2 C(n, t) for t >= 1 (an
+    independent set lives inside one side; only the empty set is counted by
+    both)."""
+    return IndSetSequence((1,) + tuple(2 * math.comb(n, t)
+                                       for t in range(1, n + 1)))
 
 
 def is_independent(g: Graph, mask: int) -> bool:
