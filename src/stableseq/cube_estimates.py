@@ -6,9 +6,12 @@ value 2 C(2**(d-1), t) exp(t (1 - t/2**(d-1))**(d-1)), the density-window
 classification, and the exact closing inequalities of the four-case
 monotonicity argument.
 
-Everything that can be rational is computed as a Fraction; transcendental
-values use the configured working precision with interval arithmetic for
-one-sided verdicts.
+A rational that decides a verdict or an integer stays an exact Fraction:
+the cutoff f_cut, the case margins, the dominance tests and the reasons a
+factor does not apply.  Factors that are only displayed (the terms of E1
+and E2 and the central value) are evaluated at the working precision,
+without forming their exact powers; one-sided verdicts that involve an
+irrational value, such as the density-window tag, use interval arithmetic.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .numerics import (ceil_of_product_with_e, leq_exp_of, leq_scaled_exp,
-                       log2_binom, log2_fraction, mpf_from)
+from .numerics import (_escalate, ceil_of_product_with_e, iv_from, leq_exp_of,
+                       leq_scaled_exp, log2_binom, log2_fraction, mpf_from)
 
 SCAN_LIMIT_DEFAULT = 200
 
@@ -73,9 +76,12 @@ def f_cut(d: int, t: int) -> int:
     """Integer enumeration cutoff: ceil(max(d, 5**7 e w)) with w the density
     weight of (d, t); the ceiling is certified by interval arithmetic.  The
     weight vanishes at both endpoints, where the cutoff degenerates to d."""
-    w = density_weight(d, t)
-    second = ceil_of_product_with_e(5 ** 7 * w)
-    return max(d, second)
+    return _cutoff(d, density_weight(d, t))
+
+
+def _cutoff(d: int, w: Fraction) -> int:
+    """f_cut from the exact density weight w."""
+    return max(d, ceil_of_product_with_e(5 ** 7 * w))
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +188,47 @@ def partition_asymptotic_display_log2(d: int, lam) -> mp.mpf:
 
 def central_log2(d: int, t: int) -> mp.mpf:
     """log2 of the central value 2 C(2**(d-1), t) exp(density weight)."""
-    half = 1 << (d - 1)
-    return 1 + log2_binom(half, t) + mpf_from(density_weight(d, t)) / mp.log(2)
+    return _central_log2(d, t, mpf_from(density_weight(d, t)))
+
+
+def _central_log2(d: int, t: int, w: mp.mpf) -> mp.mpf:
+    """central_log2 from the density weight w at working precision."""
+    return 1 + log2_binom(1 << (d - 1), t) + w / mp.log(2)
+
+
+def _x_term(d: int, t: int) -> mp.mpf:
+    """x = d^2 t^2 2^d / (2^(d-1) - t)^2 * (1 - t/2^(d-1))^(2d-2) at working
+    precision, as d^2 t^2 2^d u^(2d-4) / 2^((d-1)(2d-2)), u = 2^(d-1) - t."""
+    u = (1 << (d - 1)) - t
+    return mp.ldexp(mp.mpf(d * d * t * t) * mp.power(mp.mpf(u), 2 * d - 4),
+                    d - (d - 1) * (2 * d - 2))
+
+
+def _type3_weight(d: int, t: int) -> mp.mpf:
+    """F_lam(6, 6d-60) = lam^6 (1+lam)^(60-6d) at working precision, as
+    t^6 u^(6d-66) 2^((d-1)(60-6d)), u = 2^(d-1) - t; the exponent of u is
+    negative below d = 11."""
+    u = (1 << (d - 1)) - t
+    return mp.ldexp(mp.mpf(t ** 6) * mp.power(mp.mpf(u), 6 * d - 66),
+                    (d - 1) * (60 - 6 * d))
 
 
 def _factors(d: int, t: int) -> tuple:
-    """Both error factors at (d, t) from one cutoff f = f_cut(d, t), as
-    (lam, f, E1, E1 reason, E2 summands, E2 reason); a factor is None where
-    its validity conditions fail, and its reason None where they hold.
+    """Both error factors at (d, t) from one exact density weight w and one
+    cutoff f = f_cut(d, t), as (lam, f, E1, E1 reason, E2 summands, E2
+    reason, w at working precision); a factor is None where its validity
+    conditions fail, and its reason None where they hold.
 
-    Both need 0 < t < 2**(d-1) for the activity lam.
+    Both need 0 < t < 2**(d-1) for the activity lam; outside that range w
+    is None too.  The cutoff is a certified ceiling of the exact w.  The
+    factors are display values: w enters them rounded to working precision,
+    and x and the type-III weight are evaluated there without their exact
+    powers.  Wherever E2 applies and x exceeds 1, the type-I exponent
+    d^2 f^2 / 2^(d-1) is over 10^9 times x (as f >= 5^7 e w), so the last
+    bits of x do not show in the printed E2.
 
     Lower factor E1 = exp(-3 f**2 / t) * E0 with E0 = 1 - 2 (e w / f)**f
-    exp(-w), w the density weight: i_t(Q_d) >= central * E1.  It needs
+    exp(-w): i_t(Q_d) >= central * E1.  It needs
     t <= (3/4) 2**(d-1) (above that the trivial bound replaces it), f < t/2
     (no overlap in the doubled one-sided sum), and
     f <= (2**(d-1) - t)/(2d) (product-to-exponential steps).
@@ -213,9 +247,11 @@ def _factors(d: int, t: int) -> tuple:
     half = 1 << (d - 1)
     if not 0 < t < half:
         reason = "t outside (0, 2^(d-1))"
-        return None, None, None, reason, None, reason
+        return None, None, None, reason, None, reason, None
     lam = lambda_of_t(d, t)
-    f = f_cut(d, t)
+    exact_w = density_weight(d, t)
+    f = _cutoff(d, exact_w)
+    w = mpf_from(exact_w)
     e1 = parts = None
     if 4 * t > 3 * half:
         reason1 = "t above (3/4) 2^(d-1); trivial bound regime"
@@ -225,29 +261,27 @@ def _factors(d: int, t: int) -> tuple:
         reason1 = f"f = {f} above (2^(d-1) - t)/(2d)"
     else:
         reason1 = None
-        w = mpf_from(density_weight(d, t))
         e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
         e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
     if d * f > half // 2:
         reason2 = f"d f = {d * f} above 2^(d-2)"
     else:
         reason2 = None
-        x = mpf_from(Fraction(d * d * t * t * 2 ** d, (half - t) ** 2)
-                     * (1 - Fraction(t, half)) ** (2 * d - 2))
+        x = _x_term(d, t)
         parts = {
             "type1": mp.exp(x + mpf_from(Fraction(d * d * f * f, half))),
             "type2": mp.power(3, -mpf_from(f)),
             "type3": 3 * mp.e ** 5 * mp.mpf(d) ** 10
             * mp.power(2, mp.mpf(3 * d) / 2)
-            * mpf_from(lam ** 6 * (1 + lam) ** (60 - 6 * d)) * mp.exp(x),
+            * _type3_weight(d, t) * mp.exp(x),
         }
-    return lam, f, e1, reason1, parts, reason2
+    return lam, f, e1, reason1, parts, reason2, w
 
 
 def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
     """The three summands of the upper-bound factor E2, keyed type1, type2
     and type3; raises NotApplicableError where E2 does not apply."""
-    *_, parts, reason = _factors(d, t)
+    *_, parts, reason, _ = _factors(d, t)
     if parts is None:
         raise NotApplicableError(f"upper-bound factor not applicable: {reason}")
     return parts
@@ -257,25 +291,56 @@ def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
 # Density-window classification and the estimate window
 # ---------------------------------------------------------------------------
 
+def _at_least(n: int, bound, what: str) -> bool:
+    """Certified n >= bound() for an integer n and an interval-valued bound,
+    by interval escalation, which settles whenever the bound is irrational;
+    what names the comparison if it stays undecided."""
+    def decide():
+        lhs, rhs = mp.iv.mpf(n), bound()
+        if lhs.a >= rhs.b:
+            return True
+        if lhs.b < rhs.a:
+            return False
+        return None
+
+    return _escalate(decide, what, Fraction(n))
+
+
 def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     """Classify t against the two density windows.
 
     Upper window: 2**(d-1)(1 - 1/sqrt(2) + 2 log2(d)/d) <= t <= 2**(d-1).
     Lower window: 2**(d-1) c log2(d)/d**(1/3) <= t < the upper threshold.
     The constant c is a configuration parameter, not a derived quantity.
+
+    Both comparisons are certified.  The upper threshold is irrational
+    (log2(d) is an integer or transcendental), so interval escalation
+    settles it.  The lower one is decided as d t^3 >= (c 2^(d-1) log2(d))^3:
+    exactly when d is a power of two, where the two sides can be equal, and
+    by interval escalation otherwise.
     """
     c = Fraction(c)
-    half = mp.mpf(2) ** (d - 1)
-    if t < 0 or t > (1 << (d - 1)):
+    half = 1 << (d - 1)
+    if t < 0 or t > half:
         return RANGE_DEGENERATE
-    tf = mpf_from(t)
-    upper_threshold = half * (1 - 1 / mp.sqrt(2) + 2 * mp.log(d, 2) / d)
-    lower_threshold = half * (mpf_from(c) * mp.log(d, 2) / mp.cbrt(d))
-    if tf >= upper_threshold:
+    iv = mp.iv
+
+    def upper():
+        return iv.mpf(half) * (1 - 1 / iv.sqrt(2)
+                               + 2 * iv.log(d) / (iv.ln2 * d))
+
+    def lower_cubed():
+        return (iv_from(c) * half * iv.log(d) / iv.ln2) ** 3
+
+    if _at_least(t, upper, f"t = {{}} against the upper threshold at d = {d}"):
         return RANGE_DENSE
-    if tf >= lower_threshold:
-        return RANGE_SPARSE
-    return RANGE_BELOW
+    k = d.bit_length() - 1
+    if d == 1 << k:     # log2(d) = k
+        sparse = d * t ** 3 >= (c * half * k) ** 3
+    else:
+        sparse = _at_least(d * t ** 3, lower_cubed,
+                           f"d t^3 = {{}} against the lower threshold at d = {d}")
+    return RANGE_SPARSE if sparse else RANGE_BELOW
 
 
 @dataclass(frozen=True)
@@ -311,10 +376,12 @@ def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     """Central value with the multiplicative window [E1, E2] where the
     factors apply, plus the density-window tag.  Inapplicable factors are
     reported with their reasons instead of numbers."""
-    lam, f, e1, reason1, parts, reason2 = _factors(d, t)
+    lam, f, e1, reason1, parts, reason2, w = _factors(d, t)
     e2 = (parts["type1"] + parts["type2"] + parts["type3"]
           if parts is not None else None)
-    return CubeEstimate(d=d, t=t, lam=lam, central_log2=central_log2(d, t),
+    central = (central_log2(d, t) if w is None   # also rejects t out of range
+               else _central_log2(d, t, w))
+    return CubeEstimate(d=d, t=t, lam=lam, central_log2=central,
                         f_cut=f, e1=e1, e1_reason=reason1, e2=e2,
                         e2_reason=reason2, tag=range_tag(d, t, c))
 
@@ -355,22 +422,20 @@ def case_inequalities(d: int) -> dict[str, dict]:
     """
     if d < 2:
         raise ValueError("d >= 2 required")
-    pow2 = Fraction(2) ** d
-    quarter = Fraction(2) ** (d - 2)
-    half = Fraction(2) ** (d - 1)
-    d2, d4 = Fraction(d) ** 2, Fraction(d) ** 4
-
-    lhs2 = (1 - 14 * d2 / pow2) * (quarter + 5 * d4 + 1)
-    rhs2 = (1 + 4 * d4 / pow2) * (quarter - 5 * d4)
-    lhs3 = (1 + 2 / Fraction(d) ** 3) * (quarter - half / d + 1)
-    rhs3 = (1 - 1 / Fraction(d) ** 5) * (quarter + half / d)
-    lhs4 = (1 + 5 * d4 / pow2) * (quarter - 15 * d2 + 1)
-    rhs4 = (1 - 14 * d2 / pow2) * (quarter + 15 * d2)
+    # each margin is an integer over 2^d (cases 2 and 4) or d^6 (case 3)
+    pow2, quarter, half = 1 << d, 1 << (d - 2), 1 << (d - 1)
+    d2, d4 = d * d, d ** 4
+    num2 = (pow2 - 14 * d2) * (quarter + 5 * d4 + 1) \
+        - (pow2 + 4 * d4) * (quarter - 5 * d4)
+    num3 = (d ** 5 - 1) * (d * quarter + half) \
+        - d2 * (d ** 3 + 2) * (d * quarter - half + d)
+    num4 = (pow2 - 14 * d2) * (quarter + 15 * d2) \
+        - (pow2 + 5 * d4) * (quarter - 15 * d2 + 1)
 
     return {
-        "case2": {"holds": lhs2 > rhs2, "margin": lhs2 - rhs2},
-        "case3": {"holds": lhs3 < rhs3, "margin": rhs3 - lhs3},
-        "case4": {"holds": lhs4 < rhs4, "margin": rhs4 - lhs4},
+        "case2": {"holds": num2 > 0, "margin": Fraction(num2, pow2)},
+        "case3": {"holds": num3 > 0, "margin": Fraction(num3, d ** 6)},
+        "case4": {"holds": num4 > 0, "margin": Fraction(num4, pow2)},
     }
 
 

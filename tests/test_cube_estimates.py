@@ -18,6 +18,7 @@ from stableseq.cube_estimates import (big_f, big_f_log2, case_inequalities,
                                       linked_sum_dominates, range_tag,
                                       small_sum_dominates, small_sum_exponent,
                                       step_weight, step_weight_drop_bound)
+from stableseq.numerics import mpf_from
 
 
 def test_lambda_of_t():
@@ -406,3 +407,105 @@ def test_e2_above_one_wherever_it_applies_at_small_d():
             assert abs(got / type3 - 1) < mp.mpf(10) ** -25, (d, t)
     assert sorted(applicable) == [8, 9, 10, 11]
     assert applicable[8] + applicable[9] == 54
+
+
+def _exact_x(d, t):
+    # the exact rational the window's x stands for
+    half = 1 << (d - 1)
+    return Fraction(d * d * t * t * 2 ** d, (half - t) ** 2) \
+        * (1 - Fraction(t, half)) ** (2 * d - 2)
+
+
+def _exact_type3_weight(d, t):
+    # F_lam(6, 6d - 60) as lam^6 (1 + lam)^(60 - 6d), exactly
+    lam = lambda_of_t(d, t)
+    return lam ** 6 * (1 + lam) ** (60 - 6 * d)
+
+
+def test_window_powers_agree_with_exact_fractions():
+    # x and the type-III weight are evaluated at working precision without
+    # their exact powers; both sign cases of 60 - 6d (d = 10, 11) included
+    tol = mp.mpf(2) ** -(mp.mp.prec - 16)
+    cases = []
+    for d in list(range(2, 13)) + [64, 96, 192, 1000]:
+        half = 1 << (d - 1)
+        ts = {1, half // 3, half - 1}
+        if d < 1000:   # an exact oracle at d = 1000 takes about a second
+            ts |= {2, half // 3 + 1, half - 2}
+        cases += [(d, t) for t in sorted(ts) if 0 < t < half]
+    assert {t % 2 for d, t in cases if d == 1000} == {0, 1}
+    for d, t in cases:
+        for got, exact in ((est._x_term(d, t), _exact_x(d, t)),
+                           (est._type3_weight(d, t),
+                            _exact_type3_weight(d, t))):
+            assert abs(got / mpf_from(exact) - 1) <= tol, (d, t)
+
+
+def test_estimate_window_takes_one_density_weight(monkeypatch):
+    # E1, the cutoff and the central value share one exact weight per (d, t)
+    calls = []
+    weight = est.density_weight
+    monkeypatch.setattr(est, "density_weight",
+                        lambda d, t: calls.append((d, t)) or weight(d, t))
+    for d, t in ((5, 8), (9, 100), (40, 1 << 38), (64, 1 << 62),
+                 (64, (1 << 63) - 1), (192, 1 << 186)):
+        calls.clear()
+        w = estimate_window(d, t)
+        assert calls == [(d, t)], (d, t)
+        assert w.central_log2 == central_log2(d, t)
+        assert w.f_cut == f_cut(d, t)
+
+
+def test_case_inequalities_equal_their_fraction_forms():
+    # the docstring's inequalities, as Fractions, against the integer
+    # numerators over 2^d and d^6
+    for d in range(2, 201):
+        pow2 = Fraction(2) ** d
+        quarter = Fraction(2) ** (d - 2)
+        half = Fraction(2) ** (d - 1)
+        d2, d4 = Fraction(d) ** 2, Fraction(d) ** 4
+        lhs2 = (1 - 14 * d2 / pow2) * (quarter + 5 * d4 + 1)
+        rhs2 = (1 + 4 * d4 / pow2) * (quarter - 5 * d4)
+        lhs3 = (1 + 2 / Fraction(d) ** 3) * (quarter - half / d + 1)
+        rhs3 = (1 - 1 / Fraction(d) ** 5) * (quarter + half / d)
+        lhs4 = (1 + 5 * d4 / pow2) * (quarter - 15 * d2 + 1)
+        rhs4 = (1 - 14 * d2 / pow2) * (quarter + 15 * d2)
+        assert case_inequalities(d) == {
+            "case2": {"holds": lhs2 > rhs2, "margin": lhs2 - rhs2},
+            "case3": {"holds": lhs3 < rhs3, "margin": rhs3 - lhs3},
+            "case4": {"holds": lhs4 < rhs4, "margin": rhs4 - lhs4},
+        }, d
+    assert case_scan(200) == {
+        "case2": {"d0": 2, "fails": [], "monotone_from": 18},
+        "case3": {"d0": 2, "fails": [], "monotone_from": 2},
+        "case4": {"d0": None, "fails": list(range(14, 201)),
+                  "monotone_from": None},
+    }
+
+
+def test_range_tag_next_to_both_thresholds():
+    # integers just below and just above each threshold, with the
+    # thresholds computed far beyond the working precision; from d = 162 on
+    # 160-bit floats no longer tell these integers apart
+    checked = 0
+    for d in (162, 163):
+        half = 1 << (d - 1)
+        for c in (Fraction(1), Fraction(1, 4)):
+            with mp.workprec(d + 400):
+                upper = half * (1 - 1 / mp.sqrt(2) + 2 * mp.log(d, 2) / d)
+                lower = half * mp.mpf(c.numerator) / c.denominator \
+                    * mp.log(d, 2) / mp.cbrt(d)
+                near = {int(mp.floor(upper)), int(mp.floor(lower))}
+                ts = [t for t in sorted(near | {n + 1 for n in near})
+                      if t <= half]
+                want = [est.RANGE_DENSE if t >= upper else
+                        est.RANGE_SPARSE if t >= lower else est.RANGE_BELOW
+                        for t in ts]
+            # classified at the working precision
+            assert [range_tag(d, t, c) for t in ts] == want, (d, c, ts)
+            checked += len(ts)
+    assert checked >= 12
+    # at d = 8, c = 1/4 the lower threshold is exactly 48: d t^3 equals
+    # (c 2^(d-1) log2 d)^3 = 96^3
+    assert range_tag(8, 48, Fraction(1, 4)) == est.RANGE_SPARSE
+    assert range_tag(8, 47, Fraction(1, 4)) == est.RANGE_BELOW
