@@ -16,7 +16,7 @@ from typing import Optional
 import mpmath as mp
 
 from .exact import IndSetSequence, polynomial_eval
-from .graphs import Bipartition, Graph
+from .graphs import Bipartition, Graph, regularity_profile
 from .numerics import binom, entropy_power, log2_fraction, mpf_from
 
 
@@ -24,13 +24,7 @@ from .numerics import binom, entropy_power, log2_fraction, mpf_from
 # Binary entropy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropyValue:
-    x: Fraction
-    value: mp.mpf
-
-
-def entropy(x) -> EntropyValue:
+def entropy(x) -> mp.mpf:
     """Binary entropy H(x) = -x log2 x - (1-x) log2 (1-x) on [0, 1].
 
     Endpoints return exactly 0 and H(1/2) returns exactly 1.  The argument is
@@ -41,13 +35,12 @@ def entropy(x) -> EntropyValue:
     if not 0 <= x <= 1:
         raise ValueError("entropy argument outside [0, 1]")
     if x == 0 or x == 1:
-        return EntropyValue(x, mp.mpf(0))
+        return mp.mpf(0)
     if x == Fraction(1, 2):
-        return EntropyValue(x, mp.mpf(1))
+        return mp.mpf(1)
     y = min(x, 1 - x)
     yf = mpf_from(y)
-    value = -(yf * mp.log(yf, 2) + (1 - yf) * mp.log(1 - yf, 2))
-    return EntropyValue(x, value)
+    return -(yf * mp.log(yf, 2) + (1 - yf) * mp.log(1 - yf, 2))
 
 
 def entropy_derivative(x) -> mp.mpf:
@@ -69,7 +62,7 @@ def count_upper_log2(nverts: int, d: int, t: int) -> mp.mpf:
         raise ValueError("d >= 1 required")
     if not 0 <= 2 * t <= nverts:
         raise ValueError("t outside [0, |V|/2]")
-    h = entropy(Fraction(2 * t, nverts)).value
+    h = entropy(Fraction(2 * t, nverts))
     return h * Fraction(nverts, 2) + mpf_from(Fraction(nverts, 2 * d))
 
 
@@ -103,7 +96,7 @@ def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
 def count_lower_weak_log2(nverts: int, t: int) -> mp.mpf:
     """Stirling-weakened form H(2t/|V|)|V|/2 - (1/2) log2 |V|, exposed for
     comparison; checkers use the exact binomial instead."""
-    h = entropy(Fraction(2 * t, nverts)).value
+    h = entropy(Fraction(2 * t, nverts))
     return h * Fraction(nverts, 2) - mp.log(mpf_from(nverts), 2) / 2
 
 
@@ -177,7 +170,6 @@ def partition_upper_almost_regular_log2(g: Graph, b: Bipartition, d,
                                         lam) -> mp.mpf:
     """Upper bound, in bits, on P(G, lam) for bipartite G with defect
     h(G, d): n log2(1+lam) + n h(G,d) log2 C(lam), where 2n = |V|."""
-    from .graphs import regularity_profile
     lam = Fraction(lam)
     prof = regularity_profile(g, b, d)
     n = prof.half_order
@@ -192,7 +184,6 @@ def partition_upper_almost_regular_dominates(g: Graph, b: Bipartition, d,
     With n = |V|/2 and n*h = p/q rational, compare
     value**(2q) <= (1+lam)**(|V| q) * C(lam)**(2 p).
     """
-    from .graphs import regularity_profile
     lam = Fraction(lam)
     prof = regularity_profile(g, b, d)
     nh = prof.half_order * prof.h_value

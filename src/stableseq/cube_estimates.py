@@ -6,12 +6,13 @@ value 2 C(2**(d-1), t) exp(t (1 - t/2**(d-1))**(d-1)), the density-window
 classification, and the exact closing inequalities of the four-case
 monotonicity argument.
 
-A rational that decides a verdict or an integer stays an exact Fraction:
-the cutoff f_cut, the case margins, the dominance tests and the reasons a
-factor does not apply.  Factors that are only displayed (the terms of E1
-and E2 and the central value) are evaluated at the working precision,
-without forming their exact powers; one-sided verdicts that involve an
-irrational value, such as the density-window tag, use interval arithmetic.
+A rational that decides a verdict stays an exact Fraction: the case
+margins, the dominance tests and the reasons a factor does not apply.  The
+verdicts and the integer of the estimate window (the density-window tag and
+the cutoff f_cut) are certified in interval arithmetic from (d, t), with
+escalating precision.  Factors that are only displayed (the terms of E1
+and E2 and the central value) are evaluated in floating point, without
+forming their exact powers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .numerics import (_escalate, ceil_of_product_with_e, iv_from, leq_exp_of,
+from .numerics import (certified_ceil, certified_leq, iv_from, leq_exp_of,
                        leq_scaled_exp, log2_binom, log2_fraction, mpf_from)
 
 SCAN_LIMIT_DEFAULT = 200
@@ -38,14 +39,20 @@ class NotApplicableError(ValueError):
     """A formula's validity conditions fail at the requested parameters."""
 
 
-def lambda_of_t(d: int, t: int) -> Fraction:
-    """Activity matching density t: lam(t) = t / (2**(d-1) - t)."""
+def _complement(d: int, t: int) -> int:
+    """u = 2**(d-1) - t; raises ValueError unless 0 <= t <= 2**(d-1)."""
     half = 1 << (d - 1)
     if not 0 <= t <= half:
         raise ValueError("t outside [0, 2^(d-1)]")
-    if t == half:
+    return half - t
+
+
+def lambda_of_t(d: int, t: int) -> Fraction:
+    """Activity matching density t: lam(t) = t / (2**(d-1) - t)."""
+    u = _complement(d, t)
+    if u == 0:
         raise NotApplicableError("lam(t) has a pole at t = 2^(d-1)")
-    return Fraction(t, half - t)
+    return Fraction(t, u)
 
 
 def big_f(lam, a: int, g: int) -> Fraction:
@@ -64,24 +71,20 @@ def big_f_log2(lam, a: int, g: int) -> mp.mpf:
     return a * log2_fraction(lam) - g * log2_fraction(1 + lam)
 
 
-def density_weight(d: int, t: int) -> Fraction:
-    """The recurring exact weight t (1 - t/2**(d-1))**(d-1)."""
-    half = 1 << (d - 1)
-    if not 0 <= t <= half:
-        raise ValueError("t outside [0, 2^(d-1)]")
-    return t * (1 - Fraction(t, half)) ** (d - 1)
-
-
 def f_cut(d: int, t: int) -> int:
     """Integer enumeration cutoff: ceil(max(d, 5**7 e w)) with w the density
-    weight of (d, t); the ceiling is certified by interval arithmetic.  The
-    weight vanishes at both endpoints, where the cutoff degenerates to d."""
-    return _cutoff(d, density_weight(d, t))
-
-
-def _cutoff(d: int, w: Fraction) -> int:
-    """f_cut from the exact density weight w."""
-    return max(d, ceil_of_product_with_e(5 ** 7 * w))
+    weight t (1 - t/2**(d-1))**(d-1) of (d, t).  The ceiling is certified by
+    interval escalation from 5**7 t u**(d-1) 2**(-(d-1)**2) e,
+    u = 2**(d-1) - t, whose power of two is exact at any precision.  The
+    weight vanishes at both endpoints (for d > 1), where the interval is
+    exactly 0 and the cutoff degenerates to d; elsewhere 5**7 e w is
+    irrational, so the escalation settles."""
+    u = _complement(d, t)
+    iv = mp.iv
+    return max(d, certified_ceil(
+        lambda: iv.mpf(5 ** 7 * t) * iv.mpf(u) ** (d - 1)
+        * iv.mpf(2) ** (-(d - 1) ** 2) * iv.e,
+        f"ceil(5^7 e w) at d = {d}, t = {{}}", t))
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +191,14 @@ def partition_asymptotic_display_log2(d: int, lam) -> mp.mpf:
 
 def central_log2(d: int, t: int) -> mp.mpf:
     """log2 of the central value 2 C(2**(d-1), t) exp(density weight)."""
-    return _central_log2(d, t, mpf_from(density_weight(d, t)))
+    return 1 + log2_binom(1 << (d - 1), t) + _weight(d, t) / mp.log(2)
 
 
-def _central_log2(d: int, t: int, w: mp.mpf) -> mp.mpf:
-    """central_log2 from the density weight w at working precision."""
-    return 1 + log2_binom(1 << (d - 1), t) + w / mp.log(2)
+def _weight(d: int, t: int) -> mp.mpf:
+    """The density weight w = t (1 - t/2^(d-1))^(d-1) at working precision,
+    as t u^(d-1) / 2^((d-1)^2), u = 2^(d-1) - t."""
+    u = _complement(d, t)
+    return mp.ldexp(mp.mpf(t) * mp.power(mp.mpf(u), d - 1), -(d - 1) ** 2)
 
 
 def _x_term(d: int, t: int) -> mp.mpf:
@@ -214,16 +219,17 @@ def _type3_weight(d: int, t: int) -> mp.mpf:
 
 
 def _factors(d: int, t: int) -> tuple:
-    """Both error factors at (d, t) from one exact density weight w and one
-    cutoff f = f_cut(d, t), as (lam, f, E1, E1 reason, E2 summands, E2
-    reason, w at working precision); a factor is None where its validity
-    conditions fail, and its reason None where they hold.
+    """Both error factors at (d, t) from one cutoff f = f_cut(d, t), as
+    (lam, f, E1, E1 reason, E2 summands, E2 reason); a factor is None where
+    its validity conditions fail, and its reason None where they hold.
 
-    Both need 0 < t < 2**(d-1) for the activity lam; outside that range w
-    is None too.  The cutoff is a certified ceiling of the exact w.  The
-    factors are display values: w enters them rounded to working precision,
-    and x and the type-III weight are evaluated there without their exact
-    powers.  Wherever E2 applies and x exceeds 1, the type-I exponent
+    Both need 0 < t < 2**(d-1) for the activity lam.  The factors are
+    display values: the density weight w, x and the type-III weight are
+    evaluated without their exact powers.  Each applicable factor is
+    evaluated with as many extra bits as its largest exp argument has
+    integer bits (3 f^2 / t for E1, d^2 f^2 / 2^(d-1) for E2), so the
+    argument's rounding error stays below about 2^-prec and the printed
+    digits hold at any exponent.  Wherever E2 applies and x exceeds 1,
     d^2 f^2 / 2^(d-1) is over 10^9 times x (as f >= 5^7 e w), so the last
     bits of x do not show in the printed E2.
 
@@ -247,11 +253,9 @@ def _factors(d: int, t: int) -> tuple:
     half = 1 << (d - 1)
     if not 0 < t < half:
         reason = "t outside (0, 2^(d-1))"
-        return None, None, None, reason, None, reason, None
+        return None, None, None, reason, None, reason
     lam = lambda_of_t(d, t)
-    exact_w = density_weight(d, t)
-    f = _cutoff(d, exact_w)
-    w = mpf_from(exact_w)
+    f = f_cut(d, t)
     e1 = parts = None
     if 4 * t > 3 * half:
         reason1 = "t above (3/4) 2^(d-1); trivial bound regime"
@@ -261,27 +265,30 @@ def _factors(d: int, t: int) -> tuple:
         reason1 = f"f = {f} above (2^(d-1) - t)/(2d)"
     else:
         reason1 = None
-        e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
-        e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
+        with mp.extraprec((3 * f * f // t).bit_length()):
+            w = _weight(d, t)
+            e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
+            e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
     if d * f > half // 2:
         reason2 = f"d f = {d * f} above 2^(d-2)"
     else:
         reason2 = None
-        x = _x_term(d, t)
-        parts = {
-            "type1": mp.exp(x + mpf_from(Fraction(d * d * f * f, half))),
-            "type2": mp.power(3, -mpf_from(f)),
-            "type3": 3 * mp.e ** 5 * mp.mpf(d) ** 10
-            * mp.power(2, mp.mpf(3 * d) / 2)
-            * _type3_weight(d, t) * mp.exp(x),
-        }
-    return lam, f, e1, reason1, parts, reason2, w
+        with mp.extraprec((d * d * f * f // half).bit_length()):
+            x = _x_term(d, t)
+            parts = {
+                "type1": mp.exp(x + mpf_from(Fraction(d * d * f * f, half))),
+                "type2": mp.power(3, -mpf_from(f)),
+                "type3": 3 * mp.e ** 5 * mp.mpf(d) ** 10
+                * mp.power(2, mp.mpf(3 * d) / 2)
+                * _type3_weight(d, t) * mp.exp(x),
+            }
+    return lam, f, e1, reason1, parts, reason2
 
 
 def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
     """The three summands of the upper-bound factor E2, keyed type1, type2
     and type3; raises NotApplicableError where E2 does not apply."""
-    *_, parts, reason, _ = _factors(d, t)
+    *_, parts, reason = _factors(d, t)
     if parts is None:
         raise NotApplicableError(f"upper-bound factor not applicable: {reason}")
     return parts
@@ -290,21 +297,6 @@ def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
 # ---------------------------------------------------------------------------
 # Density-window classification and the estimate window
 # ---------------------------------------------------------------------------
-
-def _at_least(n: int, bound, what: str) -> bool:
-    """Certified n >= bound() for an integer n and an interval-valued bound,
-    by interval escalation, which settles whenever the bound is irrational;
-    what names the comparison if it stays undecided."""
-    def decide():
-        lhs, rhs = mp.iv.mpf(n), bound()
-        if lhs.a >= rhs.b:
-            return True
-        if lhs.b < rhs.a:
-            return False
-        return None
-
-    return _escalate(decide, what, Fraction(n))
-
 
 def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     """Classify t against the two density windows.
@@ -332,14 +324,17 @@ def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     def lower_cubed():
         return (iv_from(c) * half * iv.log(d) / iv.ln2) ** 3
 
-    if _at_least(t, upper, f"t = {{}} against the upper threshold at d = {d}"):
+    if certified_leq(upper, lambda: iv.mpf(t),
+                     f"t = {{}} against the upper threshold at d = {d}", t):
         return RANGE_DENSE
     k = d.bit_length() - 1
     if d == 1 << k:     # log2(d) = k
         sparse = d * t ** 3 >= (c * half * k) ** 3
     else:
-        sparse = _at_least(d * t ** 3, lower_cubed,
-                           f"d t^3 = {{}} against the lower threshold at d = {d}")
+        n = d * t ** 3
+        sparse = certified_leq(
+            lower_cubed, lambda: iv.mpf(n),
+            f"d t^3 = {{}} against the lower threshold at d = {d}", n)
     return RANGE_SPARSE if sparse else RANGE_BELOW
 
 
@@ -376,12 +371,10 @@ def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     """Central value with the multiplicative window [E1, E2] where the
     factors apply, plus the density-window tag.  Inapplicable factors are
     reported with their reasons instead of numbers."""
-    lam, f, e1, reason1, parts, reason2, w = _factors(d, t)
+    lam, f, e1, reason1, parts, reason2 = _factors(d, t)
     e2 = (parts["type1"] + parts["type2"] + parts["type3"]
           if parts is not None else None)
-    central = (central_log2(d, t) if w is None   # also rejects t out of range
-               else _central_log2(d, t, w))
-    return CubeEstimate(d=d, t=t, lam=lam, central_log2=central,
+    return CubeEstimate(d=d, t=t, lam=lam, central_log2=central_log2(d, t),
                         f_cut=f, e1=e1, e1_reason=reason1, e2=e2,
                         e2_reason=reason2, tag=range_tag(d, t, c))
 

@@ -112,12 +112,12 @@ class UndecidedComparison(ArithmeticError):
 _MAX_PREC = 16384   # interval precision at which a comparison gives up
 
 
-def _escalate(decide, what: str, arg: Fraction):
+def _escalate(decide, what: str, arg):
     """The first verdict other than None of decide() at the working interval
     precision, doubled up to _MAX_PREC bits; the precision is restored.
-    what.format(arg) names the comparison if it stays undecided; a rational
-    whose numerator or denominator has more than 64 bits is named by their
-    bit lengths, which keeps the message short."""
+    what.format(arg) names the comparison if it stays undecided; an int or
+    Fraction arg whose numerator or denominator has more than 64 bits is
+    named by its bit lengths, which keeps the message short."""
     saved = mp.iv.prec
     try:
         prec = saved
@@ -128,31 +128,57 @@ def _escalate(decide, what: str, arg: Fraction):
                 return verdict
             prec *= 2
         bits = arg.numerator.bit_length(), arg.denominator.bit_length()
-        name = arg if max(bits) <= 64 else "a {}-bit / {}-bit rational".format(*bits)
+        if max(bits) <= 64:
+            name = arg
+        elif arg.denominator == 1:
+            name = f"a {bits[0]}-bit integer"
+        else:
+            name = "a {}-bit / {}-bit rational".format(*bits)
         raise UndecidedComparison(
             f"{what.format(name)} undecided at {_MAX_PREC} bits")
     finally:
         mp.iv.prec = saved
 
 
-def leq_exp_of(x: Fraction, exponent: Fraction) -> bool:
-    """Certified test of x <= exp(exponent) for rationals x and exponent.
-
-    Escalates interval precision until the comparison is decided.
-    """
-    if x <= 0:
-        return True
-
+def certified_leq(lhs, rhs, what: str, arg) -> bool:
+    """Certified test of lhs() <= rhs() for zero-argument callables that
+    return intervals at the current mp.iv.prec, by interval escalation;
+    what and arg name the comparison if it stays undecided (see _escalate).
+    It settles whenever the two values differ."""
     def decide():
-        rhs = mp.iv.exp(iv_from(exponent))
-        lhs = iv_from(x)
-        if lhs.b <= rhs.a:
+        a, b = lhs(), rhs()
+        if a.b <= b.a:
             return True
-        if lhs.a > rhs.b:
+        if a.a > b.b:
             return False
         return None
 
-    return _escalate(decide, "x vs exp({})", exponent)
+    return _escalate(decide, what, arg)
+
+
+def certified_ceil(value, what: str, arg) -> int:
+    """Certified ceiling of value(), a zero-argument callable that returns an
+    interval at the current mp.iv.prec, by interval escalation; what and arg
+    name it if it stays undecided (see _escalate).  It settles whenever the
+    value is not an integer."""
+    def decide():
+        # The endpoints are read as exact rationals.  Rounded to mp.prec,
+        # both would land on an integer lying within about 2**-mp.prec of
+        # the interval, and the ceiling could come out one too small.
+        lo, hi = (-(-num // den) for num, den in
+                  map(mp.libmp.to_rational, value()._mpi_))
+        return lo if lo == hi else None
+
+    return _escalate(decide, what, arg)
+
+
+def leq_exp_of(x: Fraction, exponent: Fraction) -> bool:
+    """Certified test of x <= exp(exponent) for rationals x and exponent."""
+    if x <= 0:
+        return True
+    return certified_leq(lambda: iv_from(x),
+                         lambda: mp.iv.exp(iv_from(exponent)),
+                         "x vs exp({})", exponent)
 
 
 def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int) -> bool:
@@ -166,28 +192,6 @@ def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int) -> bool:
     if scale <= 0:
         return x <= 0
     return leq_exp_of(x / scale, Fraction(exp_arg))
-
-
-def ceil_of_product_with_e(q: Fraction) -> int:
-    """ceil(q * e) for rational q >= 0, certified by interval escalation.
-
-    q * e is irrational for q > 0, so the ceiling is always well defined.
-    """
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return 0
-
-    def decide():
-        prod = iv_from(q) * mp.iv.exp(mp.iv.mpf(1))
-        # The endpoints are read as exact rationals.  Rounded to mp.prec,
-        # both would land on an integer lying within about 2**-mp.prec of
-        # the interval, and the ceiling could come out one too small.
-        lo, hi = (-(-num // den) for num, den in
-                  map(mp.libmp.to_rational, prod._mpi_))
-        return lo if lo == hi else None
-
-    return _escalate(decide, "ceil({} * e)", q)
 
 
 def bits_of(mask: int):

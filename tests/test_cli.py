@@ -201,10 +201,10 @@ def test_cube_window_json_pinned(capsys, row):
 
 
 def test_undecided_comparison_exits_2(capsys, monkeypatch):
-    def undecided(q):
-        raise numerics.UndecidedComparison(f"ceil({q} * e) undecided at "
+    def undecided(value, what, arg):
+        raise numerics.UndecidedComparison(f"{what.format(arg)} undecided at "
                                            "4096 bits")
-    monkeypatch.setattr(cube_estimates, "ceil_of_product_with_e", undecided)
+    monkeypatch.setattr(cube_estimates, "certified_ceil", undecided)
     code, out, err = run_cli(capsys, "cube-window", "--d", "8", "--t", "20")
     assert code == 2
     assert out == ""

@@ -11,8 +11,7 @@ from stableseq import cube_estimates as est
 from stableseq.cube import NotApplicableError, small_set_scan
 from stableseq.cube_estimates import (big_f, big_f_log2, case_inequalities,
                                       case_scan, central_log2,
-                                      consecutive_ratio_aux_holds,
-                                      density_weight, e2_parts,
+                                      consecutive_ratio_aux_holds, e2_parts,
                                       estimate_window, f_cut,
                                       lambda_of_t, linked_sum_bound_parts,
                                       linked_sum_dominates, range_tag,
@@ -74,7 +73,7 @@ def test_density_weight_monotone_tail():
         start = -((1 - half) // (d - 1))  # ceil((half-1)/(d-1))
         prev = None
         for t in range(start, half + 1):
-            w = density_weight(d, t)
+            w = step_weight(d, t, t)
             if prev is not None:
                 assert w <= prev, (d, t)
             prev = w
@@ -96,6 +95,43 @@ def test_f_cut_monotone_tail():
     start = -((1 - half) // (d - 1))
     values = [f_cut(d, t) for t in range(start, half)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_f_cut_against_exact_fractions():
+    # oracle without intervals: e lies strictly between the Taylor sum to
+    # 1/30! and that sum plus 2/31!, and that bracket is narrow enough to
+    # fix ceil(5^7 e w) for the exact weight w at every t of d <= 12
+    e_lo, term = Fraction(0), Fraction(1)
+    for k in range(31):
+        e_lo += term
+        term /= k + 1
+    e_hi = e_lo + 2 * term
+    for d in range(2, 13):
+        for t in range((1 << (d - 1)) + 1):
+            q = 5 ** 7 * step_weight(d, t, t)
+            lo, hi = math.ceil(q * e_lo), math.ceil(q * e_hi)
+            assert lo == hi, (d, t)
+            assert f_cut(d, t) == max(d, lo), (d, t)
+
+
+def test_estimate_window_builds_no_exact_weight(monkeypatch):
+    # the cutoff and the display factors come from (d, t) directly; the
+    # exact weight t (1 - t/2^(d-1))^(d-1) is a Fraction of about d^2 bits.
+    # Only range_tag's cube of a rational threshold is an exact power.
+    def refuse(*args):
+        raise AssertionError(f"step_weight{args} called")
+    power = Fraction.__pow__
+
+    def small_power(base, exponent, *rest):
+        assert not isinstance(exponent, int) or abs(exponent) <= 3, exponent
+        return power(base, exponent, *rest)
+    monkeypatch.setattr(est, "step_weight", refuse)
+    monkeypatch.setattr(Fraction, "__pow__", small_power)
+    for d, t in ((5, 8), (9, 100), (12, 1), (40, 1 << 38), (64, 1 << 62),
+                 (192, (1 << 191) // 10), (2000, (1 << 1999) * 537 // 1000)):
+        for c in (1, Fraction(1, 4)):
+            estimate_window(d, t, c)
+        f_cut(d, t)
 
 
 def test_small_sum_exponent_closed_form():
@@ -277,9 +313,9 @@ def test_estimate_window_endpoints_share_one_reason():
 def test_central_value_matches_exact_binomial_form():
     # d small enough for the exact binomial path
     val = central_log2(5, 8)
+    w = step_weight(5, 8, 8)
     expect = 1 + mp.log(math.comb(16, 8), 2) + \
-        mp.mpf(density_weight(5, 8).numerator) / \
-        density_weight(5, 8).denominator / mp.log(2)
+        mp.mpf(w.numerator) / w.denominator / mp.log(2)
     assert abs(val - expect) < mp.mpf(2) ** -100
 
 
@@ -376,9 +412,9 @@ def test_estimate_window_refuses_nothing_silently():
 def test_estimate_window_certifies_one_ceiling(monkeypatch):
     # the cutoff f is computed once per (d, t), whichever factors apply
     calls = []
-    ceil = est.ceil_of_product_with_e
-    monkeypatch.setattr(est, "ceil_of_product_with_e",
-                        lambda x: calls.append(x) or ceil(x))
+    ceil = est.certified_ceil
+    monkeypatch.setattr(est, "certified_ceil",
+                        lambda *args: calls.append(args) or ceil(*args))
     for d, t in ((5, 8), (9, 100), (40, 1 << 38), (64, 1 << 62),
                  (64, (1 << 63) - 1)):
         calls.clear()
@@ -441,17 +477,28 @@ def test_window_powers_agree_with_exact_fractions():
             assert abs(got / mpf_from(exact) - 1) <= tol, (d, t)
 
 
-def test_estimate_window_takes_one_density_weight(monkeypatch):
-    # E1, the cutoff and the central value share one exact weight per (d, t)
-    calls = []
-    weight = est.density_weight
-    monkeypatch.setattr(est, "density_weight",
-                        lambda d, t: calls.append((d, t)) or weight(d, t))
+def test_window_factors_keep_their_digits_at_huge_exponents():
+    # here 3 f^2 / t and d^2 f^2 / 2^(d-1) are near 10^50; rounded to the
+    # working precision before exp, they would be off by about 10^5 and
+    # every printed digit of E1 and E2 wrong
+    w = estimate_window(192, (1 << 191) // 10).to_json_dict()
+    assert w["e1"] == ("3.02822897683493303e-6115646416056504723688976579634"
+                       "0268866462505734045")
+    assert w["e2"] == ("4.86853019929168477e+7514906316461666384093299011345"
+                       "7141677154890642032000")
+    for d in (150, 192, 256):
+        for k in (1, 3, 7):
+            t = (1 << (d - 1)) * k // 10
+            got = estimate_window(d, t).to_json_dict()
+            with mp.workprec(2000):
+                want = estimate_window(d, t).to_json_dict()
+            assert (got["e1"], got["e2"]) == (want["e1"], want["e2"]), (d, k)
+
+
+def test_estimate_window_matches_f_cut_and_central_log2():
     for d, t in ((5, 8), (9, 100), (40, 1 << 38), (64, 1 << 62),
                  (64, (1 << 63) - 1), (192, 1 << 186)):
-        calls.clear()
         w = estimate_window(d, t)
-        assert calls == [(d, t)], (d, t)
         assert w.central_log2 == central_log2(d, t)
         assert w.f_cut == f_cut(d, t)
 

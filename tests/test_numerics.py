@@ -70,7 +70,7 @@ def test_escalation_gives_up_at_its_cap_and_restores_precision():
     assert mp.iv.prec == saved
     assert numerics.leq_exp_of(Fraction(2718, 1000), Fraction(1))
     assert not numerics.leq_exp_of(Fraction(2719, 1000), Fraction(1))
-    assert numerics.ceil_of_product_with_e(Fraction(1)) == 3
+    assert numerics.certified_ceil(lambda: mp.iv.e, "ceil(e)", Fraction(1)) == 3
     assert mp.iv.prec == saved
 
 
@@ -82,6 +82,10 @@ def test_escalation_message_names_a_huge_rational_by_size():
                              r"undecided at 16384 bits$"):
         numerics._escalate(lambda: None, "ceil({} * e)",
                            Fraction(3 ** 10000, 2 ** 100))
+    with pytest.raises(numerics.UndecidedComparison,
+                       match=r"^t = a 16990-bit integer undecided at 16384 "
+                             r"bits$"):
+        numerics._escalate(lambda: None, "t = {}", (1 << 16999) // 1000)
 
 
 def _e_bounds(n=100):
@@ -94,7 +98,7 @@ def _e_bounds(n=100):
     return lo, lo + term * (n + 1) / n
 
 
-def test_ceil_of_product_with_e_next_to_integers():
+def test_certified_ceil_next_to_integers():
     # q is k/e rounded to `bits` bits, moved by one unit in the last place:
     # q*e is within about 2^-bits of k, so rounding the interval endpoints to
     # the working precision would make both equal to k
@@ -107,4 +111,6 @@ def test_ceil_of_product_with_e_next_to_integers():
                 q = Fraction(man + ulp, 1 << -exp)
                 want = math.floor(q * e_lo) + 1
                 assert want == math.ceil(q * e_hi)
-                assert numerics.ceil_of_product_with_e(q) == want, (bits, k, ulp)
+                got = numerics.certified_ceil(
+                    lambda: numerics.iv_from(q) * mp.iv.e, "ceil({} * e)", q)
+                assert got == want, (bits, k, ulp)
