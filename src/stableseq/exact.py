@@ -3,8 +3,11 @@
 count_by_size is the counting engine.  It branches on a maximum-degree
 vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
 remaining vertex set into connected components whose sequences multiply,
-and memoises every component's sequence by its vertex mask.  Components
-that are paths take their closed form.
+and memoises every component's sequence by its vertex mask.  One bitset
+sweep of a vertex set (_split) gives its components together with each
+one's branch vertex and degree sum, so every set is walked once.
+Components of maximum degree at most 2 take a closed form: a path its
+own, a cycle the branch rule applied once to two paths.
 
 Inside one connected component C of the input, every sequence is packed
 into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
@@ -17,7 +20,10 @@ is that of an induced subgraph H of C, whose coefficients are
 i_t(H) <= C(|H|, t) < 2**|C| <= 2**w (for |H| = 0 the one coefficient is
 1 < 2**w).  The sequences of the components of the input are unpacked
 once each and multiplied as coefficient lists, so each component keeps a
-width fitted to its own size.
+width fitted to its own size.  Equal top-level sequences are grouped, and a
+group of many copies is raised to its multiplicity by J. C. P. Miller's
+power recurrence before the lists are multiplied, so a graph of many small
+equal components costs no quadratic chain of convolutions.
 
 side_profile with sequence_from_profile is an independent oracle for
 bipartite graphs, which the tests and the verify suite compare the engine
@@ -34,9 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .graphs import Bipartition, Graph, GraphError, _components, bipartition
+from .graphs import Bipartition, Graph, GraphError, bipartition
 from .numerics import binom, bits_of
 
 # Largest class the side-profile oracle scans: 2**28 subsets.
@@ -46,10 +53,19 @@ SIDE_BACKEND_CAP = 28
 # An entry is one packed integer of b bits and counts 1 + b // 64 words, its
 # real size.  For components of at most 64 vertices that is never more than
 # the L * (1 + B // 64) words a list of L coefficients summing to a B-bit
-# total was charged before the entries were packed.  Q_6 takes 918617 words
-# in 110 thousand entries (2.3 s, 43 MB peak RSS); Q_7 stops at the budget
-# after 2.9 s at 48 MB (Python 3.11, x86-64).
+# total was charged before the entries were packed.  Q_6 takes 917519 words
+# in 109 thousand entries (2.1 s, 43 MB peak RSS for the whole `count`
+# process); Q_7 stops at the budget after 2.4-2.6 s at 53 MB (Python 3.11,
+# x86-64, 2-core Xeon).
 MEMO_WORD_BUDGET = 1 << 21
+
+# Fewest equal top-level components raised by the power recurrence; fewer
+# are multiplied one by one.  The recurrence's coefficients are full-size
+# from the start: for two paths on 1500 vertices it takes 3.3 s against
+# 0.55 s for one multiplication, and it first wins near m = 5 to 7 (paths on
+# 60 and 600 vertices, Q_4).  At 5000 edges it takes milliseconds where
+# repeated multiplication takes 20 s.
+_POWER_FROM = 6
 
 
 class CountBudgetError(GraphError):
@@ -203,22 +219,35 @@ def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     return IndSetSequence(tuple(counts))
 
 
-def _max_degree_vertex(adj: tuple[int, ...], mask: int
-                       ) -> tuple[int, int, int]:
-    """Lowest-indexed vertex of maximum degree in the subgraph on mask, with
-    that degree and the subgraph's degree sum."""
-    best_v = best_deg = -1
-    deg_sum = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        deg = (adj[v] & mask).bit_count()
-        deg_sum += deg
-        if deg > best_deg:
-            best_v, best_deg = v, deg
-        rest ^= low
-    return best_v, best_deg, deg_sum
+def _split(adj: tuple[int, ...], mask: int
+           ) -> list[tuple[int, int, int, int]]:
+    """Connected components of the subgraph on mask, in order of their
+    lowest vertex, each as (component, v, deg(v), degree sum), where v is the
+    component's lowest-indexed vertex of maximum degree.  One bitset BFS:
+    at each vertex, adj[v] & mask is both its reach and its degree.  A
+    degree sum of 0 marks a single vertex."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        best_v = best_deg = -1
+        deg_sum = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                row = adj[v] & mask
+                deg = row.bit_count()
+                deg_sum += deg
+                if deg > best_deg or deg == best_deg and v < best_v:
+                    best_v, best_deg = v, deg
+                reach |= row
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        out.append((comp, best_v, best_deg, deg_sum))
+        mask &= ~comp
+    return out
 
 
 def _path_sequence(k: int) -> list[int]:
@@ -255,14 +284,27 @@ def _unpack(packed: int, width: int) -> list[int]:
             for i in range(0, len(data), width)]
 
 
-def _product(seqs: dict[int, list[int]], comps: list[int]) -> list[int]:
-    """Sequence of the disjoint union of comps: the product of theirs.  The
-    k single vertices among them contribute the binomial row C(k, t)."""
-    out = _binomial_row(sum(1 for c in comps if c & (c - 1) == 0))
-    for c in comps:
-        if c & (c - 1) == 0:
-            continue
-        factor = seqs[c]
+def _power(a: tuple[int, ...], m: int) -> list[int]:
+    """Coefficients of a(x)**m for a[0] = 1, by J. C. P. Miller's recurrence
+    b_k = (1/k) * sum_{j=1..min(k, deg a)} ((m + 1) j - k) * a_j * b_(k-j),
+    whose division is exact (Knuth, TAOCP vol. 2, 4.7).  It costs
+    2 * m * deg(a)**2 products of full-size coefficients, so it only pays
+    from m = _POWER_FROM on."""
+    deg = len(a) - 1
+    ja = [(m + 1) * j * c for j, c in enumerate(a)]
+    b = [1]
+    for k in range(1, m * deg + 1):
+        top = min(k, deg)
+        tail = b[k - top:k][::-1]
+        b.append((sum(map(mul, ja[1:top + 1], tail))
+                  - k * sum(map(mul, a[1:top + 1], tail))) // k)
+    return b
+
+
+def _product(factors: list[list[int]]) -> list[int]:
+    """Product of the polynomials with these coefficient lists."""
+    out = [1]
+    for factor in factors:
         prod = [0] * (len(out) + len(factor) - 1)
         for i, a in enumerate(out):
             for j, b in enumerate(factor):
@@ -271,15 +313,24 @@ def _product(seqs: dict[int, list[int]], comps: list[int]) -> list[int]:
     return out
 
 
-def _packed_product(memo: dict[int, int], comps: list[int],
+def _packed_path(paths: dict[int, int], k: int, width: int) -> int:
+    """Packed sequence of the path on k vertices, which paths caches by k."""
+    packed = paths.get(k)
+    if packed is None:
+        packed = paths[k] = _pack(_path_sequence(k), width)
+    return packed
+
+
+def _packed_product(memo: dict[int, int], comps: list[tuple],
                     rows: dict[int, int], width: int) -> int:
-    """Packed sequence of the disjoint union of comps: the product of their
-    memo entries and of the packed binomial row of the single vertices
-    among them, which rows caches by count."""
+    """Packed sequence of the disjoint union of comps, split tuples as
+    _split gives them: the product of their memo entries and of the packed
+    binomial row of the single vertices among them, which rows caches by
+    count."""
     out = 1
     singles = 0
-    for c in comps:
-        if c & (c - 1):
+    for c, _, _, deg_sum in comps:
+        if deg_sum:
             out *= memo[c]
         else:
             singles += 1
@@ -295,55 +346,70 @@ def count_by_size(g: Graph) -> IndSetSequence:
     """Exact independent-set sequence of g.
 
     Each connected component of g is counted with packed sequences (see the
-    module docstring) at a slot width of ceil(|C| / 8) bytes.  Components
-    that are paths take their closed form instead of branching; the packed
-    binomial rows of single vertices and packed path sequences are cached
-    by size for the component being counted.  The work runs on an explicit
-    stack, so no input can exhaust Python's recursion limit.  A component's
-    memo entry is stored once the sequences of both branches are known;
-    single vertices are never stored.  The memo lives for one call.  Raises
-    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET.
+    module docstring) at a slot width of ceil(|C| / 8) bytes.  Each vertex
+    set is swept once, by _split; a stack entry is either a split tuple to
+    expand or a branch node waiting for its children, and only children
+    that are neither single vertices nor already memoised are pushed.
+    Paths and cycles take their closed forms instead of branching; the
+    packed binomial rows of single vertices and packed path sequences are
+    cached by size for the component being counted.  The work runs on an
+    explicit stack, so no input can exhaust Python's recursion limit.  A
+    component's memo entry is stored once the sequences of both branches
+    are known; single vertices are never stored.  The memo lives for one
+    call.  Raises CountBudgetError when the memo would exceed
+    MEMO_WORD_BUDGET.  The top-level sequences are grouped by value, and a
+    group of at least _POWER_FROM copies is multiplied as one power.
     """
     adj = g.adj
     memo: dict[int, int] = {}
-    seqs: dict[int, list[int]] = {}
+    groups: dict[tuple[int, ...], int] = {}
     branch_nodes = words = 0
-    top = _components(adj, (1 << g.n) - 1)
-    for root in top:
-        if root & (root - 1) == 0:
+    for root in _split(adj, (1 << g.n) - 1):
+        if root[3] == 0:
+            # a single vertex
+            groups[1, 1] = groups.get((1, 1), 0) + 1
             continue
-        width = (root.bit_count() + 7) // 8
+        width = (root[0].bit_count() + 7) // 8
         shift = 8 * width
         rows: dict[int, int] = {}
         paths: dict[int, int] = {}
-        stack: list[tuple] = [(root, None, None)]
+        stack: list[tuple] = [root]
         while stack:
-            c, without, with_v = stack.pop()
-            if without is None:
-                if c & (c - 1) == 0 or c in memo:
+            item = stack.pop()
+            c = item[0]
+            if len(item) == 4:
+                if c in memo:
                     continue
-                v, max_deg, deg_sum = _max_degree_vertex(adj, c)
+                _, v, max_deg, deg_sum = item
                 k = c.bit_count()
-                if max_deg <= 2 and deg_sum < 2 * k:
-                    # connected, maximum degree 2 and fewer than k edges:
-                    # a path
-                    packed = paths.get(k)
-                    if packed is None:
-                        packed = paths[k] = _pack(_path_sequence(k), width)
+                if max_deg <= 2:
+                    # connected with maximum degree <= 2: a path if it has
+                    # fewer than k edges, else a cycle, whose branch on v
+                    # leaves the paths on k - 1 and k - 3 vertices
+                    if deg_sum < 2 * k:
+                        packed = _packed_path(paths, k, width)
+                    else:
+                        packed = _packed_path(paths, k - 1, width) + (
+                            _packed_path(paths, k - 3, width) << shift)
                 else:
                     branch_nodes += 1
-                    without = _components(adj, c & ~(1 << v))
-                    with_v = _components(adj, c & ~(adj[v] | 1 << v))
+                    without = _split(adj, c & ~(1 << v))
+                    with_v = _split(adj, c & ~(adj[v] | 1 << v))
                     stack.append((c, without, with_v))
-                    stack.extend((x, None, None) for x in without + with_v)
+                    stack.extend(x for x in without + with_v
+                                 if x[3] and x[0] not in memo)
                     continue
             else:
                 # P(c - v) + (P(c - N[v]) << w)
-                packed = _packed_product(memo, without, rows, width) + (
-                    _packed_product(memo, with_v, rows, width) << shift)
+                packed = _packed_product(memo, item[1], rows, width) + (
+                    _packed_product(memo, item[2], rows, width) << shift)
             words += 1 + packed.bit_length() // 64
             if words > MEMO_WORD_BUDGET:
                 raise CountBudgetError(branch_nodes, len(memo), words)
             memo[c] = packed
-        seqs[root] = _unpack(memo[root], width)
-    return IndSetSequence(tuple(_product(seqs, top)))
+        seq = tuple(_unpack(memo[root[0]], width))
+        groups[seq] = groups.get(seq, 0) + 1
+    factors: list = []
+    for a, m in groups.items():
+        factors += [a] * m if m < _POWER_FROM else [_power(a, m)]
+    return IndSetSequence(tuple(_product(factors)))

@@ -8,6 +8,7 @@ construction and safe for concurrent shared reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -213,9 +214,12 @@ def regularity_profile(g: Graph, b: Bipartition, d) -> RegularityProfile:
     n = Fraction(g.n, 2)
     if n == 0:
         raise GraphError("empty graph has no regularity profile")
-    low = sum(1 for v in b.class_e if g.degree(v) < d)
-    excess = sum((Fraction(g.degree(v)) - d for v in b.class_o
-                  if g.degree(v) >= d), start=Fraction(0))
+    # an integer degree is below d exactly when it is below ceil(d)
+    cut = math.ceil(d)
+    adj = g.adj
+    low = sum(1 for v in b.class_e if adj[v].bit_count() < cut)
+    high = [deg for v in b.class_o if (deg := adj[v].bit_count()) >= cut]
+    excess = sum(high) - len(high) * d
     gap = len(b.class_o) - len(b.class_e)
     h = Fraction(1) / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
     return RegularityProfile(d=d, h_value=h, low_deg_count_e=low,

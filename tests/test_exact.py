@@ -329,3 +329,96 @@ def test_wide_random_bipartite_matches_side_profile(seed):
                         class_o=tuple(range(a, a + b)))
     assert count_by_size(g).counts == \
         sequence_from_profile(side_profile(g, sides)).counts
+
+
+# ---------------------------------------------------------------------------
+# One sweep per vertex set, closed forms and top-level powers
+# ---------------------------------------------------------------------------
+
+def _brute_branch_vertex(adj, comp):
+    """(lowest-indexed maximum-degree vertex, its degree, degree sum) of
+    the subgraph on comp, vertex by vertex in index order."""
+    degs = {v: (adj[v] & comp).bit_count()
+            for v in range(comp.bit_length()) if comp >> v & 1}
+    top = max(degs.values())
+    return min(v for v, d in degs.items() if d == top), top, sum(degs.values())
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("seed", range(8))
+def test_split_matches_components_and_brute_force(p, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    # the top vertices stay isolated
+    core = rng.randint(0, n)
+    g = graphs.from_edges(n, [(u, v) for u in range(core)
+                              for v in range(u + 1, core) if rng.random() < p])
+    for mask in ((1 << n) - 1, rng.getrandbits(n)):
+        split = exact._split(g.adj, mask)
+        assert [c for c, _, _, _ in split] == _components(g.adj, mask)
+        for comp, v, deg, deg_sum in split:
+            assert (v, deg, deg_sum) == _brute_branch_vertex(g.adj, comp)
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [150])
+def test_cycle_closed_form(n):
+    # i_t(C_n) = n / (n - t) * C(n - t, t)
+    assert count_by_size(graphs.cycle(n)).counts == tuple(
+        n * comb(n - t, t) // (n - t) for t in range(n // 2 + 1))
+
+
+def test_cycle_beside_other_components():
+    parts = [graphs.cycle(7), graphs.path(5), graphs.complete_bipartite(2, 3),
+             graphs.Graph(2, (0, 0))]
+    expected = (1,)
+    for part in parts:
+        expected = _product_of(expected, count_by_size(part).counts)
+    assert count_by_size(graphs.disjoint_union(*parts)).counts == expected
+
+
+def test_perfect_matching_by_power():
+    # i_t = C(2000, t) * 2**t: choose t edges, then one end of each
+    matching = graphs.from_edges(4000, [(2 * i, 2 * i + 1)
+                                        for i in range(2000)])
+    assert count_by_size(matching).counts == tuple(
+        comb(2000, t) << t for t in range(2001))
+
+
+def test_repeated_components_match_convolution():
+    parts = ([graphs.cycle(4)] * 40 + [graphs.complete_bipartite(1, 3)] * 25
+             + [graphs.Graph(7, (0,) * 7)])
+    expected = (1,)
+    for part in parts:
+        expected = _product_of(expected, count_by_size(part).counts)
+    # the copies interleaved by a relabelling
+    union = graphs.disjoint_union(*parts)
+    perm = list(range(union.n))
+    random.Random(3).shuffle(perm)
+    shuffled = graphs.from_edges(union.n, [(perm[u], perm[v])
+                                           for u, v in union.edges()])
+    assert count_by_size(union).counts == expected
+    assert count_by_size(shuffled).counts == expected
+
+
+def test_power_recurrence_only_for_many_copies(monkeypatch):
+    # the recurrence costs about m * deg**2 full-size products, more than
+    # multiplying a few copies one by one, or than a single copy as it is
+    power = exact._power
+    calls = []
+
+    def checked_power(a, m):
+        if m < exact._POWER_FROM:
+            raise AssertionError(f"_power called at m = {m}")
+        calls.append(m)
+        return power(a, m)
+
+    monkeypatch.setattr(exact, "_power", checked_power)
+    assert count_by_size(graphs.path(3000)).total == _fibonacci(3002)
+    p3 = count_by_size(graphs.path(3)).counts
+    for copies in (2, exact._POWER_FROM):
+        expected = (1,)
+        for _ in range(copies):
+            expected = _product_of(expected, p3)
+        union = graphs.disjoint_union(*[graphs.path(3)] * copies)
+        assert count_by_size(union).counts == expected
+    assert calls == [exact._POWER_FROM]

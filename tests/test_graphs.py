@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from stableseq import graphs
-from stableseq.graphs import (GraphError, NotBipartiteError, SizeCapError,
-                              bipartition, check_simple, regularity_profile)
+from stableseq.graphs import (GraphError, NotBipartiteError,
+                              RegularityProfile, SizeCapError, bipartition,
+                              check_simple, regularity_profile)
+from stableseq.percolation import percolate
 
 from util import regular_bipartite_corpus
 
@@ -202,6 +204,34 @@ def test_regularity_profile_identity_reconstruction():
             assert prof.h_value == (1 / dd + Fraction(prof.low_deg_count_e) / n
                                     + prof.excess_deg_sum_o / (dd * n)
                                     + Fraction(prof.class_gap) / n), (name, dd)
+
+
+def _profile_by_fractions(g, b, d):
+    """h(G, d) and its summands, one Fraction per vertex."""
+    n = Fraction(g.n, 2)
+    low = sum(1 for v in b.class_e if g.degree(v) < d)
+    excess = sum((Fraction(g.degree(v)) - d for v in b.class_o
+                  if g.degree(v) >= d), start=Fraction(0))
+    gap = len(b.class_o) - len(b.class_e)
+    h = 1 / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
+    return RegularityProfile(d=d, h_value=h, low_deg_count_e=low,
+                             excess_deg_sum_o=excess, class_gap=gap,
+                             half_order=n)
+
+
+@pytest.mark.parametrize("base", ["knn:7,7", "knn:12,12", "qd:4"])
+def test_regularity_profile_matches_per_vertex_fractions(base):
+    g = graphs.parse_graph_spec(base)
+    frame = bipartition(g)
+    d = g.degree(0)
+    for seed in range(3):
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            sample = percolate(g, p, seed)
+            for dd in (d * p, Fraction(d), Fraction(d * 2, 3), Fraction(1)):
+                prof = regularity_profile(sample, frame, dd)
+                assert prof == _profile_by_fractions(sample, frame, dd), \
+                    (base, seed, p, dd)
+                assert type(prof.excess_deg_sum_o) is Fraction
 
 
 def test_regularity_profile_rejects_nonpositive_degree():
