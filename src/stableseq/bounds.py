@@ -93,13 +93,6 @@ def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
     return mp.log(mpf_from(count_lower_binomial(nverts, t)), 2)
 
 
-def count_lower_weak_log2(nverts: int, t: int) -> mp.mpf:
-    """Stirling-weakened form H(2t/|V|)|V|/2 - (1/2) log2 |V|, exposed for
-    comparison; checkers use the exact binomial instead."""
-    h = entropy(Fraction(2 * t, nverts))
-    return h * Fraction(nverts, 2) - mp.log(mpf_from(nverts), 2) / 2
-
-
 # ---------------------------------------------------------------------------
 # Partition-function bounds
 # ---------------------------------------------------------------------------
@@ -131,25 +124,6 @@ def partition_upper_regular_dominates(nverts: int, d: int, lam,
     powers: value**(2d) <= 2**|V| * (1+lam)**(|V| d)."""
     lam = Fraction(lam)
     return Fraction(value) ** (2 * d) <= Fraction(2) ** nverts * (1 + lam) ** (nverts * d)
-
-
-def count_upper_via_partition_log2(nverts: int, d: int, t: int,
-                                   lam=None) -> mp.mpf:
-    """Upper bound on the size-t count routed through the partition-function
-    bound: log2(P-bound(lam) / lam**t), by default at lam = 2t/(|V| - 2t).
-
-    Kept as an independent implementation for cross-validation; at the
-    default lam it agrees with count_upper_log2 analytically.
-    """
-    if not 0 <= 2 * t <= nverts:
-        raise ValueError("t outside [0, |V|/2]")
-    if t == 0 or 2 * t == nverts:
-        # limiting value of the optimized bound at the endpoints
-        return mpf_from(Fraction(nverts, 2 * d))
-    lam = Fraction(2 * t, nverts - 2 * t) if lam is None else Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam > 0 required")
-    return partition_upper_regular_log2(nverts, d, lam) - t * log2_fraction(lam)
 
 
 def c_of_lambda(lam) -> Fraction:
@@ -195,38 +169,8 @@ def partition_upper_almost_regular_dominates(g: Graph, b: Bipartition, d,
 
 
 # ---------------------------------------------------------------------------
-# Piecewise coefficient and sufficient conditions for coefficient growth
+# Sufficient conditions for coefficient growth
 # ---------------------------------------------------------------------------
-
-def ctn_coefficient(t, n) -> mp.mpf:
-    """Piecewise coefficient multiplying n*h(G,d) in the almost-regular
-    count bound: log2(2n/t) for t <= n/128, the constant 8 in the middle
-    band, log2(2n/(n-t)) for t >= 127n/128.  Branches agree at the
-    breakpoints; at an overlap the smaller value is returned."""
-    t = Fraction(t)
-    n = Fraction(n)
-    if not 0 < t < n:
-        raise ValueError("t must lie strictly between 0 and n")
-    vals = []
-    if t <= n / 128:
-        vals.append(log2_fraction(2 * n / t))
-    if n / 128 <= t <= 127 * n / 128:
-        vals.append(mp.mpf(8))
-    if t >= 127 * n / 128:
-        vals.append(log2_fraction(2 * n / (n - t)))
-    return min(vals)
-
-
-def c_epsilon(eps) -> mp.mpf:
-    """Least constant supported by the piecewise table over the range
-    [eps*n, (1-eps)*n]: max(8, log2(2/eps))."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps in (0,1) required")
-    if eps >= Fraction(1, 128):
-        return mp.mpf(8)
-    return log2_fraction(2 / eps)
-
 
 def suff_condition_regular(n: int, d: int, j: int, l: int) -> bool:
     """Sufficient condition for i_l(G) > i_j(G) on a 2n-vertex d-regular

@@ -1,5 +1,5 @@
 """Exact structure combinatorics on the discrete hypercube Q_d: outer
-neighborhoods N(A), closures [A], smallness, 2-linkage and 2-components,
+neighborhoods N(A), closures [A] and 2-components within one class,
 plus the two enumeration inequalities that bracket the size-t count
 i_t(Q_d) from below (sparse one-sided sets) and above (small-set scan).
 The sparse sets are the independent sets of the halved cube (the even
@@ -111,13 +111,6 @@ def closure(d: int, a: VertexSet) -> VertexSet:
     return VertexSet(d, out)
 
 
-def is_small(d: int, a: VertexSet) -> bool:
-    """A is small when |[A]| <= 2**(d-2)."""
-    if d < 2:
-        raise ValueError("smallness needs d >= 2")
-    return closure(d, a).size <= 1 << (d - 2)
-
-
 def two_components(d: int, a: VertexSet) -> list[VertexSet]:
     """Partition of A (inside one parity class) into maximal 2-linked
     pieces, in order of their lowest vertex.  Within one class two vertices
@@ -131,15 +124,6 @@ def two_components(d: int, a: VertexSet) -> list[VertexSet]:
     rows = {v: sum(1 << (v ^ step) for step in steps)
             for v in bits_of(a.bits)}
     return [VertexSet(d, c) for c in _components(rows, a.bits)]
-
-
-def is_two_linked(d: int, a: VertexSet) -> bool:
-    """Connectivity of the subgraph induced by A together with N(A); works
-    for mixed-parity A."""
-    _check_dim(d)
-    region = a.bits | _nbhd_bits(d, a.bits)
-    rows = {v: _cube_row(d, v) for v in bits_of(region)}
-    return len(_components(rows, region)) == 1
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ forming their exact powers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,9 +24,7 @@ from typing import Optional
 import mpmath as mp
 
 from .numerics import (certified_ceil, certified_leq, iv_from, leq_exp_of,
-                       leq_scaled_exp, log2_binom, log2_fraction, mpf_from)
-
-SCAN_LIMIT_DEFAULT = 200
+                       leq_scaled_exp, log2_binom, mpf_from)
 
 RANGE_DENSE = "range123"      # upper density window, t/2^(d-1) above 1 - 1/sqrt(2)
 RANGE_SPARSE = "range4"       # lower window where only near-matching bounds hold
@@ -62,13 +59,6 @@ def big_f(lam, a: int, g: int) -> Fraction:
     if a < 0 or g < 0:
         raise ValueError("a, g must be nonnegative")
     return lam ** a / (1 + lam) ** g
-
-
-def big_f_log2(lam, a: int, g: int) -> mp.mpf:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam > 0 required for the log form")
-    return a * log2_fraction(lam) - g * log2_fraction(1 + lam)
 
 
 def f_cut(d: int, t: int) -> int:
@@ -107,29 +97,6 @@ def small_sum_exponent(d: int, lam) -> Fraction:
         + d * d * lam ** 2 * (1 + lam) ** 2 * 2 ** d / (1 + lam) ** (2 * d)
 
 
-def activity_below_threshold(d: int, lam, c) -> bool:
-    """True when lam <= c log2(d)/d**(1/3), the regime where the small-sum
-    bounds carry no guarantee."""
-    lam_f = mpf_from(Fraction(lam))
-    return lam_f <= mpf_from(Fraction(c)) * mp.log(d, 2) / mp.cbrt(d)
-
-
-def _warn_below_threshold(d: int, lam, c) -> None:
-    if c is not None and activity_below_threshold(d, lam, c):
-        warnings.warn(
-            f"activity {lam} is below the guaranteed range "
-            f"c log2(d)/d^(1/3) at d = {d} with c = {c}; the bound value is "
-            "reported but carries no guarantee there", RuntimeWarning,
-            stacklevel=3)
-
-
-def small_sum_bound_log2(d: int, lam, c=None) -> mp.mpf:
-    """log2 of the closed-form bound exp(small_sum_exponent).  Passing the
-    threshold constant c triggers a warning outside the guaranteed range."""
-    _warn_below_threshold(d, lam, c)
-    return mpf_from(small_sum_exponent(d, lam)) / mp.log(2)
-
-
 def small_sum_dominates(d: int, lam, total: Fraction) -> bool:
     """Certified test: total <= exp(small_sum_exponent(d, lam))."""
     return leq_exp_of(Fraction(total), small_sum_exponent(d, lam))
@@ -154,35 +121,11 @@ def linked_sum_bound_parts(d: int, lam, k: int) -> tuple[int, Fraction]:
     return k - 1, rational
 
 
-def linked_sum_bound_log2(d: int, lam, k: int, c=None) -> mp.mpf:
-    _warn_below_threshold(d, lam, c)
-    e_pow, rational = linked_sum_bound_parts(d, lam, k)
-    return e_pow / mp.log(2) + log2_fraction(rational)
-
-
 def linked_sum_dominates(d: int, lam, k: int, total: Fraction) -> bool:
     """Certified test: total <= e**(k-1) * rational part.  Exact rational
     comparison when k = 1."""
     e_pow, rational = linked_sum_bound_parts(d, lam, k)
     return leq_scaled_exp(Fraction(total), rational, e_pow)
-
-
-def partition_asymptotic_display_log2(d: int, lam) -> mp.mpf:
-    """Display evaluator for the leading asymptotic form of the hypercube
-    partition function at activity lam:
-
-        log2( 2 (1+lam)**(2**(d-1)) * exp((lam/2) (2/(1+lam))**d) ).
-
-    The true value carries an extra (1 + o(1)) inside the exponential that
-    this display omits; nothing here is a bound.  At lam = 1 the leading
-    constant tends to 2 sqrt(e) in front of the power of two.
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam > 0 required")
-    exponent = (lam / 2) * (2 / (1 + lam)) ** d
-    return 1 + (1 << (d - 1)) * log2_fraction(1 + lam) \
-        + mpf_from(exponent) / mp.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +226,6 @@ def _factors(d: int, t: int) -> tuple:
                 * _type3_weight(d, t) * mp.exp(x),
             }
     return lam, f, e1, reason1, parts, reason2
-
-
-def e2_parts(d: int, t: int) -> dict[str, mp.mpf]:
-    """The three summands of the upper-bound factor E2, keyed type1, type2
-    and type3; raises NotApplicableError where E2 does not apply."""
-    *_, parts, reason = _factors(d, t)
-    if parts is None:
-        raise NotApplicableError(f"upper-bound factor not applicable: {reason}")
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +366,8 @@ def case_inequalities(d: int) -> dict[str, dict]:
     }
 
 
-def case_scan(d_max: int = SCAN_LIMIT_DEFAULT, d_min: int = 2) -> dict[str, dict]:
-    """Scan the closing inequalities over [d_min, d_max].
+def case_scan(d_max: int) -> dict[str, dict]:
+    """Scan the closing inequalities over [2, d_max].
 
     Per case: the least d0 such that the inequality holds for every d in
     [d0, d_max] (None when no such d0 exists), the list of failing d, and a
@@ -443,7 +377,7 @@ def case_scan(d_max: int = SCAN_LIMIT_DEFAULT, d_min: int = 2) -> dict[str, dict
     """
     names = ("case2", "case3", "case4")
     margins = {name: [] for name in names}
-    for d in range(d_min, d_max + 1):
+    for d in range(2, d_max + 1):
         verdicts = case_inequalities(d)
         for name in names:
             margins[name].append(verdicts[name]["margin"])
@@ -451,18 +385,18 @@ def case_scan(d_max: int = SCAN_LIMIT_DEFAULT, d_min: int = 2) -> dict[str, dict
     for name in names:
         ms = margins[name]
         holds = [m > 0 for m in ms]
-        fails = [d_min + i for i, h in enumerate(holds) if not h]
+        fails = [2 + i for i, h in enumerate(holds) if not h]
         d0 = None
         for i in range(len(holds)):
             if all(holds[i:]):
-                d0 = d_min + i
+                d0 = 2 + i
                 break
         mono_from = None
         for i in range(len(ms)):
             tail = ms[i:]
             if all(m > 0 for m in tail) and \
                     all(tail[j] <= tail[j + 1] for j in range(len(tail) - 1)):
-                mono_from = d_min + i
+                mono_from = 2 + i
                 break
         out[name] = {"d0": d0, "fails": fails, "monotone_from": mono_from}
     return out

@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .graphs import Bipartition, Graph, GraphError, bipartition
+from .graphs import Graph, GraphError, bipartition
 from .numerics import binom, bits_of
 
 # Largest class the side-profile oracle scans: 2**28 subsets.
@@ -119,15 +119,6 @@ class IndSetSequence:
             meta["graph"] = graph_spec
         return meta
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IndSetSequence":
-        seq = cls(tuple(int(c) for c in data["counts"]))
-        if "total" in data and int(data["total"]) != seq.total:
-            raise ValueError("total does not match counts")
-        if "alpha" in data and int(data["alpha"]) != seq.alpha:
-            raise ValueError("alpha does not match counts")
-        return seq
-
 
 def polynomial_eval(seq: IndSetSequence, lam) -> Fraction:
     """Exact value of sum_t i_t * lam**t at rational lam."""
@@ -147,9 +138,6 @@ class SideProfile:
     table: dict[tuple[int, int], int]
     class_e_size: int
     class_o_size: int
-
-    def total(self) -> int:
-        return sum(self.table.values())
 
 
 def _profile_scan(nbrs: list[list[int]], o_size: int
@@ -182,18 +170,10 @@ def _profile_scan(nbrs: list[list[int]], o_size: int
     return table
 
 
-def side_profile(g: Graph, b: Optional[Bipartition] = None) -> SideProfile:
-    """Exact (|A|, |N(A)|) profile over all 2**|classE| subsets of classE."""
-    if b is None:
-        b = bipartition(g)
-    else:
-        full = (1 << g.n) - 1
-        e_mask, o_mask = b.e_mask, b.o_mask
-        if e_mask | o_mask != full or e_mask & o_mask:
-            raise GraphError("bipartition does not partition the vertex set")
-        if any(g.adj[v] & e_mask for v in b.class_e) or \
-                any(g.adj[v] & o_mask for v in b.class_o):
-            raise GraphError("bipartition has an internal edge")
+def side_profile(g: Graph) -> SideProfile:
+    """Exact (|A|, |N(A)|) profile over all 2**|classE| subsets of classE,
+    for the classes that bipartition(g) gives."""
+    b = bipartition(g)
     m = len(b.class_e)
     if m > SIDE_BACKEND_CAP:
         raise GraphError(f"|classE| = {m} exceeds cap {SIDE_BACKEND_CAP}")

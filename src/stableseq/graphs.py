@@ -75,16 +75,6 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
 
-def check_simple(g: Graph) -> None:
-    """Full-scan check that adjacency is symmetric and irreflexive."""
-    for u in range(g.n):
-        if g.adj[u] >> u & 1:
-            raise GraphError(f"loop at {u}")
-        for v in bits_of(g.adj[u]):
-            if not (g.adj[v] >> u & 1):
-                raise GraphError(f"asymmetric edge {u}->{v}")
-
-
 def _components(adj, mask: int) -> list[int]:
     """Vertex masks of the connected components of the subgraph on mask, in
     order of their lowest vertex.  adj[v] is the neighbour mask of v (a
@@ -305,16 +295,6 @@ def circulant_bipartite(n: int, offsets: Sequence[int]) -> Graph:
     edges = {(min(i, (i + o) % n), max(i, (i + o) % n))
              for i in range(n) for o in offsets}
     return from_edges(n, sorted(edges))
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    total = sum(g.n for g in graphs)
-    adj = []
-    shift = 0
-    for g in graphs:
-        adj.extend(row << shift for row in g.adj)
-        shift += g.n
-    return Graph(total, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

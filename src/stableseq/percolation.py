@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bounds import entropy_derivative
-from .exact import IndSetSequence, count_by_size
+from .exact import count_by_size
 from .graphs import (Graph, bipartition, parse_graph_spec, regularity_profile,
                      spec_family)
 from .numerics import mpf_from

@@ -58,18 +58,11 @@ def check_sstep(seq, kind: str, lo: int, hi: int,
     # suffix extremum of the comparison target: for increasing kind a
     # violation at i needs some later a_j strictly below a_i, so track
     # suffix minima; symmetric for decreasing.
-    if kind == INCREASING:
-        suffix = [0] * m
-        suffix[m - 1] = window[m - 1]
-        for i in range(m - 2, -1, -1):
-            suffix[i] = min(window[i], suffix[i + 1])
-        bad = operator.gt
-    else:
-        suffix = [0] * m
-        suffix[m - 1] = window[m - 1]
-        for i in range(m - 2, -1, -1):
-            suffix[i] = max(window[i], suffix[i + 1])
-        bad = operator.lt
+    extremum, bad = ((min, operator.gt) if kind == INCREASING
+                     else (max, operator.lt))
+    suffix = list(window)
+    for i in range(m - 2, -1, -1):
+        suffix[i] = extremum(window[i], suffix[i + 1])
 
     for i in range(0, m - s):
         if bad(window[i], suffix[i + s]):

@@ -11,7 +11,8 @@ from stableseq import graphs
 from stableseq.exact import count_by_size, polynomial_eval
 from stableseq.graphs import bipartition
 
-from util import regular_bipartite_corpus
+from util import (count_upper_via_partition_log2, disjoint_union,
+                  regular_bipartite_corpus)
 
 ULP128 = mp.mpf(2) ** -126  # two units at 128-bit working precision
 
@@ -73,8 +74,8 @@ def test_count_upper_tight_on_knn_unions():
     # factor below 1/2.
     for d in range(2, 9):
         for m in (1, 2, 3):
-            g = graphs.disjoint_union(*(graphs.complete_bipartite(d, d)
-                                        for _ in range(m)))
+            g = disjoint_union(*(graphs.complete_bipartite(d, d)
+                                 for _ in range(m)))
             seq = count_by_size(g)
             assert seq[m * d] == 2 ** m
             upper = bnd.count_upper_log2(g.n, d, m * d)
@@ -86,9 +87,6 @@ def test_count_lower_examples():
     assert bnd.count_lower_binomial(16, 4) == 70
     assert bnd.count_lower_binomial(16, 0) == 1
     assert abs(bnd.count_lower_binomial_log2(16, 4) - mp.log(70, 2)) < ULP128
-    weak = bnd.count_lower_weak_log2(16, 4)
-    assert weak == 6
-    assert weak <= bnd.count_lower_binomial_log2(16, 4)
 
 
 def test_partition_upper_regular_examples():
@@ -111,22 +109,22 @@ def test_count_upper_via_partition_matches_closed_form():
         d = rng.randrange(1, 2 * n_half)
         t = rng.randrange(0, n_half + 1)
         a = bnd.count_upper_log2(2 * n_half, d, t)
-        b = bnd.count_upper_via_partition_log2(2 * n_half, d, t)
+        b = count_upper_via_partition_log2(2 * n_half, d, t)
         assert abs(a - b) <= 2 * ULP128 * max(1, abs(a)), (n_half, d, t)
 
 
 def test_count_upper_via_partition_activity_is_optimal():
     for (nv, d, t) in ((64, 5, 10), (40, 3, 7), (128, 8, 30)):
         star = Fraction(2 * t, nv - 2 * t)
-        at_star = bnd.count_upper_via_partition_log2(nv, d, t)
+        at_star = count_upper_via_partition_log2(nv, d, t)
         for scale in (Fraction(9, 10), Fraction(11, 10)):
-            assert bnd.count_upper_via_partition_log2(nv, d, t, star * scale) \
+            assert count_upper_via_partition_log2(nv, d, t, star * scale) \
                 >= at_star - ULP128
 
 
 def test_count_upper_via_partition_t1_covers_vertex_count():
     for nv, d in ((16, 4), (64, 6), (200, 3)):
-        assert bnd.count_upper_via_partition_log2(nv, d, 1) \
+        assert count_upper_via_partition_log2(nv, d, 1) \
             >= mp.log(nv, 2) - ULP128
 
 
@@ -169,25 +167,6 @@ def test_almost_regular_bound_other_degrees():
         for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
             p = polynomial_eval(seq, lam)
             assert bnd.partition_upper_almost_regular_dominates(g, b, dd, lam, p)
-
-
-def test_ctn_coefficient():
-    assert bnd.ctn_coefficient(50, 100) == 8
-    assert bnd.ctn_coefficient(Fraction(100, 256), 100) == mp.log(512, 2)
-    assert bnd.ctn_coefficient(Fraction(255 * 100, 256), 100) == mp.log(512, 2)
-    # breakpoints: branches agree
-    assert bnd.ctn_coefficient(Fraction(100, 128), 100) == 8
-    assert bnd.ctn_coefficient(Fraction(127 * 100, 128), 100) == 8
-    with pytest.raises(ValueError):
-        bnd.ctn_coefficient(0, 100)
-    with pytest.raises(ValueError):
-        bnd.ctn_coefficient(100, 100)
-
-
-def test_c_epsilon():
-    assert bnd.c_epsilon(Fraction(1, 10)) == 8
-    assert bnd.c_epsilon(Fraction(1, 128)) == 8
-    assert bnd.c_epsilon(Fraction(1, 512)) == mp.log(1024, 2)
 
 
 def test_suff_condition_examples():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stableseq import cube, graphs
 from stableseq.cube import (NotApplicableError, VertexSet, closure,
                             eq_upper_small_sets, identity_reweight_check,
-                            is_small, is_two_linked, lower_bound_scattered,
-                            neighborhood, scattered_count_by_size,
+                            lower_bound_scattered, neighborhood,
+                            scattered_count_by_size,
                             small_profile, small_set_scan, structure_stats,
                             two_components)
 from stableseq.exact import count_by_size
@@ -101,7 +101,7 @@ def test_closure_examples():
     evens = [v for v in range(16) if v.bit_count() % 2 == 0]
     cl = closure(d, vs(d, evens))
     assert sorted(cl.vertices()) == evens
-    assert not is_small(d, vs(d, evens))
+    assert not structure_stats(d, vs(d, evens)).small
     assert closure(3, vs(3, [])).bits == 0
 
 
@@ -165,7 +165,8 @@ def test_against_brute_force_random_larger_sets():
             ours = sorted(frozenset(c.vertices())
                           for c in two_components(d, a))
             assert ours == brute_two_components(d, verts)
-            assert is_two_linked(d, a) == (len(ours) == 1)
+            assert structure_stats(d, a).small == \
+                (len(brute_closure(d, verts)) <= 1 << (d - 2))
 
 
 def test_scattered_sets_have_full_neighborhoods():
@@ -199,13 +200,6 @@ def test_neighborhood_lower_bound_small_sets():
             for verts in combinations(evens, a):
                 assert len(brute_nbhd(d, verts)) >= d * a - 2 * a * (a - 1), \
                     (d, verts)
-
-
-def test_two_linked_singleton_and_empty():
-    assert is_two_linked(4, vs(4, [3]))
-    assert not is_two_linked(4, vs(4, []))
-    # mixed-parity adjacent pair is 2-linked via the explicit traversal
-    assert is_two_linked(3, vs(3, [0b000, 0b001]))
 
 
 def test_small_scan_totals():

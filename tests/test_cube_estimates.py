@@ -9,9 +9,9 @@ import pytest
 
 from stableseq import cube_estimates as est
 from stableseq.cube import NotApplicableError, small_set_scan
-from stableseq.cube_estimates import (big_f, big_f_log2, case_inequalities,
-                                      case_scan, central_log2,
-                                      consecutive_ratio_aux_holds, e2_parts,
+from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
+                                      central_log2,
+                                      consecutive_ratio_aux_holds,
                                       estimate_window, f_cut,
                                       lambda_of_t, linked_sum_bound_parts,
                                       linked_sum_dominates, range_tag,
@@ -44,7 +44,6 @@ def test_big_f_values():
     assert big_f(Fraction(3, 7), 0, 0) == 1
     for d, k in ((4, 1), (5, 2), (7, 3)):
         assert big_f(1, k, d * k) == Fraction(1, 2 ** (d * k))
-    assert big_f_log2(1, 2, 10) == -10 + 2 * 0
     with pytest.raises(ValueError):
         big_f(1, -1, 0)
 
@@ -153,19 +152,6 @@ def test_small_sum_tail_dominated_by_first_term():
         assert second < first / 1000
 
 
-def test_threshold_warning():
-    import warnings as w
-    with w.catch_warnings(record=True) as caught:
-        w.simplefilter("always")
-        est.small_sum_bound_log2(5, Fraction(1, 2), c=1)
-        est.linked_sum_bound_log2(5, Fraction(1, 2), 1, c=1)
-        est.small_sum_bound_log2(5, Fraction(3), c=1)  # inside the range
-    assert len(caught) == 2
-    assert all(issubclass(x.category, RuntimeWarning) for x in caught)
-    assert est.activity_below_threshold(5, Fraction(1, 2), 1)
-    assert not est.activity_below_threshold(5, Fraction(3), 1)
-
-
 def test_linked_bound_parts():
     e_pow, rational = linked_sum_bound_parts(5, Fraction(1, 2), 1)
     assert e_pow == 0
@@ -208,8 +194,6 @@ def test_error_factors_not_applicable_at_desk_scale():
     assert w.e1 is None  # cutoff near 1e5 dwarfs t/2
     assert f_cut(5, 8) > 10 ** 5
     assert w.e2 is None
-    with pytest.raises(NotApplicableError):
-        e2_parts(5, 8)
 
 
 def test_error_factors_bracket_one_when_applicable():
@@ -259,7 +243,7 @@ def test_e2_summand_ordering():
     # 1e5), the flat 3^-f term is negligible against the type-I term
     for d in (24, 30, 40):
         t = 1 << (d - 2)
-        parts = e2_parts(d, t)
+        *_, parts, _reason = est._factors(d, t)
         assert parts["type2"] < (parts["type1"] - 1) / 10 ** 6
         assert parts["type2"] < parts["type3"] + parts["type1"]
 
@@ -380,21 +364,6 @@ def test_consecutive_ratio_aux_paper_plugin_point_fails_midrange():
     assert not consecutive_ratio_aux_holds(60, 1 << 57, "0.76^d")
 
 
-def test_partition_asymptotic_display():
-    # pinned formula values against an independent recomputation
-    val = est.partition_asymptotic_display_log2(10, 1)
-    expect = 1 + 512 + mp.mpf(1) / 2 / mp.log(2)
-    assert abs(val - expect) < mp.mpf(2) ** -100
-    # at desk scale the display already sits within a bit of the exact value
-    from stableseq.exact import count_by_size, polynomial_eval
-    from stableseq import graphs
-    exact = polynomial_eval(count_by_size(graphs.hypercube(5)), 1)
-    disp = est.partition_asymptotic_display_log2(5, 1)
-    assert abs(disp - mp.log(int(exact), 2)) < 1
-    with pytest.raises(ValueError):
-        est.partition_asymptotic_display_log2(5, 0)
-
-
 def test_stirling_bracket():
     # 2 n^n e^-n sqrt(n) <= n! <= 3 n^n e^-n sqrt(n) for n = 1..60
     for n in range(1, 61):
@@ -439,7 +408,8 @@ def test_e2_above_one_wherever_it_applies_at_small_d():
                 * (1 - mp.mpf(t) / half) ** (2 * d - 2)
             type3 = 3 * mp.e ** 5 * mp.mpf(d) ** 10 * mp.mpf(2) ** (1.5 * d) \
                 * lam ** 6 * (1 + lam) ** (60 - 6 * d) * mp.exp(x)
-            got = e2_parts(d, t)["type3"]
+            *_, parts, _reason = est._factors(d, t)
+            got = parts["type3"]
             assert abs(got / type3 - 1) < mp.mpf(10) ** -25, (d, t)
     assert sorted(applicable) == [8, 9, 10, 11]
     assert applicable[8] + applicable[9] == 54

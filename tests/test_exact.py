@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stableseq import exact, graphs
-from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
-                             polynomial_eval, sequence_from_profile,
-                             side_profile)
-from stableseq.graphs import (Bipartition, GraphError, _components,
-                              bipartition)
+from stableseq.exact import (CountBudgetError, IndSetSequence, SideProfile,
+                             _profile_scan, count_by_size, polynomial_eval,
+                             sequence_from_profile, side_profile)
+from stableseq.graphs import GraphError, _components, bipartition
+from stableseq.numerics import bits_of
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
-                  regular_bipartite_corpus)
+                  disjoint_union, regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
 Q4_SEQUENCE = (1, 16, 88, 208, 228, 128, 56, 16, 2)
@@ -77,7 +77,7 @@ def test_side_profile_c4():
 
 def test_side_profile_q3():
     prof = side_profile(graphs.hypercube(3))
-    assert prof.total() == 16
+    assert sum(prof.table.values()) == 16
     assert prof.table[(1, 3)] == 4
 
 
@@ -86,19 +86,8 @@ def test_side_profile_against_brute_force():
         if g.n > 14:
             continue
         b = bipartition(g)
-        assert side_profile(g, b).table == \
+        assert side_profile(g).table == \
             brute_side_profile(g, b.class_e, b.class_o), name
-
-
-def test_side_profile_rejects_wrong_bipartition():
-    from stableseq.graphs import Bipartition
-    g = graphs.cycle(4)
-    with pytest.raises(GraphError):
-        side_profile(g, Bipartition(class_e=(0,), class_o=(1, 2)))
-    with pytest.raises(GraphError):
-        side_profile(g, Bipartition(class_e=(0, 1), class_o=(2, 3)))
-    good = Bipartition(class_e=(0, 2), class_o=(1, 3))
-    assert side_profile(g, good).table == {(0, 0): 1, (1, 2): 2, (2, 2): 1}
 
 
 def test_polynomial_eval():
@@ -137,8 +126,7 @@ def test_serialization_roundtrip():
     data = json.loads(json.dumps(seq.to_json_dict("qd:4")))
     assert data["graph"] == "qd:4"
     assert data["total"] == "743"
-    again = IndSetSequence.from_json_dict(data)
-    assert again.counts == seq.counts
+    assert tuple(map(int, data["counts"])) == seq.counts
 
 
 def test_backend_forcing_errors():
@@ -244,7 +232,7 @@ def test_engine_matches_brute_force(g):
 @settings(max_examples=100, deadline=None)
 @given(general_graphs(max_n=10), general_graphs(max_n=10))
 def test_sequence_multiplies_over_disjoint_union(g, h):
-    union = count_by_size(graphs.disjoint_union(g, h))
+    union = count_by_size(disjoint_union(g, h))
     assert union.counts == _product_of(count_by_size(g).counts,
                                        count_by_size(h).counts)
 
@@ -303,7 +291,7 @@ def test_union_of_components_of_different_widths():
     expected = (1,)
     for part in parts:
         expected = _product_of(expected, count_by_size(part).counts)
-    union = graphs.disjoint_union(*parts)
+    union = disjoint_union(*parts)
     assert count_by_size(union).counts == expected
     # the same parts interleaved by a relabelling
     perm = list(range(union.n))
@@ -325,10 +313,11 @@ def test_wide_random_bipartite_matches_side_profile(seed):
              if rng.random() < p]
     g = graphs.from_edges(a + b, edges)
     assert max(c.bit_count() for c in _components(g.adj, (1 << g.n) - 1)) > 64
-    sides = Bipartition(class_e=tuple(range(a)),
-                        class_o=tuple(range(a, a + b)))
-    assert count_by_size(g).counts == \
-        sequence_from_profile(side_profile(g, sides)).counts
+    # the scan over the small class, which bipartition(g) need not pick
+    # when isolated vertices of the large class join it
+    nbrs = [[w - a for w in bits_of(g.adj[v])] for v in range(a)]
+    prof = SideProfile(_profile_scan(nbrs, b), class_e_size=a, class_o_size=b)
+    assert count_by_size(g).counts == sequence_from_profile(prof).counts
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ def test_cycle_beside_other_components():
     expected = (1,)
     for part in parts:
         expected = _product_of(expected, count_by_size(part).counts)
-    assert count_by_size(graphs.disjoint_union(*parts)).counts == expected
+    assert count_by_size(disjoint_union(*parts)).counts == expected
 
 
 def test_perfect_matching_by_power():
@@ -391,7 +380,7 @@ def test_repeated_components_match_convolution():
     for part in parts:
         expected = _product_of(expected, count_by_size(part).counts)
     # the copies interleaved by a relabelling
-    union = graphs.disjoint_union(*parts)
+    union = disjoint_union(*parts)
     perm = list(range(union.n))
     random.Random(3).shuffle(perm)
     shuffled = graphs.from_edges(union.n, [(perm[u], perm[v])
@@ -419,6 +408,6 @@ def test_power_recurrence_only_for_many_copies(monkeypatch):
         expected = (1,)
         for _ in range(copies):
             expected = _product_of(expected, p3)
-        union = graphs.disjoint_union(*[graphs.path(3)] * copies)
+        union = disjoint_union(*[graphs.path(3)] * copies)
         assert count_by_size(union).counts == expected
     assert calls == [exact._POWER_FROM]

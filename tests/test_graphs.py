@@ -7,10 +7,10 @@ import pytest
 from stableseq import graphs
 from stableseq.graphs import (GraphError, NotBipartiteError,
                               RegularityProfile, SizeCapError, bipartition,
-                              check_simple, regularity_profile)
+                              regularity_profile)
 from stableseq.percolation import percolate
 
-from util import regular_bipartite_corpus
+from util import check_simple, disjoint_union, regular_bipartite_corpus
 
 
 def test_q2_is_a_4_cycle():
@@ -89,7 +89,7 @@ def test_odd_cycle_witness_on_tangled_graphs():
         graphs.claw_composite(),
         graphs.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                               (0, 5), (5, 6), (6, 2)]),
-        graphs.disjoint_union(graphs.cycle(4), graphs.cycle(7)),
+        disjoint_union(graphs.cycle(4), graphs.cycle(7)),
     ]
     for g in cases:
         with pytest.raises(NotBipartiteError) as err:

@@ -7,9 +7,8 @@ from stableseq import exact, graphs, percolation as pc
 from stableseq import seqshape as ss
 from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
-from stableseq.graphs import check_simple
 
-from util import knn_sequence
+from util import check_simple, knn_sequence
 
 
 def test_splitmix64_published_vectors():

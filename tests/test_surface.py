@@ -1,0 +1,79 @@
+"""Guard against test-only library surface: every public module-level
+function in the package must be referenced from the package itself or from
+the bench harness.
+
+References are read from the syntax tree (names, attribute accesses and
+imported names), not from the source text, so a mention in a docstring or
+comment does not count as a caller.  A function that only tests need
+belongs in tests/util.py; a function that states a paper inequality which
+a test asserts, but which no code path evaluates, is named in ALLOWED with
+that claim.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stableseq"
+CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+ALLOWED = {
+    # criterion 7: the weighted sum of F_lam over small subsets of one class
+    # is at most exp((lam/2)(2/(1+lam))^d + d^2 lam^2 (1+lam)^2 2^d/(1+lam)^(2d))
+    "cube_estimates.small_sum_dominates",
+    # criterion 7: the weighted sum over small 2-linked sets of size >= k is
+    # at most e^(k-1) d^(2k-2) 2^d F_lam(k, kd - 2k(k-1))
+    "cube_estimates.linked_sum_dominates",
+    # four-case argument: the one-step drop h(t,t) - h(t+1,t+1) is at most
+    # h(t,t) 2(d-1)/(2^(d-1) - t)
+    "cube_estimates.step_weight_drop_bound",
+    # four-case argument: exp(h(t,t) - h(t+1,t+1)) <= 1 + tol on the mid
+    # (tol 0.76^d) and top (tol d^2/2^d) ranges of t
+    "cube_estimates.consecutive_ratio_aux_holds",
+    # regular-case step theorem: a 2n-vertex d-regular bipartite graph is
+    # s-step increasing on [0, (1-eps)n/2] for the scanned step s
+    "bounds.step_bound_regular",
+}
+
+
+def _references(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _public_functions() -> list[str]:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    referenced = set().union(*map(_references, CALLERS))
+    orphans = [
+        name for name in _public_functions()
+        if name not in ALLOWED
+        and name.partition(".")[2] not in referenced
+        # cli.main dispatches the verbs through globals()
+        and not name.startswith("cli.cmd_")
+    ]
+    assert not orphans, (
+        "public functions with no caller in src/stableseq or perfbench; move "
+        "each to tests/util.py, delete it, or name the paper claim it states: "
+        f"{orphans}")
+
+
+def test_allowlist_names_existing_functions():
+    assert ALLOWED <= set(_public_functions())

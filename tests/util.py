@@ -1,8 +1,12 @@
-"""Shared test helpers: brute-force oracles and the graph corpus.
+"""Shared test helpers: brute-force oracles, reference implementations
+and the graph corpus.
 
 The oracles here deliberately avoid the library's incremental tricks: plain
 subset scans and quadratic checks, so they stay independent of the code
-paths they validate.
+paths they validate.  Three helpers that only tests need live here rather
+than in the library: the simplicity check check_simple, the test graph
+builder disjoint_union, and count_upper_via_partition_log2, a second route
+to the entropy count bound.
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
+
 from stableseq import graphs
+from stableseq.bounds import partition_upper_regular_log2
 from stableseq.exact import IndSetSequence
-from stableseq.graphs import Graph
+from stableseq.graphs import Graph, GraphError
+from stableseq.numerics import bits_of, log2_fraction, mpf_from
 
 
 def knn_sequence(n: int) -> IndSetSequence:
@@ -22,6 +30,41 @@ def knn_sequence(n: int) -> IndSetSequence:
     both)."""
     return IndSetSequence((1,) + tuple(2 * math.comb(n, t)
                                        for t in range(1, n + 1)))
+
+
+def check_simple(g: Graph) -> None:
+    """Full-scan check that adjacency is symmetric and irreflexive."""
+    for u in range(g.n):
+        if g.adj[u] >> u & 1:
+            raise GraphError(f"loop at {u}")
+        for v in bits_of(g.adj[u]):
+            if not (g.adj[v] >> u & 1):
+                raise GraphError(f"asymmetric edge {u}->{v}")
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each relabelled past the ones before it."""
+    adj = []
+    for g in parts:
+        shift = len(adj)
+        adj.extend(row << shift for row in g.adj)
+    return Graph(len(adj), tuple(adj))
+
+
+def count_upper_via_partition_log2(nverts: int, d: int, t: int,
+                                   lam=None) -> mp.mpf:
+    """Upper bound on the size-t count routed through the partition-function
+    bound: log2(P-bound(lam) / lam**t), by default at lam = 2t/(|V| - 2t),
+    where it agrees with bounds.count_upper_log2 analytically."""
+    if not 0 <= 2 * t <= nverts:
+        raise ValueError("t outside [0, |V|/2]")
+    if t == 0 or 2 * t == nverts:
+        # limiting value of the optimized bound at the endpoints
+        return mpf_from(Fraction(nverts, 2 * d))
+    lam = Fraction(2 * t, nverts - 2 * t) if lam is None else Fraction(lam)
+    if lam <= 0:
+        raise ValueError("lam > 0 required")
+    return partition_upper_regular_log2(nverts, d, lam) - t * log2_fraction(lam)
 
 
 def is_independent(g: Graph, mask: int) -> bool:
@@ -70,15 +113,15 @@ def regular_bipartite_corpus() -> list[tuple[str, Graph, int]]:
     out.append(("qd:4", graphs.hypercube(4), 4))
     for d in range(3, 9):
         out.append((f"crown:{d}", graphs.crown(d), d - 1))
-    out.append(("2*knn:2,2", graphs.disjoint_union(
+    out.append(("2*knn:2,2", disjoint_union(
         graphs.complete_bipartite(2, 2), graphs.complete_bipartite(2, 2)), 2))
-    out.append(("3*knn:2,2", graphs.disjoint_union(
+    out.append(("3*knn:2,2", disjoint_union(
         *(graphs.complete_bipartite(2, 2) for _ in range(3))), 2))
-    out.append(("2*knn:3,3", graphs.disjoint_union(
+    out.append(("2*knn:3,3", disjoint_union(
         graphs.complete_bipartite(3, 3), graphs.complete_bipartite(3, 3)), 3))
-    out.append(("2*knn:4,4", graphs.disjoint_union(
+    out.append(("2*knn:4,4", disjoint_union(
         graphs.complete_bipartite(4, 4), graphs.complete_bipartite(4, 4)), 4))
-    out.append(("cycle:4+cycle:8", graphs.disjoint_union(
+    out.append(("cycle:4+cycle:8", disjoint_union(
         graphs.cycle(4), graphs.cycle(8)), 2))
     out.append(("circ:12,1,5", graphs.circulant_bipartite(12, [1, 5]), 4))
     out.append(("circ:16,1,3", graphs.circulant_bipartite(16, [1, 3]), 4))
