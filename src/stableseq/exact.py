@@ -3,11 +3,15 @@
 count_by_size is the counting engine.  It branches on a maximum-degree
 vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
 remaining vertex set into connected components whose sequences multiply,
-and memoises every component's sequence by its vertex mask.  One bitset
-sweep of a vertex set (_split) gives its components together with each
-one's branch vertex and degree sum, so every set is walked once.
-Components of maximum degree at most 2 take a closed form: a path its
-own, a cycle the branch rule applied once to two paths.
+and memoises the sequence of every branched component, one of maximum
+degree above 2, by its vertex mask.  One bitset sweep of a vertex set
+(_split) gives its components together with each one's branch vertex,
+maximum degree and degree sum, so every set is walked once.  Components
+of maximum degree at most 2 are closed where their sequences are
+multiplied, never pushed or memoised: single vertices by a binomial row,
+a path by its own closed form, a cycle by the branch rule applied once to
+two paths.  Their sequences depend only on size and kind, so they are
+cached by those.
 
 Inside one connected component C of the input, every sequence is packed
 into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
@@ -15,15 +19,16 @@ with a slot width of w = 8 * ceil(|C| / 8) bits.  The branch rule becomes
 P(c) = P(c - v) + (P(c - N[v]) << w), and a union of components becomes
 the product of their packed integers, so one big-integer multiply does a
 whole convolution.  No slot ever carries into the next: every polynomial
-packed while counting C (a memo entry, a partial product or a branch sum)
-is that of an induced subgraph H of C, whose coefficients are
-i_t(H) <= C(|H|, t) < 2**|C| <= 2**w (for |H| = 0 the one coefficient is
-1 < 2**w).  The sequences of the components of the input are unpacked
-once each and multiplied as coefficient lists, so each component keeps a
-width fitted to its own size.  Equal top-level sequences are grouped, and a
-group of many copies is raised to its multiplicity by J. C. P. Miller's
-power recurrence before the lists are multiplied, so a graph of many small
-equal components costs no quadratic chain of convolutions.
+packed while counting C (a memo entry, a closed form, a partial product
+or a branch sum) is that of an induced subgraph H of C, whose
+coefficients are i_t(H) <= C(|H|, t) < 2**|C| <= 2**w (for |H| = 0 the
+one coefficient is 1 < 2**w).  The sequences of the components of the
+input are unpacked once each and multiplied as coefficient lists, so each
+component keeps a width fitted to its own size.  Equal top-level sequences
+are grouped, and a group of many copies is raised to its multiplicity by
+J. C. P. Miller's power recurrence before the lists are multiplied, so a
+graph of many small equal components costs no quadratic chain of
+convolutions.
 
 side_profile with sequence_from_profile is an independent oracle for
 bipartite graphs, which the tests and the verify suite compare the engine
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .graphs import Graph, GraphError, bipartition
@@ -53,10 +58,13 @@ SIDE_BACKEND_CAP = 28
 # An entry is one packed integer of b bits and counts 1 + b // 64 words, its
 # real size.  For components of at most 64 vertices that is never more than
 # the L * (1 + B // 64) words a list of L coefficients summing to a B-bit
-# total was charged before the entries were packed.  Q_6 takes 917519 words
-# in 109 thousand entries (2.1 s, 43 MB peak RSS for the whole `count`
-# process); Q_7 stops at the budget after 2.4-2.6 s at 53 MB (Python 3.11,
-# x86-64, 2-core Xeon).
+# total was charged before the entries were packed.  The closed forms of
+# paths and cycles are not charged: a branch node's children are disjoint
+# induced subgraphs, so the forms one node needs take at most about four
+# times the words of its own entry.  Q_6 takes 858445 words in 94582
+# entries (about 1.2 s to count, 43 MB peak RSS for the whole `count`
+# process); Q_7 stops at the budget after 99603 branch nodes, 1.5 s and
+# 48 MB (Python 3.11, x86-64, 2-core Xeon).
 MEMO_WORD_BUDGET = 1 << 21
 
 # Fewest equal top-level components raised by the power recurrence; fewer
@@ -121,14 +129,17 @@ class IndSetSequence:
 
 
 def polynomial_eval(seq: IndSetSequence, lam) -> Fraction:
-    """Exact value of sum_t i_t * lam**t at rational lam."""
+    """Exact value of sum_t i_t * lam**t at rational lam = p / q: the
+    integer sum_t i_t * p**t * q**(T - t), T = alpha, by Horner's rule from
+    the top term, over q**T."""
     lam = Fraction(lam)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in seq.counts:
-        acc += c * power
-        power *= lam
-    return acc
+    p, q = lam.numerator, lam.denominator
+    acc = seq.counts[-1]
+    q_power = 1
+    for c in reversed(seq.counts[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return Fraction(acc, q_power)
 
 
 @dataclass(frozen=True)
@@ -293,31 +304,44 @@ def _product(factors: list[list[int]]) -> list[int]:
     return out
 
 
-def _packed_path(paths: dict[int, int], k: int, width: int) -> int:
-    """Packed sequence of the path on k vertices, which paths caches by k."""
-    packed = paths.get(k)
-    if packed is None:
-        packed = paths[k] = _pack(_path_sequence(k), width)
-    return packed
+def _closed_sequence(k: int, cycle: bool) -> list[int]:
+    """i_t of the path on k vertices, or of the cycle on k vertices, whose
+    branch on any vertex leaves the paths on k - 1 and k - 3 vertices: both
+    terms have floor(k / 2) + 1 coefficients."""
+    if not cycle:
+        return _path_sequence(k)
+    return list(map(add, _path_sequence(k - 1), [0] + _path_sequence(k - 3)))
 
 
 def _packed_product(memo: dict[int, int], comps: list[tuple],
-                    rows: dict[int, int], width: int) -> int:
+                    closed: dict[int, int], width: int) -> int:
     """Packed sequence of the disjoint union of comps, split tuples as
-    _split gives them: the product of their memo entries and of the packed
-    binomial row of the single vertices among them, which rows caches by
-    count."""
+    _split gives them: the product of the memo entries of the branched
+    components, of the packed closed forms of the paths and cycles, and of
+    the packed binomial row of the single vertices.  closed caches the
+    packed forms, keyed by 2k for the path on k vertices, 2k + 1 for the
+    cycle and -s for the row of s single vertices."""
     out = 1
     singles = 0
-    for c, _, _, deg_sum in comps:
-        if deg_sum:
+    for c, _, max_deg, deg_sum in comps:
+        if max_deg > 2:
             out *= memo[c]
+        elif deg_sum:
+            # connected with maximum degree <= 2: a path if it has fewer
+            # than k edges, else a cycle
+            k = c.bit_count()
+            key = 2 * k + (deg_sum == 2 * k)
+            packed = closed.get(key)
+            if packed is None:
+                packed = closed[key] = _pack(_closed_sequence(k, key & 1),
+                                             width)
+            out *= packed
         else:
             singles += 1
     if singles:
-        row = rows.get(singles)
+        row = closed.get(-singles)
         if row is None:
-            row = rows[singles] = _pack(_binomial_row(singles), width)
+            row = closed[-singles] = _pack(_binomial_row(singles), width)
         out *= row
     return out
 
@@ -328,31 +352,33 @@ def count_by_size(g: Graph) -> IndSetSequence:
     Each connected component of g is counted with packed sequences (see the
     module docstring) at a slot width of ceil(|C| / 8) bytes.  Each vertex
     set is swept once, by _split; a stack entry is either a split tuple to
-    expand or a branch node waiting for its children, and only children
-    that are neither single vertices nor already memoised are pushed.
-    Paths and cycles take their closed forms instead of branching; the
-    packed binomial rows of single vertices and packed path sequences are
-    cached by size for the component being counted.  The work runs on an
-    explicit stack, so no input can exhaust Python's recursion limit.  A
-    component's memo entry is stored once the sequences of both branches
-    are known; single vertices are never stored.  The memo lives for one
-    call.  Raises CountBudgetError when the memo would exceed
-    MEMO_WORD_BUDGET.  The top-level sequences are grouped by value, and a
-    group of at least _POWER_FROM copies is multiplied as one power.
+    expand or a branch node waiting for its children.  Only branched
+    components, those of maximum degree above 2, are pushed and memoised:
+    single vertices, paths and cycles are closed where _packed_product
+    multiplies them, from packed binomial rows and closed forms cached by
+    size and kind for the component being counted.  A component of the
+    input that is itself a path or cycle takes its closed form directly.
+    The work runs on an explicit stack, so no input can exhaust Python's
+    recursion limit.  A component's memo entry is stored once the sequences
+    of both branches are known, and the memo lives for one call.  Raises
+    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET.  The
+    top-level sequences are grouped by value, and a group of at least
+    _POWER_FROM copies is multiplied as one power.
     """
     adj = g.adj
     memo: dict[int, int] = {}
     groups: dict[tuple[int, ...], int] = {}
     branch_nodes = words = 0
     for root in _split(adj, (1 << g.n) - 1):
-        if root[3] == 0:
-            # a single vertex
-            groups[1, 1] = groups.get((1, 1), 0) + 1
+        top, _, max_deg, deg_sum = root
+        if max_deg <= 2:
+            k = top.bit_count()
+            seq = tuple(_closed_sequence(k, deg_sum == 2 * k))
+            groups[seq] = groups.get(seq, 0) + 1
             continue
-        width = (root[0].bit_count() + 7) // 8
+        width = (top.bit_count() + 7) // 8
         shift = 8 * width
-        rows: dict[int, int] = {}
-        paths: dict[int, int] = {}
+        closed: dict[int, int] = {}
         stack: list[tuple] = [root]
         while stack:
             item = stack.pop()
@@ -360,34 +386,24 @@ def count_by_size(g: Graph) -> IndSetSequence:
             if len(item) == 4:
                 if c in memo:
                     continue
-                _, v, max_deg, deg_sum = item
-                k = c.bit_count()
-                if max_deg <= 2:
-                    # connected with maximum degree <= 2: a path if it has
-                    # fewer than k edges, else a cycle, whose branch on v
-                    # leaves the paths on k - 1 and k - 3 vertices
-                    if deg_sum < 2 * k:
-                        packed = _packed_path(paths, k, width)
-                    else:
-                        packed = _packed_path(paths, k - 1, width) + (
-                            _packed_path(paths, k - 3, width) << shift)
-                else:
-                    branch_nodes += 1
-                    without = _split(adj, c & ~(1 << v))
-                    with_v = _split(adj, c & ~(adj[v] | 1 << v))
-                    stack.append((c, without, with_v))
-                    stack.extend(x for x in without + with_v
-                                 if x[3] and x[0] not in memo)
-                    continue
-            else:
-                # P(c - v) + (P(c - N[v]) << w)
-                packed = _packed_product(memo, item[1], rows, width) + (
-                    _packed_product(memo, item[2], rows, width) << shift)
+                v = item[1]
+                branch_nodes += 1
+                without = _split(adj, c & ~(1 << v))
+                rest = c & ~(adj[v] | 1 << v)
+                with_v = _split(adj, rest) if rest else []
+                stack.append((c, without, with_v))
+                for x in without + with_v:
+                    if x[2] > 2 and x[0] not in memo:
+                        stack.append(x)
+                continue
+            # P(c - v) + (P(c - N[v]) << w)
+            packed = _packed_product(memo, item[1], closed, width) + (
+                _packed_product(memo, item[2], closed, width) << shift)
             words += 1 + packed.bit_length() // 64
             if words > MEMO_WORD_BUDGET:
                 raise CountBudgetError(branch_nodes, len(memo), words)
             memo[c] = packed
-        seq = tuple(_unpack(memo[root[0]], width))
+        seq = tuple(_unpack(memo[top], width))
         groups[seq] = groups.get(seq, 0) + 1
     factors: list = []
     for a, m in groups.items():

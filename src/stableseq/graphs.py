@@ -9,6 +9,7 @@ construction and safe for concurrent shared reads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -128,17 +129,18 @@ class Bipartition:
 def bipartition(g: Graph) -> Bipartition:
     """Two-coloring via breadth-first layering.
 
-    Each component is walked in bitset layers from its lowest vertex, and
-    the even layers form one class.  Classes are normalized so that
-    |classO| >= |classE|; when the sizes tie, the class containing the
-    lowest vertex of each component stays classE.  Raises NotBipartiteError
-    with an odd-cycle witness otherwise.
+    Each component is walked in bitset layers from its lowest vertex.  Its
+    smaller colour class goes to classE, and on a tie the class of its
+    lowest vertex, the even layers; an isolated vertex goes to classO.  So
+    |classO| >= |classE|, and classE is as small as a two-coloring allows.
+    Raises NotBipartiteError with an odd-cycle witness otherwise.
     """
     adj = g.adj
-    colors = [0, 0]
+    class_e = class_o = 0
     unseen = (1 << g.n) - 1
     while unseen:
         layers = []
+        colors = [0, 0]
         layer = unseen & -unseen
         while layer:
             unseen ^= layer
@@ -153,10 +155,13 @@ def bipartition(g: Graph) -> Bipartition:
             if reach & layer:
                 raise NotBipartiteError(_odd_cycle(adj, layers, reach & layer))
             layer = reach & unseen
-    cls0, cls1 = (tuple(bits_of(mask)) for mask in colors)
-    if len(cls1) < len(cls0):
-        cls0, cls1 = cls1, cls0
-    return Bipartition(class_e=cls0, class_o=cls1)
+        even, odd = colors
+        if odd.bit_count() < even.bit_count():
+            even, odd = odd, even
+        class_e |= even
+        class_o |= odd
+    return Bipartition(class_e=tuple(bits_of(class_e)),
+                       class_o=tuple(bits_of(class_o)))
 
 
 def _odd_cycle(adj, layers: list[int], inside: int) -> list[int]:
@@ -356,10 +361,55 @@ def _int_pair(line: str, lineno: int, what: str) -> tuple[int, int]:
                          f"{line.strip()!r}") from None
 
 
+# Text the bulk reader takes: lines of two decimal fields, the last line
+# with or without its newline.  No blank line, no "\r" and no other digits.
+_PLAIN_PAIRS = re.compile(r"[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*"
+                          r"(?:\n[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*)*\n?")
+
+
 def graph_from_text(text: str) -> Graph:
     """Graph from its text form: a first line "n m", then one "u v" line per
     edge.  Blank lines are skipped; every error names the line it is on, and
-    the header's m must equal the number of distinct edges."""
+    the header's m must equal the number of distinct edges.
+
+    Plain text (_PLAIN_PAIRS) is checked in bulk; any other text, or any
+    text a bulk check rejects, is read line by line, which accepts the same
+    texts and gives every error."""
+    if _PLAIN_PAIRS.fullmatch(text):
+        g = _graph_from_pairs(text.split())
+        if g is not None:
+            return g
+    return _graph_from_lines(text)
+
+
+def _graph_from_pairs(fields: list[str]) -> Graph | None:
+    """Graph from the fields of plain text, or None when a check fails:
+    every field an int, n within VERTEX_CAP, 2m edge ends after the header,
+    every end below n, and 2m adjacency bits.  An edge sets at most two
+    bits, a loop one and a repeated edge none, so 2m bits leave no room for
+    a loop or a duplicate."""
+    try:
+        nums = list(map(int, fields))
+    except ValueError:
+        # a field beyond int's digit limit
+        return None
+    n, m = nums[0], nums[1]
+    if n > VERTEX_CAP or len(nums) != 2 * m + 2:
+        return None
+    ends = nums[2:]
+    if ends and max(ends) >= n:
+        return None
+    adj = [0] * n
+    for u, v in zip(ends[0::2], ends[1::2]):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if sum(row.bit_count() for row in adj) != 2 * m:
+        return None
+    return Graph(n, tuple(adj))
+
+
+def _graph_from_lines(text: str) -> Graph:
+    """graph_from_text line by line, naming the line of each error."""
     rows = [(i, line) for i, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
     if not rows:

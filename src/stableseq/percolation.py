@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 
 import mpmath as mp
 
@@ -23,6 +24,8 @@ from .numerics import mpf_from
 from .seqshape import check_property_bgs
 
 _MASK64 = (1 << 64) - 1
+# Most edges drawn in one pass of _kept: 16 kB per lane integer.
+_LANES = 1 << 10
 
 
 def _splitmix64(x: int) -> int:
@@ -43,10 +46,46 @@ def _stream64(seed: int, trial: int, counter: int) -> int:
     return _splitmix64(_trial_key(seed, trial) ^ (counter & _MASK64))
 
 
+def _lanes(k: int) -> tuple[int, int]:
+    """sum of 1 << 128 i and sum of i << 128 i over i < k: a 1 and its own
+    index in each of k 128-bit lanes, by doubling the lane count."""
+    ones, indices, width = 1, 0, 1
+    while width < k:
+        shift = 128 * width
+        indices |= (indices + width * ones) << shift
+        ones |= ones << shift
+        width *= 2
+    low = (1 << 128 * k) - 1
+    return ones & low, indices & low
+
+
+def _kept(states: int, ones: int, k: int, threshold: int) -> bytes:
+    """One byte per lane of states, k 128-bit lanes each holding a 64-bit
+    SplitMix64 state: 1 where the lane's word is below threshold, else 0.
+    ones holds 1 in each lane.  See percolate for why no lane spills."""
+    masks = _MASK64 * ones
+    x = (states + 0x9E3779B97F4A7C15 * ones) & masks
+    x = ((x ^ (x >> 30)) & masks) * 0xBF58476D1CE4E5B9 & masks
+    x = ((x ^ (x >> 27)) & masks) * 0x94D049BB133111EB & masks
+    x = (x ^ (x >> 31)) & masks
+    return ((_MASK64 + threshold) * ones - x).to_bytes(16 * k, "little")[8::16]
+
+
 def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     """Keep each edge of g independently with probability p, using the
     deterministic stream keyed by (seed, trial, edge index).  Edge indices
-    follow the canonical ascending edge order of g."""
+    follow the canonical ascending edge order of g.
+
+    The words of up to _LANES edges are drawn at once: edge i's SplitMix64
+    state sits in bits 128i .. 128i + 63 of one integer, its lane, and each
+    step of the mix is one integer operation over all lanes (_kept).  A
+    shift by at most 31 moves the low bits of lane i + 1, which starts at
+    bit 128 (i + 1), into bits 97 and up of lane i, which the next mask
+    clears.  A masked lane is below 2**64, so its product with a 64-bit
+    constant is below 2**128 and no lane carries into the next.  A word is
+    below the threshold exactly when bit 64 of 2**64 + threshold - 1 - word
+    is set; that difference lies in [0, 2**65), so no lane borrows either,
+    and byte 8 of each lane is the edge's keep flag."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0, 1]")
@@ -54,11 +93,19 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     # p and within 2^-64 otherwise.
     threshold = (p.numerator << 64) // p.denominator
     key = _trial_key(seed, trial)
+    edges = g.edges()
     adj = [0] * g.n
-    for i, (u, v) in enumerate(g.edges()):
-        if _splitmix64(key ^ i) < threshold:
+    start = 0
+    while chunk := list(islice(edges, _LANES)):
+        k = len(chunk)
+        ones, indices = _lanes(k)
+        # start is a multiple of _LANES and each lane index i is below
+        # _LANES, so key ^ (start + i) = (key ^ start) ^ i
+        kept = _kept((key ^ start) * ones ^ indices, ones, k, threshold)
+        for u, v in compress(chunk, kept):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        start += _LANES
     return Graph(g.n, tuple(adj))
 
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stableseq import exact, graphs
-from stableseq.exact import (CountBudgetError, IndSetSequence, SideProfile,
-                             _profile_scan, count_by_size, polynomial_eval,
-                             sequence_from_profile, side_profile)
+from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
+                             polynomial_eval, sequence_from_profile,
+                             side_profile)
 from stableseq.graphs import GraphError, _components, bipartition
-from stableseq.numerics import bits_of
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
-                  disjoint_union, regular_bipartite_corpus)
+                  convolve, disjoint_union, fraction_polynomial_eval,
+                  regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
 Q4_SEQUENCE = (1, 16, 88, 208, 228, 128, 56, 16, 2)
@@ -191,14 +191,6 @@ def test_cycle_totals_are_lucas(n):
     assert seq.alpha == n // 2
 
 
-def _product_of(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 @st.composite
 def general_graphs(draw, max_n=12):
     n = draw(st.integers(0, max_n))
@@ -233,8 +225,8 @@ def test_engine_matches_brute_force(g):
 @given(general_graphs(max_n=10), general_graphs(max_n=10))
 def test_sequence_multiplies_over_disjoint_union(g, h):
     union = count_by_size(disjoint_union(g, h))
-    assert union.counts == _product_of(count_by_size(g).counts,
-                                       count_by_size(h).counts)
+    assert union.counts == convolve(count_by_size(g).counts,
+                                    count_by_size(h).counts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,9 +241,11 @@ def test_sequence_is_invariant_under_relabelling(g, data):
 
 
 def test_budget_error_carries_counters(monkeypatch):
+    # paths and cycles are not memoised, so Q_4 fits in 43 words; Q_5 needs
+    # about 2000
     monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 50)
     with pytest.raises(CountBudgetError) as err:
-        count_by_size(graphs.hypercube(4))
+        count_by_size(graphs.hypercube(5))
     exc = err.value
     assert isinstance(exc, GraphError)
     assert exc.branch_nodes > 0 and exc.memo_words > 50
@@ -290,7 +284,7 @@ def test_union_of_components_of_different_widths():
              graphs.complete_bipartite(3, 3), graphs.Graph(3, (0, 0, 0))]
     expected = (1,)
     for part in parts:
-        expected = _product_of(expected, count_by_size(part).counts)
+        expected = convolve(expected, count_by_size(part).counts)
     union = disjoint_union(*parts)
     assert count_by_size(union).counts == expected
     # the same parts interleaved by a relabelling
@@ -313,11 +307,10 @@ def test_wide_random_bipartite_matches_side_profile(seed):
              if rng.random() < p]
     g = graphs.from_edges(a + b, edges)
     assert max(c.bit_count() for c in _components(g.adj, (1 << g.n) - 1)) > 64
-    # the scan over the small class, which bipartition(g) need not pick
-    # when isolated vertices of the large class join it
-    nbrs = [[w - a for w in bits_of(g.adj[v])] for v in range(a)]
-    prof = SideProfile(_profile_scan(nbrs, b), class_e_size=a, class_o_size=b)
-    assert count_by_size(g).counts == sequence_from_profile(prof).counts
+    # isolated vertices of the large class go to class O, so the scan is
+    # over at most the small class
+    assert count_by_size(g).counts == \
+        sequence_from_profile(side_profile(g)).counts
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,7 @@ def test_cycle_beside_other_components():
              graphs.Graph(2, (0, 0))]
     expected = (1,)
     for part in parts:
-        expected = _product_of(expected, count_by_size(part).counts)
+        expected = convolve(expected, count_by_size(part).counts)
     assert count_by_size(disjoint_union(*parts)).counts == expected
 
 
@@ -378,7 +371,7 @@ def test_repeated_components_match_convolution():
              + [graphs.Graph(7, (0,) * 7)])
     expected = (1,)
     for part in parts:
-        expected = _product_of(expected, count_by_size(part).counts)
+        expected = convolve(expected, count_by_size(part).counts)
     # the copies interleaved by a relabelling
     union = disjoint_union(*parts)
     perm = list(range(union.n))
@@ -407,7 +400,41 @@ def test_power_recurrence_only_for_many_copies(monkeypatch):
     for copies in (2, exact._POWER_FROM):
         expected = (1,)
         for _ in range(copies):
-            expected = _product_of(expected, p3)
+            expected = convolve(expected, p3)
         union = disjoint_union(*[graphs.path(3)] * copies)
         assert count_by_size(union).counts == expected
     assert calls == [exact._POWER_FROM]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("copies", [1, exact._POWER_FROM])
+def test_top_level_product_matches_convolution(seed, copies):
+    # distinct paths, cycles, K_{a,b} and Q_3 side by side, with or
+    # without a group of copies that is raised to a power first; the paths
+    # and cycles of the input take their closed forms at the top level
+    rng = random.Random(seed)
+    parts = [graphs.path(k) for k in rng.sample(range(1, 40), 2)
+             + rng.sample(range(256, 320), 2)]
+    parts += [graphs.cycle(k) for k in rng.sample(range(3, 40), 2)
+              + [rng.randint(256, 320)]]
+    parts += [graphs.complete_bipartite(rng.randint(1, 6), rng.randint(1, 6)),
+              graphs.hypercube(3)]
+    parts += [graphs.crown(4)] * copies
+    expected = (1,)
+    for part in parts:
+        expected = convolve(expected, count_by_size(part).counts)
+    rng.shuffle(parts)
+    assert count_by_size(disjoint_union(*parts)).counts == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 30), max_size=30),
+       st.integers(1, 10 ** 6),
+       st.one_of(st.just(Fraction(0)), st.integers(-50, 50).map(Fraction),
+                 st.integers(1, 10 ** 9).map(lambda q: Fraction(1, q)),
+                 st.fractions()))
+def test_polynomial_eval_matches_fraction_loop(middle, top, lam):
+    counts = (1, *middle, top)
+    value = polynomial_eval(IndSetSequence(counts), lam)
+    assert value == fraction_polynomial_eval(counts, lam)
+    assert polynomial_eval(IndSetSequence((1,)), lam) == 1

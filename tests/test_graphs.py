@@ -3,6 +3,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stableseq import graphs
 from stableseq.graphs import (GraphError, NotBipartiteError,
@@ -103,12 +104,15 @@ def test_odd_cycle_witness_on_tangled_graphs():
 
 def reference_bipartition(g):
     """Per-edge breadth-first two-colouring from the lowest uncoloured
-    vertex; None when an edge joins two vertices of one colour."""
+    vertex, each component's smaller colour class (its root's on a tie)
+    going to class E; None when an edge joins two vertices of one colour."""
     color = [None] * g.n
+    class_e, class_o = [], []
     for root in range(g.n):
         if color[root] is not None:
             continue
         color[root] = 0
+        component = [root]
         queue = deque([root])
         while queue:
             u = queue.popleft()
@@ -117,12 +121,15 @@ def reference_bipartition(g):
                     continue
                 if color[v] is None:
                     color[v] = 1 - color[u]
+                    component.append(v)
                     queue.append(v)
                 elif color[v] == color[u]:
                     return None
-    classes = sorted(([v for v in range(g.n) if color[v] == c]
-                      for c in (0, 1)), key=len)
-    return tuple(classes[0]), tuple(classes[1])
+        sides = sorted(([v for v in component if color[v] == c]
+                        for c in (0, 1)), key=len)
+        class_e += sides[0]
+        class_o += sides[1]
+    return tuple(sorted(class_e)), tuple(sorted(class_o))
 
 
 def test_bipartition_matches_reference_bfs():
@@ -159,6 +166,33 @@ def test_bipartition_no_internal_edges_on_corpus():
 def test_bipartition_normalization():
     b = bipartition(graphs.complete_bipartite(2, 3))
     assert len(b.class_e) == 2 and len(b.class_o) == 3
+
+
+def test_bipartition_class_e_is_the_sum_of_component_minima():
+    # random bipartite components beside isolated vertices: every
+    # component's smaller side goes to class E, isolated vertices to class O
+    rng = random.Random(4)
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            edges = [(i, a + j) for i in range(a) for j in range(b)
+                     if rng.random() < 0.5]
+            parts.append(graphs.from_edges(a + b, edges))
+        isolated = rng.randint(1, 4)
+        parts.append(graphs.Graph(isolated, (0,) * isolated))
+        rng.shuffle(parts)
+        g = disjoint_union(*parts)
+        b = bipartition(g)
+        minima = 0
+        for comp in graphs._components(g.adj, (1 << g.n) - 1):
+            if comp.bit_count() == 1:
+                assert comp.bit_length() - 1 in b.class_o
+                continue
+            in_e = comp & b.e_mask
+            minima += min(in_e.bit_count(), (comp & ~in_e).bit_count())
+        assert len(b.class_e) == minima
+        assert sorted(b.class_e + b.class_o) == list(range(g.n))
 
 
 def test_regularity_profile_q4():
@@ -299,3 +333,72 @@ def test_graph_from_text_errors_name_the_line():
     for text, message in cases.items():
         with pytest.raises(GraphError, match=message):
             graphs.graph_from_text(text)
+
+
+FAULTS = ("loop", "out of range", "reversed duplicate", "wrong m",
+          "over the cap", "blank line", "trailing lines")
+
+
+@st.composite
+def graph_texts(draw):
+    """(text, faults): a plain graph text with separators of spaces and
+    tabs, and a set of faults injected into it."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=3))
+    if "loop" in faults:
+        v = draw(st.integers(0, n - 1))
+        edges.insert(draw(st.integers(0, len(edges))), (v, v))
+    if "out of range" in faults:
+        edges.insert(draw(st.integers(0, len(edges))),
+                     (draw(st.integers(0, n - 1)), n + draw(st.integers(0, 3))))
+    if "reversed duplicate" in faults and edges:
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), (v, u))
+    # the header counts the edge lines, faulty ones too, unless it is wrong
+    m = len(edges)
+    if "wrong m" in faults:
+        m += draw(st.sampled_from([-1, 1, 2]))
+    if "over the cap" in faults:
+        n = graphs.VERTEX_CAP + draw(st.integers(1, 3))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [f"{draw(pad)}{a}{draw(sep)}{b}{draw(pad)}"
+             for a, b in [(n, max(m, 0))] + edges]
+    if "blank line" in faults:
+        lines.insert(draw(st.integers(1, len(lines))), draw(pad))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    if "trailing lines" in faults:
+        text += draw(st.sampled_from(["\n", "\n\n", " \n", "\n\t"]))
+    return text, faults
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_bulk_reader_agrees_with_line_reader(case):
+    text, faults = case
+    got = _read(graphs.graph_from_text, text)
+    assert got == _read(graphs._graph_from_lines, text)
+    if not faults:
+        # clean text takes the bulk path and gives the graph
+        assert isinstance(got, graphs.Graph)
+        assert graphs._graph_from_pairs(text.split()) == got
+
+
+def test_bulk_reader_refers_odd_text_to_the_line_reader():
+    # CRLF line ends, a sign, non-ASCII digits and a field past int's digit
+    # limit are outside the plain form; each reads as the line reader reads
+    for text in ("3 2\r\n0 1\r\n1 2\r\n", "3 1\n+0 1\n", "3 1\n0 \u0661\n",
+                 "3 1\n0 1" + "0" * 5000 + "\n"):
+        assert _read(graphs.graph_from_text, text) == \
+            _read(graphs._graph_from_lines, text)
+    assert graphs.graph_from_text("3 2\r\n0 1\r\n1 2\r\n").edge_count == 2

@@ -50,6 +50,21 @@ def test_percolate_matches_naive_stream():
                     (spec, p, seed, trial)
 
 
+@pytest.mark.parametrize("spec", ["knn:16,16", "qd:6", "knn:0,5",
+                                  "knn:33,33"])
+def test_lane_sampler_matches_naive_stream(spec):
+    # knn:16,16 fills 256 lanes, knn:33,33 more than one pass of _LANES,
+    # knn:0,5 none; the thresholds at and next to 0 and 2^64
+    g = graphs.parse_graph_spec(spec)
+    assert spec != "knn:33,33" or g.edge_count > pc._LANES
+    for p in (Fraction(0), Fraction(1), Fraction(1, 1 << 64),
+              1 - Fraction(1, 1 << 64), Fraction(1, 3)):
+        for seed in ((1 << 64) - 1, 1 << 64, -1):
+            got = pc.percolate(g, p, seed, trial=seed % 5).adj
+            assert list(got) == naive_percolate(g, p, seed, seed % 5), \
+                (spec, p, seed)
+
+
 def test_percolate_p_one_and_zero():
     g = graphs.complete_bipartite(6, 6)
     assert pc.percolate(g, 1, 99).adj == g.adj

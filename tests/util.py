@@ -67,6 +67,26 @@ def count_upper_via_partition_log2(nverts: int, d: int, t: int,
     return partition_upper_regular_log2(nverts, d, lam) - t * log2_fraction(lam)
 
 
+def convolve(a, b) -> tuple[int, ...]:
+    """Coefficients of the product of two polynomials, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def fraction_polynomial_eval(counts, lam) -> Fraction:
+    """sum_t counts[t] * lam**t, one Fraction operation per term."""
+    lam = Fraction(lam)
+    acc = Fraction(0)
+    power = Fraction(1)
+    for c in counts:
+        acc += c * power
+        power *= lam
+    return acc
+
+
 def is_independent(g: Graph, mask: int) -> bool:
     m = mask
     while m:
