@@ -21,7 +21,7 @@ from typing import Optional
 
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
 from .exact import _binom_sum, count_by_size
-from .graphs import Graph, _components, _cube_row
+from .graphs import Graph, _components
 from .numerics import binom, bits_of
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
@@ -82,14 +82,26 @@ def vertex_set(d: int, vertices) -> VertexSet:
     return VertexSet(d, bits)
 
 
-def _nbhd_bits(d: int, bits: int) -> int:
+def _adjacent(d: int, bits: int) -> int:
+    """The vertices of Q_d with a neighbour in the set bits: the OR over the
+    coordinates k of the set with coordinate k flipped.  A vertex v with
+    bit k clear moves up by 2**k and one with bit k set moves down, so the
+    flip is (X & M_k) << 2**k | (X >> 2**k) & M_k, M_k the vertices with
+    bit k clear: runs of 2**k ones and zeros, built by doubling."""
+    size = 1 << d
     out = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        out |= _cube_row(d, low.bit_length() - 1)
-        rest ^= low
-    return out & ~bits
+    for k in range(d):
+        step = 1 << k
+        mask, period = (1 << step) - 1, 2 * step
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        out |= (bits & mask) << step | (bits >> step) & mask
+    return out
+
+
+def _nbhd_bits(d: int, bits: int) -> int:
+    return _adjacent(d, bits) & ~bits
 
 
 def neighborhood(d: int, a: VertexSet) -> VertexSet:
@@ -101,14 +113,12 @@ def neighborhood(d: int, a: VertexSet) -> VertexSet:
 
 def closure(d: int, a: VertexSet) -> VertexSet:
     """[A] = {v : N({v}) is contained in N(A)}, implemented literally; for
-    non-independent A this can exclude members of A."""
+    non-independent A this can exclude members of A.  A vertex fails the
+    test exactly when it has a neighbour outside N(A), so
+    [A] = V minus the vertices adjacent to V minus N(A)."""
     _check_dim(d)
-    na = _nbhd_bits(d, a.bits)
-    out = 0
-    for v in range(1 << d):
-        if _cube_row(d, v) & ~na == 0:
-            out |= 1 << v
-    return VertexSet(d, out)
+    full = (1 << (1 << d)) - 1
+    return VertexSet(d, full ^ _adjacent(d, full ^ _nbhd_bits(d, a.bits)))
 
 
 def two_components(d: int, a: VertexSet) -> list[VertexSet]:
@@ -169,6 +179,41 @@ def _halved_cube(d: int) -> Graph:
 # Small-set walk over subsets of the even class
 # ---------------------------------------------------------------------------
 
+def _even_rows(d: int) -> list[int]:
+    """Row i: the neighbours of the i-th even vertex as a bitset over the
+    odd class, odd vertex u at bit u >> 1.  Both classes hold exactly one
+    of 2m, 2m + 1 for each m, so index m names one vertex of each; flipping
+    coordinate 0 of the even vertex of index i gives the odd vertex of
+    index i, and flipping coordinate k >= 1 gives index i ^ 2**(k-1)."""
+    return [1 << i | sum(1 << (i ^ 1 << k) for k in range(d - 1))
+            for i in range(1 << (d - 1))]
+
+
+def _closure_tables(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Tables lo, hi with [A] = lo[g & 255] & hi[g >> 8] as a bitset over
+    even indices, g = N(A) over the odd class (rows from _even_rows, at
+    most 16 bits since d <= 5).  lo[b] holds the even vertices whose row
+    has its bits 0..7 inside b, hi the same for bits 8..15, so the AND
+    holds exactly those whose whole row lies inside g.  Each table starts
+    with every vertex at its own row chunk and is closed upwards by one
+    subset-zeta pass: after bit k, entry b holds every chunk inside b that
+    differs from b in bits 0..k only."""
+    tables = []
+    for shift in (0, 8):
+        width = min(8, max(0, len(rows) - shift))
+        size = 1 << width
+        table = [0] * size
+        for e, row in enumerate(rows):
+            table[row >> shift & size - 1] |= 1 << e
+        for k in range(width):
+            bit = 1 << k
+            for b in range(size):
+                if b & bit:
+                    table[b] |= table[b ^ bit]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
 def _small_scan(d: int) -> dict:
     """Walk the subsets A of the even class that are small, recording
     (|A|, |N(A)|, 2-linked) for each; keys in ascending order.
@@ -184,32 +229,55 @@ def _small_scan(d: int) -> dict:
     is added under its own key (0, 0, False).
 
     The walk is depth-first over index sets in increasing index order from
-    {0}, on a stack of (A, N(A), next index) entries; a child adds one
-    index above the last and extends N(A) with one OR.  [A] only grows
-    with A, so once |[A]| > 2**(d-2) no superset of A is small and the
-    whole subtree is dropped: the walk visits the small sets and their
-    direct children only.  [A] stays inside the even class (an odd vertex
-    has its whole neighborhood in the even class, disjoint from N(A)), so
-    it is counted over the even class only.
+    {0}, if {0} is small (it is not at d = 2, where [{0}] is the whole even
+    class).  A stack entry is (A, N(A), candidates, 2-components of A), and
+    each of the three steps below is exact:
+
+    - Closure size by byte tables.  [A] stays inside the even class (an
+      odd vertex has its whole neighborhood in the even class, disjoint
+      from N(A)), and with N(A) as a bitset over the odd class,
+      |[A]| is the popcount of two table lookups (_closure_tables).
+    - Candidates inherited from the parent.  A node tries each of its
+      candidates i, all above its last index, and keeps the i with
+      A + {i} small; child A + {i} gets the kept indices above i.  [A]
+      only grows with A, so a superset of a set that is not small is not
+      small either: a rejected index would be rejected again below, and
+      the walk meets every small set once and tests each pair (small set,
+      later index) at most once.
+    - 2-linkage carried down.  Two members of one class are 2-linked when
+      they are at distance 2, adjacent in the halved cube.  Adding i to A
+      merges the 2-components of A that meet i's halved-cube row into one
+      with i and keeps the others, so A is 2-linked exactly when one
+      component is left.
     """
-    rows = [_cube_row(d, v) for v in range(1 << d) if v.bit_count() % 2 == 0]
+    rows = _even_rows(d)
+    lo, hi = _closure_tables(rows)
     links = _halved_cube(d).adj  # in-class distance-2 rows, indexed as rows
     quarter = 1 << (d - 2)
     rooted: dict[tuple[int, int, bool], int] = {}
-    stack = [(1, rows[0], 1)]
+    root = rows[0]
+    stack = ([(1, root, range(1, len(rows)), [1])]
+             if (lo[root & 255] & hi[root >> 8]).bit_count() <= quarter
+             else [])
     while stack:
-        mask, nbhd, start = stack.pop()
-        closed = 0
-        for row in rows:
-            if row | nbhd == nbhd:
-                closed += 1
-        if closed > quarter:
-            continue
-        key = (mask.bit_count(), nbhd.bit_count(),
-               len(_components(links, mask)) == 1)
+        mask, nbhd, candidates, comps = stack.pop()
+        key = (mask.bit_count(), nbhd.bit_count(), len(comps) == 1)
         rooted[key] = rooted.get(key, 0) + 1
-        for i in range(start, len(rows)):
-            stack.append((mask | 1 << i, nbhd | rows[i], i + 1))
+        kept = []
+        for i in candidates:
+            grown = nbhd | rows[i]
+            if (lo[grown & 255] & hi[grown >> 8]).bit_count() <= quarter:
+                kept.append(i)
+        for n, i in enumerate(kept):
+            link = links[i]
+            merged, rest = 1 << i, []
+            for comp in comps:
+                if comp & link:
+                    merged |= comp
+                else:
+                    rest.append(comp)
+            rest.append(merged)
+            stack.append((mask | 1 << i, nbhd | rows[i], kept[n + 1:], rest))
     table = {key: (len(rows) * c) // key[0] for key, c in rooted.items()}
     table[0, 0, False] = 1
     return dict(sorted(table.items()))

@@ -384,22 +384,28 @@ def case_scan(d_max: int) -> dict[str, dict]:
     out = {}
     for name in names:
         ms = margins[name]
-        holds = [m > 0 for m in ms]
-        fails = [2 + i for i, h in enumerate(holds) if not h]
-        d0 = None
-        for i in range(len(holds)):
-            if all(holds[i:]):
-                d0 = 2 + i
-                break
-        mono_from = None
-        for i in range(len(ms)):
-            tail = ms[i:]
-            if all(m > 0 for m in tail) and \
-                    all(tail[j] <= tail[j + 1] for j in range(len(tail) - 1)):
-                mono_from = 2 + i
-                break
+        fails = [2 + i for i, m in enumerate(ms) if not m > 0]
+        d0, mono_from = (None if i is None else 2 + i
+                         for i in _suffix_starts(ms))
         out[name] = {"d0": d0, "fails": fails, "monotone_from": mono_from}
     return out
+
+
+def _suffix_starts(ms: list) -> tuple[Optional[int], Optional[int]]:
+    """The least i with every ms[i:] positive, and the least i with ms[i:]
+    also nondecreasing; None when there is none.  A suffix of a suffix with
+    either property has it too, so one backward pass finds both: the first
+    stops at the last nonpositive entry, the second also at the last
+    descent."""
+    last = len(ms) - 1
+    positive = monotone = None
+    for i in range(last, -1, -1):
+        if not ms[i] > 0:
+            break
+        positive = i
+        if i == last or (monotone == i + 1 and ms[i] <= ms[i + 1]):
+            monotone = i
+    return positive, monotone
 
 
 def consecutive_ratio_aux_holds(d: int, t: int, tol_spec: str) -> bool:

@@ -86,27 +86,38 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     below the threshold exactly when bit 64 of 2**64 + threshold - 1 - word
     is set; that difference lies in [0, 2**65), so no lane borrows either,
     and byte 8 of each lane is the edge's keep flag."""
+    return _sampler(g, p)(seed, trial)
+
+
+def _sampler(g: Graph, p):
+    """percolate(g, p, seed, trial) as a function of (seed, trial), with
+    what does not depend on them made once: the threshold, g's canonical
+    edges in chunks of _LANES and each chunk's lane constants."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0, 1]")
     # Threshold floor(p * 2^64) makes the keep probability exact for dyadic
     # p and within 2^-64 otherwise.
     threshold = (p.numerator << 64) // p.denominator
-    key = _trial_key(seed, trial)
     edges = g.edges()
-    adj = [0] * g.n
-    start = 0
+    chunks, start = [], 0
     while chunk := list(islice(edges, _LANES)):
-        k = len(chunk)
-        ones, indices = _lanes(k)
-        # start is a multiple of _LANES and each lane index i is below
-        # _LANES, so key ^ (start + i) = (key ^ start) ^ i
-        kept = _kept((key ^ start) * ones ^ indices, ones, k, threshold)
-        for u, v in compress(chunk, kept):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        chunks.append((start, chunk, *_lanes(len(chunk))))
         start += _LANES
-    return Graph(g.n, tuple(adj))
+
+    def sample(seed: int, trial: int) -> Graph:
+        key = _trial_key(seed, trial)
+        adj = [0] * g.n
+        for start, chunk, ones, indices in chunks:
+            # start is a multiple of _LANES and each lane index i is below
+            # _LANES, so key ^ (start + i) = (key ^ start) ^ i
+            kept = _kept((key ^ start) * ones ^ indices, ones, len(chunk),
+                         threshold)
+            for u, v in compress(chunk, kept):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        return Graph(g.n, tuple(adj))
+    return sample
 
 
 @dataclass(frozen=True)
@@ -127,9 +138,18 @@ class PercolationConfig:
 def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
     """Step size ceil(C(eps) * max(log2 n, n h)) with
     C(eps) = 1/H'((1-eps)/2), floored at 1."""
+    return _step_rule(n, epsilon)(h)
+
+
+def _step_rule(n: int, epsilon: Fraction):
+    """default_step_rule(n, h, epsilon) as a function of h, with C(eps) and
+    log2 n evaluated once."""
     c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
-    value = c_eps * max(mp.log(n, 2), mpf_from(h) * n)
-    return max(1, int(mp.ceil(value)))
+    log2_n = mp.log(n, 2)
+
+    def rule(h: Fraction) -> int:
+        return max(1, int(mp.ceil(c_eps * max(log2_n, mpf_from(h) * n))))
+    return rule
 
 
 @dataclass(frozen=True)
@@ -201,16 +221,18 @@ def run_experiment(cfg: PercolationConfig,
     # a regular bipartite graph of degree >= 1 has equal classes
     n = base.n // 2
     d_prime = degrees.pop() * cfg.p
+    sampler = _sampler(base, cfg.p)
+    step_rule = _step_rule(n, epsilon)
     records = []
     successes = 0
     for trial in range(cfg.trials):
-        sample = percolate(base, cfg.p, cfg.seed, trial)
+        sample = sampler(cfg.seed, trial)
         if d_prime > 0:
             prof = regularity_profile(sample, frame, d_prime)
             h = prof.h_value
         else:
             h = Fraction(0)
-        s_used = default_step_rule(n, h, epsilon)
+        s_used = step_rule(h)
         seq = count_by_size(sample)
         flagged = seq.alpha != n
         holds = False

@@ -253,6 +253,52 @@ def test_closure_grows_with_the_set(sets):
     assert closure(d, a).bits & ~closure(d, b).bits == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_scan_tables_give_the_closure(d, data):
+    # the scan's lookups on N(A), over class indices, name the vertices of
+    # N(A) and of [A] for any A in the even class
+    evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
+    odds = [v for v in range(1 << d) if v.bit_count() % 2 == 1]
+    chosen = data.draw(st.sets(st.integers(0, len(evens) - 1)))
+    rows = cube._even_rows(d)
+    lo, hi = cube._closure_tables(rows)
+    nbhd = 0
+    for i in chosen:
+        nbhd |= rows[i]
+    a = vs(d, [evens[i] for i in chosen])
+    assert {odds[j] for j in range(len(odds)) if nbhd >> j & 1} == \
+        set(neighborhood(d, a).vertices())
+    inside = lo[nbhd & 255] & hi[nbhd >> 8]
+    assert {evens[i] for i in range(len(evens)) if inside >> i & 1} == \
+        set(closure(d, a).vertices())
+    assert inside.bit_count() == closure(d, a).size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_flip_closure_matches_per_vertex_definition(d, data):
+    # sets of any parity, mixed and adjacent pairs included, where the
+    # literal closure may drop members of A
+    bits = data.draw(st.integers(0, (1 << (1 << d)) - 1))
+    if data.draw(st.booleans()):
+        bits &= data.draw(st.integers(0, (1 << (1 << d)) - 1))
+    verts = [v for v in range(1 << d) if bits >> v & 1]
+    a = VertexSet(d, bits)
+    assert set(neighborhood(d, a).vertices()) == brute_nbhd(d, verts)
+    assert set(closure(d, a).vertices()) == brute_closure(d, verts)
+
+
+def test_flip_closure_at_the_dimension_cap():
+    # 2**20 vertices: the closure and neighborhood come from d coordinate
+    # flips of 2**20-bit sets, not from one row per vertex
+    a = cube.vertex_set(20, [0, 3, 5])
+    st20 = structure_stats(20, a)
+    assert (st20.size, st20.nbhd, st20.closure, st20.small) == \
+        (3, 55, 3, True)
+    assert set(neighborhood(20, a).vertices()) == brute_nbhd(20, [0, 3, 5])
+
+
 def test_small_scans_refuse_dimension_below_two():
     msg = r"dimension d = 1 outside \[2, 5\]"
     with pytest.raises(ValueError, match=msg):

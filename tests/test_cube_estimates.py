@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stableseq import cube_estimates as est
 from stableseq.cube import NotApplicableError, small_set_scan
@@ -18,6 +19,8 @@ from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
                                       small_sum_dominates, small_sum_exponent,
                                       step_weight, step_weight_drop_bound)
 from stableseq.numerics import mpf_from
+
+from util import case_scan_by_definition, suffix_starts_by_definition
 
 
 def test_lambda_of_t():
@@ -324,6 +327,18 @@ def test_case_scan_golden():
     assert scan["case2"]["monotone_from"] is not None
     assert scan["case3"]["monotone_from"] is not None
     assert scan["case4"]["monotone_from"] is None
+
+
+@pytest.mark.parametrize("d_max", [2, 3, 13, 14, 15, 37, 120, 200])
+def test_case_scan_matches_suffix_definition(d_max):
+    assert case_scan(d_max) == case_scan_by_definition(d_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_suffix_starts_match_definition(ms):
+    # short runs of small margins: failures, ties and descents anywhere
+    assert est._suffix_starts(ms) == suffix_starts_by_definition(ms)
 
 
 def test_step_weight_and_drop_bound():

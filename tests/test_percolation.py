@@ -166,6 +166,26 @@ def test_run_experiment_on_qd4_at_p_one_matches_direct_check():
         assert r.holds == direct.holds
 
 
+@pytest.mark.parametrize("base, p", [("knn:16,16", Fraction(1, 2)),
+                                     ("qd:4", Fraction(3, 4)),
+                                     ("knn:33,33", Fraction(1, 3))])
+def test_run_experiment_matches_per_trial_route(base, p):
+    # the experiment builds its sampler and step rule once; every record
+    # must equal the one the public per-trial calls give (knn:33,33 has
+    # 1089 edges, so each sample spans two lane passes)
+    cfg = pc.PercolationConfig(base=base, p=p, seed=5, trials=3)
+    eps = Fraction(1, 10)
+    summary = pc.run_experiment(cfg, eps)
+    g = graphs.parse_graph_spec(base)
+    frame = graphs.bipartition(g)
+    n = g.n // 2
+    for r in summary.records:
+        sample = pc.percolate(g, p, cfg.seed, r.trial)
+        h = graphs.regularity_profile(sample, frame, summary.d_prime).h_value
+        assert (r.h_value, r.s_used, r.alpha) == \
+            (h, pc.default_step_rule(n, h, eps), count_by_size(sample).alpha)
+
+
 def test_theorem_step_consistency_at_p_one():
     # the regular-case step bound applied to the closed-form K_{n,n}
     # sequence: the two-sided property with beta = 0 must hold

@@ -19,6 +19,7 @@ import mpmath as mp
 
 from stableseq import graphs
 from stableseq.bounds import partition_upper_regular_log2
+from stableseq.cube_estimates import case_inequalities
 from stableseq.exact import IndSetSequence
 from stableseq.graphs import Graph, GraphError
 from stableseq.numerics import bits_of, log2_fraction, mpf_from
@@ -177,3 +178,36 @@ def bipartite_sample(seed: int = 1234, random_count: int = 150):
 
 def exact_ratio(q: Fraction, digits: int = 6) -> float:
     return round(float(q), digits)
+
+
+def suffix_starts_by_definition(ms) -> tuple:
+    """The least i with every ms[i:] positive and the least i with ms[i:]
+    also nondecreasing (None when there is none), each by re-checking every
+    suffix: quadratic in len(ms)."""
+    positive = monotone = None
+    for i in range(len(ms)):
+        if all(m > 0 for m in ms[i:]):
+            positive = i
+            break
+    for i in range(len(ms)):
+        tail = ms[i:]
+        if all(m > 0 for m in tail) and \
+                all(tail[j] <= tail[j + 1] for j in range(len(tail) - 1)):
+            monotone = i
+            break
+    return positive, monotone
+
+
+def case_scan_by_definition(d_max: int) -> dict:
+    """cube_estimates.case_scan from the margins of case_inequalities, with
+    d0 and monotone_from found by suffix_starts_by_definition."""
+    verdicts = [case_inequalities(d) for d in range(2, d_max + 1)]
+    out = {}
+    for name in ("case2", "case3", "case4"):
+        ms = [v[name]["margin"] for v in verdicts]
+        d0, mono_from = (None if i is None else 2 + i
+                         for i in suffix_starts_by_definition(ms))
+        out[name] = {"d0": d0,
+                     "fails": [2 + i for i, m in enumerate(ms) if m <= 0],
+                     "monotone_from": mono_from}
+    return out
