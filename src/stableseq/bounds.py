@@ -218,6 +218,11 @@ def step_bound_regular(n: int, d: int, epsilon) -> tuple[int, mp.mpf]:
 # Bound tables
 # ---------------------------------------------------------------------------
 
+# Activities at which the partition-function bounds are checked when the
+# caller names none.
+DEFAULT_ACTIVITIES = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2),
+                      Fraction(4))
+
 TAG_COUNT_UPPER = "entropy-upper"
 TAG_COUNT_LOWER = "binomial-lower"
 
@@ -227,7 +232,7 @@ class BoundRow:
     t: int
     lower_log2: mp.mpf
     upper_log2: mp.mpf
-    exact_log2: Optional[mp.mpf]
+    exact_log2: mp.mpf
     tags: tuple[str, ...]
 
 
@@ -246,8 +251,7 @@ class BoundTable:
                     "t": r.t,
                     "lower_log2": mp.nstr(r.lower_log2, 18),
                     "upper_log2": mp.nstr(r.upper_log2, 18),
-                    "exact_log2": (mp.nstr(r.exact_log2, 18)
-                                   if r.exact_log2 is not None else None),
+                    "exact_log2": mp.nstr(r.exact_log2, 18),
                     "tags": list(r.tags),
                 }
                 for r in self.rows
@@ -255,10 +259,9 @@ class BoundTable:
         }
 
 
-def build_bound_table(nverts: int, d: int,
-                      seq: Optional[IndSetSequence] = None) -> BoundTable:
+def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
     """Per-t lower/upper bounds in bits for a d-regular bipartite graph on
-    nverts vertices, with exact log2 i_t columns when a sequence is given."""
+    nverts vertices, beside the exact log2 i_t of its sequence seq."""
     if nverts % 2:
         raise ValueError("bound table needs even |V|")
     n = nverts // 2
@@ -266,10 +269,8 @@ def build_bound_table(nverts: int, d: int,
     for t in range(n + 1):
         lower = count_lower_binomial_log2(nverts, t)
         upper = count_upper_log2(nverts, d, t)
-        exact = None
-        if seq is not None:
-            it = seq[t] if t <= seq.alpha else 0
-            exact = mp.log(mpf_from(it), 2) if it > 0 else mp.mpf("-inf")
+        it = seq[t] if t <= seq.alpha else 0
+        exact = mp.log(mpf_from(it), 2) if it > 0 else mp.mpf("-inf")
         rows.append(BoundRow(t=t, lower_log2=lower, upper_log2=upper,
                              exact_log2=exact,
                              tags=(TAG_COUNT_LOWER, TAG_COUNT_UPPER)))
@@ -306,9 +307,7 @@ def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[BoundViolat
 
 
 def check_partition_dominance(g: Graph, b: Bipartition, d: int,
-                              seq: IndSetSequence,
-                              lambdas=(Fraction(1, 4), Fraction(1, 2),
-                                       Fraction(1), Fraction(2), Fraction(4)),
+                              seq: IndSetSequence, lambdas=DEFAULT_ACTIVITIES,
                               ) -> list[BoundViolation]:
     """Exact check that both partition-function bounds dominate P(G, lam)."""
     violations = []

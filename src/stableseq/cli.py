@@ -85,8 +85,7 @@ def cmd_bounds(args) -> int:
     seq = count_by_size(g)
     payload = bnd.build_bound_table(g.n, d, seq).to_json_dict()
     violations = bnd.check_sandwich(g.n, d, seq)
-    lambdas = args.lam or \
-        [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
+    lambdas = args.lam or bnd.DEFAULT_ACTIVITIES
     violations += bnd.check_partition_dominance(g, b, d, seq, lambdas)
     payload["violations"] = [v.detail for v in violations]
     payload["partition_bounds"] = [
@@ -149,7 +148,7 @@ def cmd_check(args) -> int:
 def cmd_cube_structure(args) -> int:
     a = cube.vertex_set(args.d, [int(x) for x in args.set.split(",")]
                         if args.set else [])
-    stats = cube.structure_stats(args.d, a)
+    stats = cube.structure_stats(a)
     verts = a.vertices()
     payload = {"d": args.d, "set": verts, **dataclasses.asdict(stats)}
     _emit(args, payload,

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
-from .exact import _binom_sum, count_by_size
-from .graphs import Graph, _components
+from .exact import _binom_sum, _split, count_by_size
+from .graphs import Graph
 from .numerics import binom, bits_of
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
@@ -29,8 +29,6 @@ SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
                              # start at d = 2, the least d with 2**(d-2) >= 1
 SPARSE_LOWER_DIM_CAP = 6     # the largest d whose Q_d the engine counts, so
                              # every scattered-set bound is checked by i_t
-
-CACHE_ENV = "STABLESEQ_CACHE_DIR"
 
 SIDE_EVEN = "E"
 SIDE_ODD = "O"
@@ -45,8 +43,16 @@ def _check_dim(d: int, cap: float = BITSET_DIM_CAP, low: int = 1) -> None:
 
 @dataclass(frozen=True)
 class VertexSet:
+    """A set of vertices of Q_d, 1 <= d <= BITSET_DIM_CAP, as a bitset of
+    width 2**d; the set functions below read the dimension from here."""
+
     d: int
     bits: int
+
+    def __post_init__(self):
+        _check_dim(self.d)
+        if not 0 <= self.bits < 1 << (1 << self.d):
+            raise ValueError(f"bitset is not a vertex set of Q_{self.d}")
 
     @property
     def size(self) -> int:
@@ -104,36 +110,37 @@ def _nbhd_bits(d: int, bits: int) -> int:
     return _adjacent(d, bits) & ~bits
 
 
-def neighborhood(d: int, a: VertexSet) -> VertexSet:
+def neighborhood(a: VertexSet) -> VertexSet:
     """Outer neighborhood N(A): vertices outside A adjacent to some vertex
     of A."""
-    _check_dim(d)
-    return VertexSet(d, _nbhd_bits(d, a.bits))
+    return VertexSet(a.d, _nbhd_bits(a.d, a.bits))
 
 
-def closure(d: int, a: VertexSet) -> VertexSet:
+def closure(a: VertexSet) -> VertexSet:
     """[A] = {v : N({v}) is contained in N(A)}, implemented literally; for
     non-independent A this can exclude members of A.  A vertex fails the
     test exactly when it has a neighbour outside N(A), so
     [A] = V minus the vertices adjacent to V minus N(A)."""
-    _check_dim(d)
+    d = a.d
     full = (1 << (1 << d)) - 1
     return VertexSet(d, full ^ _adjacent(d, full ^ _nbhd_bits(d, a.bits)))
 
 
-def two_components(d: int, a: VertexSet) -> list[VertexSet]:
+def two_components(a: VertexSet) -> list[VertexSet]:
     """Partition of A (inside one parity class) into maximal 2-linked
     pieces, in order of their lowest vertex.  Within one class two vertices
     lie in the same piece exactly when they are linked through shared
-    neighbors, i.e. through chains of Hamming-distance-2 steps."""
-    _check_dim(d)
+    neighbors, i.e. through chains of Hamming-distance-2 steps; the pieces
+    are the connected components that the exact engine's sweep (_split)
+    finds over those steps."""
     if a.side == SIDE_MIXED:
         raise ValueError("2-component decomposition expects A within one "
                          "parity class")
+    d = a.d
     steps = [1 << i ^ 1 << j for i in range(d) for j in range(i)]
     rows = {v: sum(1 << (v ^ step) for step in steps)
             for v in bits_of(a.bits)}
-    return [VertexSet(d, c) for c in _components(rows, a.bits)]
+    return [VertexSet(d, c) for c, _, _, _ in _split(rows, a.bits)]
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,13 @@ class StructureStats:
     components: Optional[tuple[tuple[int, ...], ...]]   # likewise
 
 
-def structure_stats(d: int, a: VertexSet) -> StructureStats:
+def structure_stats(a: VertexSet) -> StructureStats:
+    d = a.d
     _check_dim(d, low=2)
-    na = neighborhood(d, a)
-    cl = closure(d, a)
+    na = neighborhood(a)
+    cl = closure(a)
     comps = (None if a.side == SIDE_MIXED else
-             tuple(tuple(c.vertices()) for c in two_components(d, a)))
+             tuple(tuple(c.vertices()) for c in two_components(a)))
     return StructureStats(
         size=a.size,
         nbhd=na.size,
@@ -286,8 +294,8 @@ def _small_scan(d: int) -> dict:
 def small_set_scan(d: int, cache_dir: Optional[str] = None
                    ) -> dict[tuple[int, int, bool], int]:
     """Joint counts over all small A in the even class of Q_d, keyed by
-    (|A|, |N(A)|, 2-linked), keys in ascending order.  Cached to disk when a cache directory is
-    configured (argument or STABLESEQ_CACHE_DIR)."""
+    (|A|, |N(A)|, 2-linked), keys in ascending order.  Cached to disk when
+    a cache directory is given."""
     _check_dim(d, SMALL_SCAN_DIM_CAP, low=2)
     cached = _cache_load(d, "small-scan", cache_dir)
     if cached is not None:
@@ -299,11 +307,10 @@ def small_set_scan(d: int, cache_dir: Optional[str] = None
 
 
 def _cache_path(d: int, predicate: str, cache_dir: Optional[str]):
-    root = cache_dir or os.environ.get(CACHE_ENV)
-    if not root:
+    if not cache_dir:
         return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"cube-{predicate}-d{d}.json")
+    os.makedirs(cache_dir, exist_ok=True)
+    return os.path.join(cache_dir, f"cube-{predicate}-d{d}.json")
 
 
 def _cache_store(d: int, predicate: str, data, cache_dir) -> None:

@@ -210,13 +210,13 @@ def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     return IndSetSequence(tuple(counts))
 
 
-def _split(adj: tuple[int, ...], mask: int
-           ) -> list[tuple[int, int, int, int]]:
+def _split(adj, mask: int) -> list[tuple[int, int, int, int]]:
     """Connected components of the subgraph on mask, in order of their
     lowest vertex, each as (component, v, deg(v), degree sum), where v is the
     component's lowest-indexed vertex of maximum degree.  One bitset BFS:
     at each vertex, adj[v] & mask is both its reach and its degree.  A
-    degree sum of 0 marks a single vertex."""
+    degree sum of 0 marks a single vertex.  adj[v] is the neighbour mask of
+    v (a tuple, list or dict of rows), read only at the vertices of mask."""
     out = []
     while mask:
         comp = frontier = mask & -mask

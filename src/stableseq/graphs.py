@@ -76,26 +76,6 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
 
-def _components(adj, mask: int) -> list[int]:
-    """Vertex masks of the connected components of the subgraph on mask, in
-    order of their lowest vertex.  adj[v] is the neighbour mask of v (a
-    tuple, list or dict of rows); it is read only at the vertices of mask."""
-    out = []
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        out.append(comp)
-        mask &= ~comp
-    return out
-
-
 def from_edges(n: int, edges) -> Graph:
     """Graph on n vertices; n is capped before the (lazy) edges are read."""
     _check_cap(n)

@@ -82,14 +82,26 @@ def log2_fraction(q: Fraction) -> mp.mpf:
 
 
 def log2_binom(n: int, k: int) -> mp.mpf:
-    """log2 C(n, k), usable for astronomically large n via loggamma."""
+    """log2 C(n, k), usable for astronomically large n via loggamma.
+
+    Above n = 4096 the three loggammas are each about n ln n, while their
+    difference is about m ln(n/m), m = min(k, n - k), so about
+    bitlen(n) - bitlen(m) leading bits cancel.  The difference is taken with
+    that many extra bits, plus bitlen(bitlen(n)) + 8 for the ln n factor and
+    the rounding, and rounded back to working precision."""
     if k < 0 or k > n:
         return mp.mpf("-inf")
     if n <= 4096:
         return mp.log(mpf_from(binom(n, k)), 2)
-    ln = mp.loggamma(mpf_from(n) + 1) - mp.loggamma(mpf_from(k) + 1) \
-        - mp.loggamma(mpf_from(n - k) + 1)
-    return ln / mp.log(2)
+    m = min(k, n - k)
+    if m == 0:
+        return mp.mpf(0)
+    bits = n.bit_length()
+    with mp.extraprec(bits - m.bit_length() + bits.bit_length() + 8):
+        ln = mp.loggamma(mpf_from(n) + 1) - mp.loggamma(mpf_from(k) + 1) \
+            - mp.loggamma(mpf_from(n - k) + 1)
+        value = ln / mp.log(2)
+    return +value
 
 
 def entropy_power(n: int, t: int) -> Fraction:

@@ -102,6 +102,9 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
     gamma = Fraction(gamma)
     if not (0 <= beta < 1 and 0 <= gamma < 1):
         raise ValueError("beta, gamma must lie in [0, 1)")
+    # checked here too, since an empty interval never reaches check_sstep
+    if s < 1:
+        raise ValueError("step s must be >= 1")
     lo1 = math.ceil(beta * n)
     hi1 = math.floor((1 - gamma) * Fraction(n, 2))
     lo2 = math.ceil((1 + gamma) * Fraction(n, 2))

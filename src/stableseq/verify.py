@@ -6,6 +6,7 @@ full suite adds the dimension-5 hypercube sweeps and a percolation run.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import bounds as bnd
@@ -25,19 +26,22 @@ def small_regular_corpus():
 
 
 def run_suite(suite: str):
-    yield from _suite_small()
+    # Several checks read the same graph's counts; each graph is counted
+    # once per run (Graph is a frozen dataclass, so equal graphs hit).
+    count = functools.cache(count_by_size)
+    yield from _suite_small(count)
     if suite == "full":
-        yield from _suite_full()
+        yield from _suite_full(count)
 
 
-def _suite_small():
-    seq = count_by_size(graphs.claw_composite())
+def _suite_small(count):
+    seq = count(graphs.claw_composite())
     yield ("claw-composite counts", tuple(seq.counts) == (1, 49, 48, 64),
            f"got {list(seq.counts)}")
 
     for d in (3, 4):
         g = graphs.hypercube(d)
-        a = count_by_size(g)
+        a = count(g)
         b = sequence_from_profile(side_profile(g))
         agree = a.counts == b.counts
         uni, _ = seqshape.is_unimodal(a)
@@ -47,14 +51,14 @@ def _suite_small():
     corpus = small_regular_corpus()
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g)
+        s = count(g)
         if bnd.check_sandwich(g.n, d, s):
             bad.append(name)
     yield ("count sandwich on small corpus", not bad, ",".join(bad))
 
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g)
+        s = count(g)
         b = graphs.bipartition(g)
         if bnd.check_partition_dominance(g, b, d, s):
             bad.append(name)
@@ -62,7 +66,7 @@ def _suite_small():
 
     tight = True
     for d in range(2, 6):
-        s = count_by_size(graphs.complete_bipartite(d, d))
+        s = count(graphs.complete_bipartite(d, d))
         exact = polynomial_eval(s, 1)
         bound = bnd.partition_upper_regular_value(2 * d, d, 1)
         if bound != exact + 1:
@@ -84,7 +88,7 @@ def _suite_small():
 
     bad = []
     for name, g, _d in corpus:
-        s = count_by_size(g)
+        s = count(g)
         holds, wit = seqshape.check_final_third(s)
         if not holds:
             bad.append(f"{name}@{wit}")
@@ -96,7 +100,7 @@ def _suite_small():
     ok = True
     for d in (3, 4):
         g = graphs.hypercube(d)
-        s = count_by_size(g)
+        s = count(g)
         prof = cube.small_profile(d)
         for t in range(s.alpha + 1):
             if cube.eq_upper_small_sets(d, t, profile=prof) < s[t]:
@@ -105,7 +109,7 @@ def _suite_small():
 
     bad = []
     for name, g, d in corpus:
-        s = count_by_size(g)
+        s = count(g)
         n = g.n // 2
         top = int((Fraction(9, 10) * Fraction(n, 2)))
         for j in range(0, top + 1):
@@ -116,9 +120,9 @@ def _suite_small():
            ",".join(bad))
 
 
-def _suite_full():
+def _suite_full(count):
     g5 = graphs.hypercube(5)
-    a = count_by_size(g5)
+    a = count(g5)
     b = sequence_from_profile(side_profile(g5))
     yield ("qd:5 backend agreement", a.counts == b.counts, "")
     uni, _ = seqshape.is_unimodal(a)

@@ -90,6 +90,18 @@ def test_bounds_rejects_irregular(capsys):
     assert err == "error: bounds verb needs a regular bipartite graph\n"
 
 
+@pytest.mark.parametrize("step", ["-3", "0"])
+@pytest.mark.parametrize("beta_gamma", ["0", "9/10"])
+def test_check_bgs_rejects_step_below_one(capsys, beta_gamma, step):
+    # at beta = gamma = 9/10 both intervals of Q_3 are empty, so no s-step
+    # check runs on them; the step is refused all the same
+    code, out, err = run_cli(capsys, "check", "--graph", "qd:3",
+                             "--property", "bgs", "--beta", beta_gamma,
+                             "--gamma", beta_gamma, "--step", step)
+    assert (code, out, err) == (
+        2, "", "error: property check rejected: step s must be >= 1\n")
+
+
 def test_cube_structure_verb(capsys):
     code, out, _ = run_cli(capsys, "cube-structure", "--d", "4",
                            "--set", "0,15", "--format", "json")
@@ -198,6 +210,21 @@ def test_cube_window_json_pinned(capsys, row):
         "d": d, "t": t, "lambda": f"{lam.numerator}/{lam.denominator}",
         "central_log2": central, "f_cut": fc, "e1": e1, "e1_reason": reason1,
         "e2": e2, "e2_reason": reason2, "range": tag}]}
+
+
+# central_log2 where the loggammas of log2 C(2^(d-1), t) cancel most of
+# their bits (t or 2^(d-1) - t small); each value equals a 4000-bit run.
+@pytest.mark.parametrize("d, t, central", [
+    (128, 1, "129.442695040888963"),
+    (2000, 1, "2001.44269504088896"),
+    (2000, 3, "5999.74312262194573"),
+    (2000, (1 << 1999) - 1, "2000.0"),
+])
+def test_cube_window_central_keeps_its_digits(capsys, d, t, central):
+    code, out, _ = run_cli(capsys, "cube-window", "--d", str(d), "--t",
+                           str(t), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["central_log2"] == central
 
 
 def test_undecided_comparison_exits_2(capsys, monkeypatch):
@@ -334,6 +361,18 @@ def test_verify_suite(capsys, suite):
     assert code == 0
     assert "0 failure(s)" in out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_counts_each_graph_once(capsys, monkeypatch):
+    import stableseq.verify
+    counted = []
+    count = stableseq.verify.count_by_size
+    monkeypatch.setattr(stableseq.verify, "count_by_size",
+                        lambda g: counted.append(g) or count(g))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "full")
+    assert code == 0 and "0 failure(s)" in out
+    # the claw composite, the 10 corpus graphs, Q_4, knn:5,5 and Q_5
+    assert len(counted) == len(set(counted)) == 14
 
 
 def test_verify_json_matches_plain(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations
 
@@ -81,28 +82,58 @@ def brute_scattered_counts(d):
 
 # ---------------------------------------------------------------------------
 
+def test_vertex_set_checks_itself():
+    for d, bits, message in (
+            (3, 1 << 40, r"^bitset is not a vertex set of Q_3$"),
+            (3, 1 << 8, r"^bitset is not a vertex set of Q_3$"),
+            (3, -1, r"^bitset is not a vertex set of Q_3$"),
+            (21, 1, r"^dimension d = 21 outside \[1, 20\]$"),
+            (0, 0, r"^dimension d = 0 outside \[1, 20\]$")):
+        with pytest.raises(ValueError, match=message):
+            VertexSet(d, bits)
+    assert VertexSet(1, 0b11).size == 2
+    assert VertexSet(3, (1 << 8) - 1).size == 8
+
+
+def test_set_functions_read_the_dimension_from_the_set():
+    for fn in (neighborhood, closure, two_components, structure_stats):
+        assert list(inspect.signature(fn).parameters) == ["a"]
+    verts = [0, 17]
+    a = cube.vertex_set(5, verts)
+    assert neighborhood(a).d == closure(a).d == 5
+    assert set(neighborhood(a).vertices()) == brute_nbhd(5, verts)
+    assert set(closure(a).vertices()) == brute_closure(5, verts)
+    st5 = structure_stats(a)
+    assert (st5.size, st5.nbhd, st5.closure) == \
+        (2, len(brute_nbhd(5, verts)), len(brute_closure(5, verts)))
+    assert [set(c) for c in st5.components] == \
+        [set(c) for c in brute_two_components(5, verts)]
+    with pytest.raises(ValueError, match=r"^dimension d = 1 outside \[2, 20\]$"):
+        structure_stats(VertexSet(1, 0b1))
+
+
 def test_neighborhood_examples():
     d = 4
     a = vs(d, [0])
-    na = neighborhood(d, a)
+    na = neighborhood(a)
     assert na.size == d
     assert sorted(na.vertices()) == [1, 2, 4, 8]
-    assert neighborhood(d, vs(d, [])).bits == 0
+    assert neighborhood(vs(d, [])).bits == 0
     a = vs(3, [0b000, 0b011])
-    assert sorted(neighborhood(3, a).vertices()) == [0b001, 0b010, 0b100, 0b111]
+    assert sorted(neighborhood(a).vertices()) == [0b001, 0b010, 0b100, 0b111]
 
 
 def test_closure_examples():
     for d in (3, 4):
         for v in range(1 << d):
-            assert closure(d, vs(d, [v])).vertices() == [v]
+            assert closure(vs(d, [v])).vertices() == [v]
     # the whole even class closes to itself and is not small
     d = 4
     evens = [v for v in range(16) if v.bit_count() % 2 == 0]
-    cl = closure(d, vs(d, evens))
+    cl = closure(vs(d, evens))
     assert sorted(cl.vertices()) == evens
-    assert not structure_stats(d, vs(d, evens)).small
-    assert closure(3, vs(3, [])).bits == 0
+    assert not structure_stats(vs(d, evens)).small
+    assert closure(vs(3, [])).bits == 0
 
 
 def test_closure_literal_for_non_independent_sets():
@@ -110,32 +141,32 @@ def test_closure_literal_for_non_independent_sets():
     # literal closure drops both
     d = 3
     a = vs(d, [0b000, 0b001])
-    cl = closure(d, a)
+    cl = closure(a)
     assert 0b000 not in cl.vertices()
 
 
 def test_two_components_examples():
-    comps = two_components(3, vs(3, [0b000, 0b011]))
+    comps = two_components(vs(3, [0b000, 0b011]))
     assert len(comps) == 1 and comps[0].size == 2
-    comps = two_components(4, vs(4, [0b0000, 0b1111]))
+    comps = two_components(vs(4, [0b0000, 0b1111]))
     assert len(comps) == 2 and all(c.size == 1 for c in comps)
-    comps = two_components(4, vs(4, [0b0000]))
+    comps = two_components(vs(4, [0b0000]))
     assert len(comps) == 1 and comps[0].size == 1
     with pytest.raises(ValueError):
-        two_components(3, vs(3, [0b000, 0b001]))
+        two_components(vs(3, [0b000, 0b001]))
 
 
 def test_structure_stats_sides():
-    st = structure_stats(4, vs(4, [0b0000, 0b0011]))
+    st = structure_stats(vs(4, [0b0000, 0b0011]))
     assert (st.size, st.nbhd, st.closure) == (2, 6, 2)
     assert st.small and st.comps == 1 and st.max_comp == 2
     assert vs(4, [0b0000]).side == cube.SIDE_EVEN
     assert vs(4, [0b0001]).side == cube.SIDE_ODD
     assert vs(4, [0b0000, 0b0001]).side == cube.SIDE_MIXED
     # the decomposition is not defined across parities
-    mixed = structure_stats(4, vs(4, [0b0000, 0b0001]))
+    mixed = structure_stats(vs(4, [0b0000, 0b0001]))
     assert mixed.comps is None and mixed.max_comp is None
-    empty = structure_stats(4, vs(4, []))
+    empty = structure_stats(vs(4, []))
     assert empty.comps == 0 and empty.max_comp == 0
 
 
@@ -145,10 +176,10 @@ def test_against_brute_force_small_sets():
         for size in (1, 2, 3):
             for verts in combinations(evens, size):
                 a = vs(d, verts)
-                assert set(neighborhood(d, a).vertices()) == brute_nbhd(d, verts)
-                assert set(closure(d, a).vertices()) == brute_closure(d, verts)
+                assert set(neighborhood(a).vertices()) == brute_nbhd(d, verts)
+                assert set(closure(a).vertices()) == brute_closure(d, verts)
                 ours = sorted(frozenset(c.vertices())
-                              for c in two_components(d, a))
+                              for c in two_components(a))
                 assert ours == brute_two_components(d, verts)
 
 
@@ -160,12 +191,12 @@ def test_against_brute_force_random_larger_sets():
             size = rng.randrange(1, 9)
             verts = tuple(sorted(rng.sample(evens, size)))
             a = vs(d, verts)
-            assert set(neighborhood(d, a).vertices()) == brute_nbhd(d, verts)
-            assert set(closure(d, a).vertices()) == brute_closure(d, verts)
+            assert set(neighborhood(a).vertices()) == brute_nbhd(d, verts)
+            assert set(closure(a).vertices()) == brute_closure(d, verts)
             ours = sorted(frozenset(c.vertices())
-                          for c in two_components(d, a))
+                          for c in two_components(a))
             assert ours == brute_two_components(d, verts)
-            assert structure_stats(d, a).small == \
+            assert structure_stats(a).small == \
                 (len(brute_closure(d, verts)) <= 1 << (d - 2))
 
 
@@ -176,9 +207,9 @@ def test_scattered_sets_have_full_neighborhoods():
         for size in (1, 2, 3):
             for verts in combinations(evens, size):
                 a = vs(d, verts)
-                comps = two_components(d, a)
+                comps = two_components(a)
                 if max(c.size for c in comps) <= 1:
-                    assert neighborhood(d, a).size == d * size, (d, verts)
+                    assert neighborhood(a).size == d * size, (d, verts)
 
 
 def test_pairwise_common_neighbor_cap():
@@ -250,7 +281,7 @@ def nested_even_sets(draw):
 def test_closure_grows_with_the_set(sets):
     # the small-set walk drops every superset of a set that is not small
     d, a, b = sets
-    assert closure(d, a).bits & ~closure(d, b).bits == 0
+    assert closure(a).bits & ~closure(b).bits == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,11 +299,11 @@ def test_scan_tables_give_the_closure(d, data):
         nbhd |= rows[i]
     a = vs(d, [evens[i] for i in chosen])
     assert {odds[j] for j in range(len(odds)) if nbhd >> j & 1} == \
-        set(neighborhood(d, a).vertices())
+        set(neighborhood(a).vertices())
     inside = lo[nbhd & 255] & hi[nbhd >> 8]
     assert {evens[i] for i in range(len(evens)) if inside >> i & 1} == \
-        set(closure(d, a).vertices())
-    assert inside.bit_count() == closure(d, a).size
+        set(closure(a).vertices())
+    assert inside.bit_count() == closure(a).size
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,18 +316,18 @@ def test_flip_closure_matches_per_vertex_definition(d, data):
         bits &= data.draw(st.integers(0, (1 << (1 << d)) - 1))
     verts = [v for v in range(1 << d) if bits >> v & 1]
     a = VertexSet(d, bits)
-    assert set(neighborhood(d, a).vertices()) == brute_nbhd(d, verts)
-    assert set(closure(d, a).vertices()) == brute_closure(d, verts)
+    assert set(neighborhood(a).vertices()) == brute_nbhd(d, verts)
+    assert set(closure(a).vertices()) == brute_closure(d, verts)
 
 
 def test_flip_closure_at_the_dimension_cap():
     # 2**20 vertices: the closure and neighborhood come from d coordinate
     # flips of 2**20-bit sets, not from one row per vertex
     a = cube.vertex_set(20, [0, 3, 5])
-    st20 = structure_stats(20, a)
+    st20 = structure_stats(a)
     assert (st20.size, st20.nbhd, st20.closure, st20.small) == \
         (3, 55, 3, True)
-    assert set(neighborhood(20, a).vertices()) == brute_nbhd(20, [0, 3, 5])
+    assert set(neighborhood(a).vertices()) == brute_nbhd(20, [0, 3, 5])
 
 
 def test_small_scans_refuse_dimension_below_two():
@@ -319,6 +350,14 @@ def test_small_scan_table_is_ordered(tmp_path):
         assert list(miss) == sorted(miss), d
         hit = small_set_scan(d, cache_dir=str(tmp_path))
         assert list(hit.items()) == list(miss.items()), d
+
+
+def test_small_scan_reads_no_environment(tmp_path, monkeypatch):
+    # the disk cache is reached only through cache_dir=
+    monkeypatch.setenv("STABLESEQ_CACHE_DIR", str(tmp_path / "env"))
+    assert small_set_scan(3) == small_set_scan(3, cache_dir=str(tmp_path / "arg"))
+    assert small_profile(3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arg"]
 
 
 def test_small_scan_cache_roundtrip(tmp_path):
@@ -458,6 +497,6 @@ def test_neighborhood_additive_over_two_components():
         size = rng.randrange(1, 8)
         verts = tuple(sorted(rng.sample(evens, size)))
         a = vs(d, verts)
-        comps = two_components(d, a)
-        assert neighborhood(d, a).size == \
-            sum(neighborhood(d, c).size for c in comps)
+        comps = two_components(a)
+        assert neighborhood(a).size == \
+            sum(neighborhood(c).size for c in comps)

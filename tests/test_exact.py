@@ -10,11 +10,11 @@ from stableseq import exact, graphs
 from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
                              polynomial_eval, sequence_from_profile,
                              side_profile)
-from stableseq.graphs import GraphError, _components, bipartition
+from stableseq.graphs import GraphError, bipartition
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
-                  convolve, disjoint_union, fraction_polynomial_eval,
-                  regular_bipartite_corpus)
+                  components, convolve, disjoint_union,
+                  fraction_polynomial_eval, regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
 Q4_SEQUENCE = (1, 16, 88, 208, 228, 128, 56, 16, 2)
@@ -306,7 +306,7 @@ def test_wide_random_bipartite_matches_side_profile(seed):
     edges = [(i, a + j) for i in range(a) for j in range(b)
              if rng.random() < p]
     g = graphs.from_edges(a + b, edges)
-    assert max(c.bit_count() for c in _components(g.adj, (1 << g.n) - 1)) > 64
+    assert max(c.bit_count() for c in components(g.adj, (1 << g.n) - 1)) > 64
     # isolated vertices of the large class go to class O, so the scan is
     # over at most the small class
     assert count_by_size(g).counts == \
@@ -337,7 +337,7 @@ def test_split_matches_components_and_brute_force(p, seed):
                               for v in range(u + 1, core) if rng.random() < p])
     for mask in ((1 << n) - 1, rng.getrandbits(n)):
         split = exact._split(g.adj, mask)
-        assert [c for c, _, _, _ in split] == _components(g.adj, mask)
+        assert [c for c, _, _, _ in split] == components(g.adj, mask)
         for comp, v, deg, deg_sum in split:
             assert (v, deg, deg_sum) == _brute_branch_vertex(g.adj, comp)
 

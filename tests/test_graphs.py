@@ -11,7 +11,8 @@ from stableseq.graphs import (GraphError, NotBipartiteError,
                               regularity_profile)
 from stableseq.percolation import percolate
 
-from util import check_simple, disjoint_union, regular_bipartite_corpus
+from util import (check_simple, components, disjoint_union,
+                  regular_bipartite_corpus)
 
 
 def test_q2_is_a_4_cycle():
@@ -185,7 +186,7 @@ def test_bipartition_class_e_is_the_sum_of_component_minima():
         g = disjoint_union(*parts)
         b = bipartition(g)
         minima = 0
-        for comp in graphs._components(g.adj, (1 << g.n) - 1):
+        for comp in components(g.adj, (1 << g.n) - 1):
             if comp.bit_count() == 1:
                 assert comp.bit_length() - 1 in b.class_o
                 continue

@@ -48,13 +48,26 @@ def test_mpf_from_edge_values():
 
 
 def test_log2_binom_matches_direct_conversion():
-    for n, k in ((4096, 2048), (1 << 20, 3), (1 << 191, 1 << 189)):
-        if n <= 4096:
-            direct = mp.log(mp.mpf(math.comb(n, k)), 2)
-        else:
-            direct = (mp.loggamma(mp.mpf(n) + 1) - mp.loggamma(mp.mpf(k) + 1)
-                      - mp.loggamma(mp.mpf(n - k) + 1)) / mp.log(2)
-        assert log2_binom(n, k)._mpf_ == direct._mpf_
+    # The reference is log2 of the exact integer binomial where it is small
+    # enough to build, else the loggamma difference, each taken with
+    # bitlen(n) + 64 extra bits and rounded to working precision.  The
+    # loggamma difference at working precision is no reference: its three
+    # terms cancel about bitlen(n) - bitlen(min(k, n - k)) leading bits.
+    wp = mp.mp.prec
+    for n, k in ((4096, 2048), (1 << 20, 3), (1 << 191, 1 << 189),
+                 (1 << 127, 1), (1 << 127, 3), (1 << 1999, 1),
+                 (1 << 1999, (1 << 1999) - 1)):
+        with mp.workprec(wp + n.bit_length() + 64):
+            if min(k, n - k) <= 3:
+                ref = mp.log(mp.mpf(math.comb(n, k)), 2)
+            else:
+                ref = (mp.loggamma(mp.mpf(n) + 1) - mp.loggamma(mp.mpf(k) + 1)
+                       - mp.loggamma(mp.mpf(n - k) + 1)) / mp.log(2)
+        assert log2_binom(n, k)._mpf_ == (+ref)._mpf_, (n, k)
+    # C(2^1999, 1) = C(2^1999, 2^1999 - 1) = 2^1999; the loggammas at
+    # working precision gave 1.0 for the second
+    assert log2_binom(1 << 1999, 1) == log2_binom(1 << 1999, (1 << 1999) - 1) \
+        == 1999
 
 
 def test_escalation_gives_up_at_its_cap_and_restores_precision():

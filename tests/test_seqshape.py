@@ -133,6 +133,13 @@ def test_property_bgs_rejects_wrong_range():
         ss.check_property_bgs(AEMS, 24, 0, 0, 1)  # claw composite: alpha != n
     with pytest.raises(ValueError):
         ss.check_property_bgs((1, 2, 1), 2, Fraction(1, 2), 1, 1)
+    # a step below 1, also where both intervals are empty and no s-step
+    # check runs on them
+    for beta_gamma in (0, Fraction(9, 10)):
+        for s in (0, -3):
+            with pytest.raises(ValueError, match="^step s must be >= 1$"):
+                ss.check_property_bgs((1, 8, 16, 8, 2), 4, beta_gamma,
+                                      beta_gamma, s)
 
 
 def test_property_bgs_monotone_in_s_on_corpus():

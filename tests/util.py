@@ -3,10 +3,11 @@ and the graph corpus.
 
 The oracles here deliberately avoid the library's incremental tricks: plain
 subset scans and quadratic checks, so they stay independent of the code
-paths they validate.  Three helpers that only tests need live here rather
-than in the library: the simplicity check check_simple, the test graph
-builder disjoint_union, and count_upper_via_partition_log2, a second route
-to the entropy count bound.
+paths they validate.  Four helpers that only tests need live here rather
+than in the library: the simplicity check check_simple, disjoint_union,
+which places test graphs side by side, count_upper_via_partition_log2, a
+second route to the entropy count bound, and components, the plain flood
+fill that the engine's component sweep is checked against.
 """
 
 from __future__ import annotations
@@ -41,6 +42,26 @@ def check_simple(g: Graph) -> None:
         for v in bits_of(g.adj[u]):
             if not (g.adj[v] >> u & 1):
                 raise GraphError(f"asymmetric edge {u}->{v}")
+
+
+def components(adj, mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph on mask, in
+    order of their lowest vertex, by a plain bitset flood fill.  adj[v] is
+    the neighbour mask of v; it is read only at the vertices of mask."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
 
 
 def disjoint_union(*parts: Graph) -> Graph:
