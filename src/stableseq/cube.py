@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
-from .exact import _binom_sum, _split, count_by_size
+from .exact import _binom_sum, count_by_size
 from .graphs import Graph
 from .numerics import binom, bits_of
 
@@ -130,17 +130,31 @@ def two_components(a: VertexSet) -> list[VertexSet]:
     """Partition of A (inside one parity class) into maximal 2-linked
     pieces, in order of their lowest vertex.  Within one class two vertices
     lie in the same piece exactly when they are linked through shared
-    neighbors, i.e. through chains of Hamming-distance-2 steps; the pieces
-    are the connected components that the exact engine's sweep (_split)
-    finds over those steps."""
+    neighbors, i.e. through chains of Hamming-distance-2 steps.  Each piece
+    is grown from its lowest vertex left in A by probing the C(d, 2) flips
+    v ^ (2**i | 2**j) of each of its vertices against the set of A's
+    vertices, so the work grows with |A| * d**2, not with 2**d."""
     if a.side == SIDE_MIXED:
         raise ValueError("2-component decomposition expects A within one "
                          "parity class")
     d = a.d
     steps = [1 << i ^ 1 << j for i in range(d) for j in range(i)]
-    rows = {v: sum(1 << (v ^ step) for step in steps)
-            for v in bits_of(a.bits)}
-    return [VertexSet(d, c) for c, _, _, _ in _split(rows, a.bits)]
+    verts = a.vertices()
+    left = set(verts)
+    out = []
+    for v in verts:
+        if v not in left:
+            continue
+        left.remove(v)
+        piece = [v]
+        for u in piece:
+            for step in steps:
+                w = u ^ step
+                if w in left:
+                    left.remove(w)
+                    piece.append(w)
+        out.append(VertexSet(d, sum(1 << w for w in piece)))
+    return out
 
 
 @dataclass(frozen=True)

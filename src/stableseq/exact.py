@@ -5,13 +5,16 @@ vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
 remaining vertex set into connected components whose sequences multiply,
 and memoises the sequence of every branched component, one of maximum
 degree above 2, by its vertex mask.  One bitset sweep of a vertex set
-(_split) gives its components together with each one's branch vertex,
-maximum degree and degree sum, so every set is walked once.  Components
-of maximum degree at most 2 are closed where their sequences are
-multiplied, never pushed or memoised: single vertices by a binomial row,
-a path by its own closed form, a cycle by the branch rule applied once to
-two paths.  Their sequences depend only on size and kind, so they are
-cached by those.
+(_split) gives its components that have an edge, together with each one's
+branch vertex, maximum degree and degree sum, and the number of its
+isolated vertices, so every set is walked once.  An isolated vertex is
+never a component: it is counted where the sweep reads its empty row, and
+the s isolated vertices of a set contribute one binomial row (1 + x)**s.
+Components of maximum degree at most 2 are closed where their sequences
+are multiplied, never pushed or memoised: a path by its own closed form, a
+cycle by the branch rule applied once to two paths.  These sequences and
+the binomial rows depend only on size and kind, so they are cached by
+those.
 
 Inside one connected component C of the input, every sequence is packed
 into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
@@ -62,9 +65,9 @@ SIDE_BACKEND_CAP = 28
 # paths and cycles are not charged: a branch node's children are disjoint
 # induced subgraphs, so the forms one node needs take at most about four
 # times the words of its own entry.  Q_6 takes 858445 words in 94582
-# entries (about 1.2 s to count, 43 MB peak RSS for the whole `count`
-# process); Q_7 stops at the budget after 99603 branch nodes, 1.5 s and
-# 48 MB (Python 3.11, x86-64, 2-core Xeon).
+# entries (about 1.1-1.2 s to count, 44 MB peak RSS for the whole `count`
+# process); Q_7 stops at the budget after 99603 branch nodes, about 1.5 s
+# and 53 MB (Python 3.11, x86-64, 2-core Xeon).
 MEMO_WORD_BUDGET = 1 << 21
 
 # Fewest equal top-level components raised by the power recurrence; fewer
@@ -210,18 +213,27 @@ def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
     return IndSetSequence(tuple(counts))
 
 
-def _split(adj, mask: int) -> list[tuple[int, int, int, int]]:
-    """Connected components of the subgraph on mask, in order of their
-    lowest vertex, each as (component, v, deg(v), degree sum), where v is the
-    component's lowest-indexed vertex of maximum degree.  One bitset BFS:
-    at each vertex, adj[v] & mask is both its reach and its degree.  A
-    degree sum of 0 marks a single vertex.  adj[v] is the neighbour mask of
-    v (a tuple, list or dict of rows), read only at the vertices of mask."""
+def _split(adj, mask: int) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The connected components of the subgraph on mask that have an edge,
+    in order of their lowest vertex, each as (component, v, deg(v), degree
+    sum), where v is the component's lowest-indexed vertex of maximum
+    degree, and the number of isolated vertices of mask.  One bitset BFS:
+    at each vertex, adj[v] & mask is both its reach and its degree, so a
+    vertex whose first read is 0 is counted and dropped at once, with no
+    frontier and no tuple.  adj[v] is the neighbour mask of v, read only
+    at the vertices of mask."""
     out = []
+    singles = 0
     while mask:
-        comp = frontier = mask & -mask
-        best_v = best_deg = -1
-        deg_sum = 0
+        low = mask & -mask
+        best_v = low.bit_length() - 1
+        frontier = adj[best_v] & mask
+        if not frontier:
+            singles += 1
+            mask ^= low
+            continue
+        best_deg = deg_sum = frontier.bit_count()
+        comp = low | frontier
         while frontier:
             reach = 0
             while frontier:
@@ -237,8 +249,8 @@ def _split(adj, mask: int) -> list[tuple[int, int, int, int]]:
             frontier = reach & ~comp
             comp |= frontier
         out.append((comp, best_v, best_deg, deg_sum))
-        mask &= ~comp
-    return out
+        mask ^= comp
+    return out, singles
 
 
 def _path_sequence(k: int) -> list[int]:
@@ -313,20 +325,20 @@ def _closed_sequence(k: int, cycle: bool) -> list[int]:
     return list(map(add, _path_sequence(k - 1), [0] + _path_sequence(k - 3)))
 
 
-def _packed_product(memo: dict[int, int], comps: list[tuple],
+def _packed_product(memo: dict[int, int], split: tuple,
                     closed: dict[int, int], width: int) -> int:
-    """Packed sequence of the disjoint union of comps, split tuples as
-    _split gives them: the product of the memo entries of the branched
-    components, of the packed closed forms of the paths and cycles, and of
-    the packed binomial row of the single vertices.  closed caches the
-    packed forms, keyed by 2k for the path on k vertices, 2k + 1 for the
-    cycle and -s for the row of s single vertices."""
+    """Packed sequence of the vertex set that _split gave split for: the
+    product of the memo entries of its branched components, of the packed
+    closed forms of its paths and cycles, and of the packed binomial row of
+    its isolated vertices, multiplied once for all of them.  closed caches
+    the packed forms, keyed by 2k for the path on k vertices, 2k + 1 for the
+    cycle and -s for the row of s isolated vertices."""
+    comps, singles = split
     out = 1
-    singles = 0
     for c, _, max_deg, deg_sum in comps:
         if max_deg > 2:
             out *= memo[c]
-        elif deg_sum:
+        else:
             # connected with maximum degree <= 2: a path if it has fewer
             # than k edges, else a cycle
             k = c.bit_count()
@@ -336,8 +348,6 @@ def _packed_product(memo: dict[int, int], comps: list[tuple],
                 packed = closed[key] = _pack(_closed_sequence(k, key & 1),
                                              width)
             out *= packed
-        else:
-            singles += 1
     if singles:
         row = closed.get(-singles)
         if row is None:
@@ -354,10 +364,12 @@ def count_by_size(g: Graph) -> IndSetSequence:
     set is swept once, by _split; a stack entry is either a split tuple to
     expand or a branch node waiting for its children.  Only branched
     components, those of maximum degree above 2, are pushed and memoised:
-    single vertices, paths and cycles are closed where _packed_product
+    isolated vertices, paths and cycles are closed where _packed_product
     multiplies them, from packed binomial rows and closed forms cached by
     size and kind for the component being counted.  A component of the
-    input that is itself a path or cycle takes its closed form directly.
+    input that is itself a path or cycle takes its closed form directly,
+    and the isolated vertices of the input join the top-level group of
+    1 + x.
     The work runs on an explicit stack, so no input can exhaust Python's
     recursion limit.  A component's memo entry is stored once the sequences
     of both branches are known, and the memo lives for one call.  Raises
@@ -367,9 +379,10 @@ def count_by_size(g: Graph) -> IndSetSequence:
     """
     adj = g.adj
     memo: dict[int, int] = {}
-    groups: dict[tuple[int, ...], int] = {}
+    roots, isolated = _split(adj, (1 << g.n) - 1)
+    groups: dict[tuple[int, ...], int] = {(1, 1): isolated} if isolated else {}
     branch_nodes = words = 0
-    for root in _split(adj, (1 << g.n) - 1):
+    for root in roots:
         top, _, max_deg, deg_sum = root
         if max_deg <= 2:
             k = top.bit_count()
@@ -390,9 +403,9 @@ def count_by_size(g: Graph) -> IndSetSequence:
                 branch_nodes += 1
                 without = _split(adj, c & ~(1 << v))
                 rest = c & ~(adj[v] | 1 << v)
-                with_v = _split(adj, rest) if rest else []
+                with_v = _split(adj, rest) if rest else ([], 0)
                 stack.append((c, without, with_v))
-                for x in without + with_v:
+                for x in without[0] + with_v[0]:
                     if x[2] > 2 and x[0] not in memo:
                         stack.append(x)
                 continue

@@ -18,12 +18,20 @@ import mpmath as mp
 # class sizes around 2**20.
 DEFAULT_PRECISION_BITS = 128
 _GUARD_BITS = 32
+_MAX_PREC = 16384   # interval precision at which a comparison gives up
 
 
 def set_precision(bits: int = DEFAULT_PRECISION_BITS) -> None:
-    """Set the working precision (mantissa bits, guard bits added on top)."""
+    """Set the working precision (mantissa bits, guard bits added on top).
+    With the guard bits it may not pass _MAX_PREC, where an interval
+    comparison that cannot decide gives up, or no comparison would run."""
     if bits < 53:
         raise ValueError("precision below double precision is not supported")
+    if bits + _GUARD_BITS > _MAX_PREC:
+        raise ValueError(
+            f"precision above {_MAX_PREC - _GUARD_BITS} bits is not supported "
+            f"(with {_GUARD_BITS} guard bits, interval comparisons stop at "
+            f"{_MAX_PREC} bits)")
     mp.mp.prec = bits + _GUARD_BITS
     mp.iv.prec = bits + _GUARD_BITS
 
@@ -119,9 +127,6 @@ def entropy_power(n: int, t: int) -> Fraction:
 
 class UndecidedComparison(ArithmeticError):
     """An interval comparison stayed ambiguous after precision escalation."""
-
-
-_MAX_PREC = 16384   # interval precision at which a comparison gives up
 
 
 def _escalate(decide, what: str, arg):

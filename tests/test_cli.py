@@ -542,6 +542,27 @@ def test_precision_below_double_exits_2(capsys):
     assert (mp.mp.prec, mp.iv.prec) == prec
 
 
+@pytest.mark.parametrize("bits", ["16353", "20000"])
+def test_precision_past_the_interval_cap_exits_2(capsys, bits):
+    # 32 guard bits on top would start every interval comparison past its
+    # 16384-bit cap, so none would run and each would read as undecided
+    prec = mp.mp.prec, mp.iv.prec
+    code, out, err = run_cli(capsys, "--precision", bits, "cube-window",
+                             "--d", "5", "--t", "8")
+    assert (code, out) == (2, "")
+    assert err == ("error: precision above 16352 bits is not supported "
+                   "(with 32 guard bits, interval comparisons stop at "
+                   "16384 bits)\n")
+    assert (mp.mp.prec, mp.iv.prec) == prec
+
+
+def test_precision_at_the_interval_cap_runs(capsys):
+    code, out, err = run_cli(capsys, "--precision", "16352", "cube-window",
+                             "--d", "5", "--t", "8")
+    assert (code, err) == (0, "")
+    assert out.startswith("d=5 t=8 [below] central_log2 = 15.3730719536;")
+
+
 def test_removed_flags_are_usage_errors(capsys):
     for argv in (["count", "--graph", "qd:3", "--backend", "general"],
                  ["bounds", "--graph", "qd:3", "--backend", "auto"],

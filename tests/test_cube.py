@@ -15,6 +15,8 @@ from stableseq.cube import (NotApplicableError, VertexSet, closure,
 from stableseq.exact import count_by_size
 from stableseq.numerics import binom
 
+from util import cube_two_components
+
 Q_SEQ = {d: count_by_size(graphs.hypercube(d)).counts for d in (3, 4, 5)}
 
 
@@ -154,6 +156,39 @@ def test_two_components_examples():
     assert len(comps) == 1 and comps[0].size == 1
     with pytest.raises(ValueError):
         two_components(vs(3, [0b000, 0b001]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10), st.booleans(), st.data())
+def test_two_components_match_row_flood_fill(d, odd, data):
+    # any set inside one parity class, from a few vertices to most of it
+    picks = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                               max_size=min(1 << d, 120)))
+    bits = 0
+    for x in picks:
+        bits |= 1 << (x ^ (x.bit_count() + odd) % 2)
+    comps = two_components(VertexSet(d, bits))
+    assert [c.bits for c in comps] == cube_two_components(d, bits)
+
+
+def test_two_components_at_the_dimension_cap():
+    # 150 even vertices of Q_20, half of them a distance-2 step from an
+    # earlier one, so pieces of several vertices beside single ones
+    rng = random.Random(20)
+    verts = []
+    while len(verts) < 150:
+        if verts and rng.random() < 0.5:
+            i, j = rng.sample(range(20), 2)
+            v = rng.choice(verts) ^ 1 << i ^ 1 << j
+        else:
+            v = rng.getrandbits(20)
+            v ^= v.bit_count() % 2
+        if v not in verts:
+            verts.append(v)
+    a = cube.vertex_set(20, verts)
+    comps = two_components(a)
+    assert [c.bits for c in comps] == cube_two_components(20, a.bits)
+    assert max(c.size for c in comps) > 5 and min(c.size for c in comps) == 1
 
 
 def test_structure_stats_sides():

@@ -336,10 +336,55 @@ def test_split_matches_components_and_brute_force(p, seed):
     g = graphs.from_edges(n, [(u, v) for u in range(core)
                               for v in range(u + 1, core) if rng.random() < p])
     for mask in ((1 << n) - 1, rng.getrandbits(n)):
-        split = exact._split(g.adj, mask)
-        assert [c for c, _, _, _ in split] == components(g.adj, mask)
+        split, isolated = exact._split(g.adj, mask)
+        comps = components(g.adj, mask)
+        # a component with an edge has at least two bits; the one-bit
+        # components are only counted
+        assert [c for c, _, _, _ in split] == [c for c in comps if c & c - 1]
+        assert isolated == sum(1 for c in comps if not c & c - 1)
         for comp, v, deg, deg_sum in split:
             assert (v, deg, deg_sum) == _brute_branch_vertex(g.adj, comp)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n=14):
+    # connected or not, small parts with runs of isolated vertices before,
+    # between and after them
+    parts = []
+    n = 0
+    while n < max_n:
+        gap = draw(st.integers(0, min(3, max_n - n)))
+        parts.append(graphs.Graph(gap, (0,) * gap))
+        n += gap
+        if n >= max_n or not draw(st.booleans()):
+            break
+        part = draw(general_graphs(max_n=min(6, max_n - n)))
+        parts.append(part)
+        n += part.n
+    return disjoint_union(*parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_isolated_vertices(), st.integers(0, 2 ** 32))
+def test_isolated_vertices_between_components_match_brute_force(g, seed):
+    expected = brute_sequence(g)
+    assert list(count_by_size(g).counts) == expected
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    relabelled = graphs.from_edges(g.n, [(perm[u], perm[v])
+                                         for u, v in g.edges()])
+    assert list(count_by_size(relabelled).counts) == expected
+
+
+def test_star_among_many_isolated_vertices():
+    # K_{1,3} between two runs of 2500 isolated vertices: its sequence
+    # 1 + 4x + 3x^2 + x^3 times the binomial row (1 + x)**5000
+    empty = graphs.Graph(2500, (0,) * 2500)
+    g = disjoint_union(empty, graphs.complete_bipartite(1, 3), empty)
+    star = (1, 4, 3, 1)
+    assert count_by_size(g).counts == tuple(
+        sum(c * comb(5000, t - j) for j, c in enumerate(star) if j <= t)
+        for t in range(5004))
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [150])

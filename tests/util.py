@@ -3,11 +3,14 @@ and the graph corpus.
 
 The oracles here deliberately avoid the library's incremental tricks: plain
 subset scans and quadratic checks, so they stay independent of the code
-paths they validate.  Four helpers that only tests need live here rather
+paths they validate.  Five helpers that only tests need live here rather
 than in the library: the simplicity check check_simple, disjoint_union,
 which places test graphs side by side, count_upper_via_partition_log2, a
-second route to the entropy count bound, and components, the plain flood
-fill that the engine's component sweep is checked against.
+second route to the entropy count bound, components, the plain flood fill
+that the engine's component sweep is checked against, and
+cube_two_components, the flood fill over one 2**d-bit row of
+distance-2 neighbours per vertex that the hypercube's 2-components are
+checked against.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ def components(adj, mask: int) -> list[int]:
         out.append(comp)
         mask &= ~comp
     return out
+
+
+def cube_two_components(d: int, bits: int) -> list[int]:
+    """Vertex masks of the maximal 2-linked pieces of the set bits of Q_d,
+    in order of their lowest vertex: components over one row per vertex of
+    its C(d, 2) distance-2 neighbours, each row a 2**d-bit mask."""
+    steps = [1 << i ^ 1 << j for i in range(d) for j in range(i)]
+    rows = {v: sum(1 << (v ^ step) for step in steps) for v in bits_of(bits)}
+    return components(rows, bits)
 
 
 def disjoint_union(*parts: Graph) -> Graph:
