@@ -7,8 +7,7 @@ from .exact import IndSetSequence, SideProfile, count_by_size, polynomial_eval
 from .graphs import (Bipartition, Graph, NotBipartiteError, bipartition,
                      hypercube, complete_bipartite, cycle, path,
                      claw_composite, parse_graph_spec, regularity_profile)
-from .percolation import (PercolationConfig, default_step_rule, percolate,
-                          run_experiment)
+from .percolation import run_experiment
 
 __version__ = "0.1.0"
 
@@ -17,18 +16,15 @@ __all__ = [
     "Graph",
     "IndSetSequence",
     "NotBipartiteError",
-    "PercolationConfig",
     "SideProfile",
     "claw_composite",
     "bipartition",
     "complete_bipartite",
     "count_by_size",
     "cycle",
-    "default_step_rule",
     "hypercube",
     "parse_graph_spec",
     "path",
-    "percolate",
     "polynomial_eval",
     "regularity_profile",
     "run_experiment",

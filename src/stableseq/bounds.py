@@ -242,22 +242,6 @@ class BoundTable:
     degree: int
     rows: tuple[BoundRow, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.half_order,
-            "d": self.degree,
-            "rows": [
-                {
-                    "t": r.t,
-                    "lower_log2": mp.nstr(r.lower_log2, 18),
-                    "upper_log2": mp.nstr(r.upper_log2, 18),
-                    "exact_log2": mp.nstr(r.exact_log2, 18),
-                    "tags": list(r.tags),
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
     """Per-t lower/upper bounds in bits for a d-regular bipartite graph on

@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end, and the only module that knows the output
+formats: the library returns plain values (ints, Fractions, mpmath numbers
+and frozen dataclasses of them), and each verb here turns them into JSON,
+CSV or plain lines.
 
 Exit codes: 0 success, 1 a verified mathematical invariant failed during the
 run (reserved for CI wiring; it should never fire), 2 usage errors and a
@@ -9,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -38,6 +40,23 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _wire(x) -> str:
+    """JSON form of the values json cannot write itself: a Fraction as
+    p/q, denominator included, and an mpmath number to 18 significant
+    digits."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, mp.mpf):
+        return mp.nstr(x, 18)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+def _fields(result, **renames) -> dict:
+    """The fields of a result dataclass by name, with the renamed ones under
+    their wire names."""
+    return {renames.get(k, k): v for k, v in vars(result).items()}
+
+
 def _emit(args, payload: dict, plain_lines: Iterable[str],
           csv_header: Iterable[str] | None = None,
           csv_rows: Iterable[Iterable] = ()) -> None:
@@ -46,7 +65,7 @@ def _emit(args, payload: dict, plain_lines: Iterable[str],
     CSV form).  Every CSV line ends in "\n".  Only the chosen output is
     read, so the lines and rows may be generators."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, default=_wire))
     elif args.format == "csv":
         if csv_header is None:
             raise ValueError("csv format not available for this verb")
@@ -66,9 +85,11 @@ def cmd_count(args) -> int:
     seq = count_by_size(graphs.parse_graph_spec(args.graph))
     # Each count is converted to decimal once, here, and every format reuses
     # the strings: for a long sequence of big counts that takes seconds.
-    payload = seq.to_json_dict(args.graph)
-    counts = payload["counts"]
-    head = f"graph {args.graph}: alpha = {seq.alpha}, total = {payload['total']}"
+    counts = [str(c) for c in seq.counts]
+    total = str(seq.total)
+    payload = {"graph": args.graph, "alpha": seq.alpha, "total": total,
+               "counts": counts}
+    head = f"graph {args.graph}: alpha = {seq.alpha}, total = {total}"
     _emit(args, payload,
           itertools.chain([head], (f"  i_{t} = {c}" for t, c in enumerate(counts))),
           ("t", "count"), enumerate(counts))
@@ -83,7 +104,9 @@ def cmd_bounds(args) -> int:
         raise ValueError("bounds verb needs a regular bipartite graph")
     d = degs.pop()
     seq = count_by_size(g)
-    payload = bnd.build_bound_table(g.n, d, seq).to_json_dict()
+    table = bnd.build_bound_table(g.n, d, seq)
+    payload = {"n": table.half_order, "d": table.degree,
+               "rows": [vars(r) for r in table.rows]}
     violations = bnd.check_sandwich(g.n, d, seq)
     lambdas = args.lam or bnd.DEFAULT_ACTIVITIES
     violations += bnd.check_partition_dominance(g, b, d, seq, lambdas)
@@ -91,9 +114,9 @@ def cmd_bounds(args) -> int:
     payload["partition_bounds"] = [
         {
             "lambda": str(lam),
-            "regular_log2": mp.nstr(bnd.partition_upper_regular_log2(g.n, d, lam), 18),
-            "almost_regular_log2": mp.nstr(
-                bnd.partition_upper_almost_regular_log2(g, b, d, lam), 18),
+            "regular_log2": bnd.partition_upper_regular_log2(g.n, d, lam),
+            "almost_regular_log2":
+                bnd.partition_upper_almost_regular_log2(g, b, d, lam),
             "exact_value": str(polynomial_eval(seq, lam)),
         }
         for lam in lambdas
@@ -102,8 +125,8 @@ def cmd_bounds(args) -> int:
           [f"bound table for {args.graph} (d = {d}); "
            f"violations: {len(violations)}", *payload["violations"]],
           ("t", "lower_log2", "upper_log2", "exact_log2", "tags"),
-          ((r["t"], r["lower_log2"], r["upper_log2"], r["exact_log2"],
-            "|".join(r["tags"])) for r in payload["rows"]))
+          ((r.t, mp.nstr(r.lower_log2, 18), mp.nstr(r.upper_log2, 18),
+            mp.nstr(r.exact_log2, 18), "|".join(r.tags)) for r in table.rows))
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
@@ -150,7 +173,7 @@ def cmd_cube_structure(args) -> int:
                         if args.set else [])
     stats = cube.structure_stats(a)
     verts = a.vertices()
-    payload = {"d": args.d, "set": verts, **dataclasses.asdict(stats)}
+    payload = {"d": args.d, "set": verts, **vars(stats)}
     _emit(args, payload,
           [f"d={args.d} A={verts}: size {stats.size}, "
            f"nbhd {stats.nbhd}, closure {stats.closure}, small {stats.small}, "
@@ -169,7 +192,8 @@ def cmd_cube_window(args) -> int:
                     "central value only")
         plain.append(f"d={r.d} t={r.t} [{r.tag}] central_log2 = "
                      f"{mp.nstr(r.central_log2, 12)}; {win}")
-    _emit(args, {"rows": [r.to_json_dict() for r in rows]}, plain,
+    payload = {"rows": [_fields(r, lam="lambda", tag="range") for r in rows]}
+    _emit(args, payload, plain,
           ("d", "t", "range", "central_log2", "e1_log2", "e2_log2",
            "e1_applicable", "e2_applicable"),
           ((r.d, r.t, r.tag, mp.nstr(r.central_log2, 18),
@@ -195,7 +219,7 @@ def cmd_transition(args) -> int:
         predicted = seqshape.predicted_transition_limit(gcoord)
         rows.append({
             "d": args.d, "t": t,
-            "g": f"{gcoord.numerator}/{gcoord.denominator}",
+            "g": _wire(gcoord),
             "ratio_log2": mp.nstr(ratio, 12),
             "predicted_limit": mp.nstr(predicted, 12),
         })
@@ -207,12 +231,13 @@ def cmd_transition(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    cfg = percolation.PercolationConfig(base=args.base, p=args.p,
-                                        seed=args.seed, trials=args.trials)
-    summary = percolation.run_experiment(cfg, args.epsilon)
-    _emit(args, summary.to_json_dict(),
-          [f"success rate {summary.success_rate} over {cfg.trials} trials "
-           f"(epsilon = {args.epsilon}, d' = {summary.d_prime})"])
+    summary = percolation.run_experiment(args.base, args.p, args.seed,
+                                         args.trials, args.epsilon)
+    payload = _fields(summary, records="per_trial")
+    payload["per_trial"] = [vars(r) for r in summary.records]
+    _emit(args, payload,
+          [f"success rate {summary.success_rate} over {summary.trials} "
+           f"trials (epsilon = {summary.epsilon}, d' = {summary.d_prime})"])
     return EXIT_OK
 
 

@@ -6,7 +6,10 @@ The sparse sets are the independent sets of the halved cube (the even
 class, joined at distance 2), which the exact module's engine counts.
 
 Vertex v of Q_d is the integer whose binary digits are the coordinates;
-a vertex set is a Python-int bitset of width 2**d.
+a vertex set is a Python-int bitset of width 2**d.  Set functions that
+return a vertex set return a VertexSet; two_components returns each piece
+as a sorted tuple of vertices, so a set of a few thousand vertices of Q_20
+is not copied into one 2**20-bit integer per piece.
 """
 
 from __future__ import annotations
@@ -60,18 +63,23 @@ class VertexSet:
 
     @property
     def side(self) -> str:
-        evens = odds = False
-        for v in bits_of(self.bits):
-            if v.bit_count() % 2 == 0:
-                evens = True
-            else:
-                odds = True
-        if evens and odds:
+        evens = self.bits & _even_mask(self.d)
+        if evens and evens != self.bits:
             return SIDE_MIXED
-        return SIDE_ODD if odds else SIDE_EVEN
+        return SIDE_ODD if self.bits and not evens else SIDE_EVEN
 
     def vertices(self) -> list[int]:
         return list(bits_of(self.bits))
+
+
+def _even_mask(d: int) -> int:
+    """The vertices of Q_d of even weight as a 2**d-bit set, by doubling:
+    the even vertices below 2**(k+1) are those below 2**k and, shifted up
+    by 2**k, the odd ones below 2**k."""
+    evens, odds = 1, 0
+    for k in range(d):
+        evens, odds = evens | odds << (1 << k), odds | evens << (1 << k)
+    return evens
 
 
 def vertex_set(d: int, vertices) -> VertexSet:
@@ -126,14 +134,15 @@ def closure(a: VertexSet) -> VertexSet:
     return VertexSet(d, full ^ _adjacent(d, full ^ _nbhd_bits(d, a.bits)))
 
 
-def two_components(a: VertexSet) -> list[VertexSet]:
+def two_components(a: VertexSet) -> list[tuple[int, ...]]:
     """Partition of A (inside one parity class) into maximal 2-linked
-    pieces, in order of their lowest vertex.  Within one class two vertices
-    lie in the same piece exactly when they are linked through shared
-    neighbors, i.e. through chains of Hamming-distance-2 steps.  Each piece
-    is grown from its lowest vertex left in A by probing the C(d, 2) flips
-    v ^ (2**i | 2**j) of each of its vertices against the set of A's
-    vertices, so the work grows with |A| * d**2, not with 2**d."""
+    pieces, each a sorted tuple of vertices, in order of their lowest
+    vertex.  Within one class two vertices lie in the same piece exactly
+    when they are linked through shared neighbors, i.e. through chains of
+    Hamming-distance-2 steps.  Each piece is grown from its lowest vertex
+    left in A by probing the C(d, 2) flips v ^ (2**i | 2**j) of each of its
+    vertices against the set of A's vertices, so the work grows with
+    |A| * d**2, not with 2**d."""
     if a.side == SIDE_MIXED:
         raise ValueError("2-component decomposition expects A within one "
                          "parity class")
@@ -153,7 +162,7 @@ def two_components(a: VertexSet) -> list[VertexSet]:
                 if w in left:
                     left.remove(w)
                     piece.append(w)
-        out.append(VertexSet(d, sum(1 << w for w in piece)))
+        out.append(tuple(sorted(piece)))
     return out
 
 
@@ -173,8 +182,7 @@ def structure_stats(a: VertexSet) -> StructureStats:
     _check_dim(d, low=2)
     na = neighborhood(a)
     cl = closure(a)
-    comps = (None if a.side == SIDE_MIXED else
-             tuple(tuple(c.vertices()) for c in two_components(a)))
+    comps = None if a.side == SIDE_MIXED else tuple(two_components(a))
     return StructureStats(
         size=a.size,
         nbhd=na.size,

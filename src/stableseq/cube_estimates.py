@@ -285,21 +285,6 @@ class CubeEstimate:
     e2_reason: Optional[str]
     tag: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "t": self.t,
-            "lambda": (f"{self.lam.numerator}/{self.lam.denominator}"
-                       if self.lam is not None else None),
-            "central_log2": mp.nstr(self.central_log2, 18),
-            "f_cut": self.f_cut,
-            "e1": mp.nstr(self.e1, 18) if self.e1 is not None else None,
-            "e1_reason": self.e1_reason,
-            "e2": mp.nstr(self.e2, 18) if self.e2 is not None else None,
-            "e2_reason": self.e2_reason,
-            "range": self.tag,
-        }
-
 
 def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     """Central value with the multiplicative window [E1, E2] where the

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Optional
 
 from .graphs import Graph, GraphError, bipartition
 from .numerics import binom, bits_of
@@ -119,16 +118,6 @@ class IndSetSequence:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def to_json_dict(self, graph_spec: Optional[str] = None) -> dict:
-        meta = {
-            "alpha": self.alpha,
-            "total": str(self.total),
-            "counts": [str(c) for c in self.counts],
-        }
-        if graph_spec is not None:
-            meta["graph"] = graph_spec
-        return meta
 
 
 def polynomial_eval(seq: IndSetSequence, lam) -> Fraction:

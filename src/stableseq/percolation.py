@@ -1,6 +1,8 @@
 """Random subgraphs by independent edge deletion, and the experiment harness
 that estimates how often percolated regular bipartite graphs satisfy the
-two-sided interval property.
+two-sided interval property.  run_experiment takes the base's graph spec
+and plain numbers and returns plain data: a frozen ExperimentSummary of
+Fractions, ints and per-trial records, which the command line writes out.
 
 Randomness is a counter-based stream keyed by (seed, trial, edge index):
 no generator state is carried between draws, so runs are reproducible and
@@ -62,7 +64,7 @@ def _lanes(k: int) -> tuple[int, int]:
 def _kept(states: int, ones: int, k: int, threshold: int) -> bytes:
     """One byte per lane of states, k 128-bit lanes each holding a 64-bit
     SplitMix64 state: 1 where the lane's word is below threshold, else 0.
-    ones holds 1 in each lane.  See percolate for why no lane spills."""
+    ones holds 1 in each lane.  See _sampler for why no lane spills."""
     masks = _MASK64 * ones
     x = (states + 0x9E3779B97F4A7C15 * ones) & masks
     x = ((x ^ (x >> 30)) & masks) * 0xBF58476D1CE4E5B9 & masks
@@ -71,10 +73,13 @@ def _kept(states: int, ones: int, k: int, threshold: int) -> bytes:
     return ((_MASK64 + threshold) * ones - x).to_bytes(16 * k, "little")[8::16]
 
 
-def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
-    """Keep each edge of g independently with probability p, using the
-    deterministic stream keyed by (seed, trial, edge index).  Edge indices
-    follow the canonical ascending edge order of g.
+def _sampler(g: Graph, p):
+    """The sampler of g at p: a function of (seed, trial) that keeps each
+    edge of g independently with probability p, using the deterministic
+    stream keyed by (seed, trial, edge index).  Edge indices follow the
+    canonical ascending edge order of g.  What does not depend on (seed,
+    trial) is made once: the threshold, g's canonical edges in chunks of
+    _LANES and each chunk's lane constants.
 
     The words of up to _LANES edges are drawn at once: edge i's SplitMix64
     state sits in bits 128i .. 128i + 63 of one integer, its lane, and each
@@ -86,13 +91,6 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
     below the threshold exactly when bit 64 of 2**64 + threshold - 1 - word
     is set; that difference lies in [0, 2**65), so no lane borrows either,
     and byte 8 of each lane is the edge's keep flag."""
-    return _sampler(g, p)(seed, trial)
-
-
-def _sampler(g: Graph, p):
-    """percolate(g, p, seed, trial) as a function of (seed, trial), with
-    what does not depend on them made once: the threshold, g's canonical
-    edges in chunks of _LANES and each chunk's lane constants."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0, 1]")
@@ -120,30 +118,10 @@ def _sampler(g: Graph, p):
     return sample
 
 
-@dataclass(frozen=True)
-class PercolationConfig:
-    base: str                      # graph spec of a regular bipartite base
-    p: Fraction
-    seed: int
-    trials: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        if not 0 <= self.p <= 1:
-            raise ValueError("p outside [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials >= 1 required")
-
-
-def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
-    """Step size ceil(C(eps) * max(log2 n, n h)) with
-    C(eps) = 1/H'((1-eps)/2), floored at 1."""
-    return _step_rule(n, epsilon)(h)
-
-
 def _step_rule(n: int, epsilon: Fraction):
-    """default_step_rule(n, h, epsilon) as a function of h, with C(eps) and
-    log2 n evaluated once."""
+    """The step rule for n and epsilon: a function of the defect h giving
+    ceil(C(eps) * max(log2 n, n h)) with C(eps) = 1/H'((1-eps)/2), floored
+    at 1; C(eps) and log2 n are evaluated once."""
     c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
     log2_n = mp.log(n, 2)
 
@@ -162,47 +140,25 @@ class TrialRecord:
     holds: bool
     flagged: bool          # alpha differed from n; counted as a failure
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "stream_id": self.stream_id,
-            "h_value": f"{self.h_value.numerator}/{self.h_value.denominator}",
-            "s_used": self.s_used,
-            "alpha": self.alpha,
-            "holds": self.holds,
-            "flagged": self.flagged,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    config: PercolationConfig
+    base: str              # the base's spec, family name lower-cased
+    p: Fraction
+    seed: int
+    trials: int
     epsilon: Fraction
     d_prime: Fraction
     records: tuple[TrialRecord, ...]
     success_rate: Fraction
 
-    def to_json_dict(self) -> dict:
-        _, sep, arg = self.config.base.partition(":")
-        return {
-            "base": spec_family(self.config.base) + sep + arg,
-            "p": f"{self.config.p.numerator}/{self.config.p.denominator}",
-            "seed": self.config.seed,
-            "trials": self.config.trials,
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
-            "d_prime": f"{self.d_prime.numerator}/{self.d_prime.denominator}",
-            "success_rate": f"{self.success_rate.numerator}/"
-                            f"{self.success_rate.denominator}",
-            "per_trial": [r.to_json_dict() for r in self.records],
-        }
 
-
-def run_experiment(cfg: PercolationConfig,
+def run_experiment(base: str, p, seed: int, trials: int,
                    epsilon=Fraction(1, 10)) -> ExperimentSummary:
-    """Sample cfg.trials graphs by percolating the base graph cfg.base,
+    """Sample trials graphs by percolating the graph of spec base at p,
     compute each exact count sequence, and check the two-sided interval
-    property (epsilon, epsilon, s) with s chosen per trial by
-    default_step_rule from the sampled graph's regularity defect at the
+    property (epsilon, epsilon, s) with s chosen per trial by the step rule
+    (_step_rule) from the sampled graph's regularity defect at the
     reference degree d' = d p, where d is the base's degree.  Every sample
     is measured against the base's bipartition, even when it is
     disconnected, and n = |V|/2.
@@ -210,23 +166,28 @@ def run_experiment(cfg: PercolationConfig,
     d' = d p is a recorded experimental choice; it is surfaced in the
     summary next to every verdict.
     """
-    base = parse_graph_spec(cfg.base)
-    degrees = set(base.degrees())
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("p outside [0, 1]")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+    g = parse_graph_spec(base)
+    degrees = set(g.degrees())
     if len(degrees) != 1 or 0 in degrees:
         raise ValueError("experiment base must be regular of degree >= 1")
-    frame = bipartition(base)
+    frame = bipartition(g)
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     # a regular bipartite graph of degree >= 1 has equal classes
-    n = base.n // 2
-    d_prime = degrees.pop() * cfg.p
-    sampler = _sampler(base, cfg.p)
+    n = g.n // 2
+    d_prime = degrees.pop() * p
+    sampler = _sampler(g, p)
     step_rule = _step_rule(n, epsilon)
     records = []
     successes = 0
-    for trial in range(cfg.trials):
-        sample = sampler(cfg.seed, trial)
+    for trial in range(trials):
+        sample = sampler(seed, trial)
         if d_prime > 0:
             prof = regularity_profile(sample, frame, d_prime)
             h = prof.h_value
@@ -243,17 +204,21 @@ def run_experiment(cfg: PercolationConfig,
             successes += 1
         records.append(TrialRecord(
             trial=trial,
-            stream_id=_stream64(cfg.seed, trial, 0),
+            stream_id=_stream64(seed, trial, 0),
             h_value=h,
             s_used=s_used,
             alpha=seq.alpha,
             holds=holds,
             flagged=flagged,
         ))
+    _, sep, arg = base.partition(":")
     return ExperimentSummary(
-        config=cfg,
+        base=spec_family(base) + sep + arg,
+        p=p,
+        seed=seed,
+        trials=trials,
         epsilon=epsilon,
         d_prime=d_prime,
         records=tuple(records),
-        success_rate=Fraction(successes, cfg.trials),
+        success_rate=Fraction(successes, trials),
     )

@@ -144,9 +144,8 @@ def _suite_full(count):
            "(informational)", True,
            f"fails at {len(scan['case4']['fails'])} dimensions")
 
-    cfg = percolation.PercolationConfig(base="knn:16,16", p=Fraction(1, 2),
-                                        seed=20240501, trials=100)
-    summary = percolation.run_experiment(cfg, Fraction(1, 10))
+    summary = percolation.run_experiment("knn:16,16", Fraction(1, 2),
+                                         seed=20240501, trials=100)
     yield ("percolation interval-property success rate >= 0.9",
            summary.success_rate >= Fraction(9, 10),
            f"rate {summary.success_rate}")

@@ -245,15 +245,15 @@ def test_criterion_10_final_third_on_bipartite_sample():
 
 
 def test_criterion_11_percolation_harness():
-    small = pc.PercolationConfig(base="knn:16,16", p=Fraction(1, 2),
-                                 seed=20240501, trials=10)
-    one = pc.run_experiment(small, Fraction(1, 10))
-    two = pc.run_experiment(small, Fraction(1, 10))
-    assert one.to_json_dict() == two.to_json_dict(), \
-        "summary not reproducible"
-    full = pc.PercolationConfig(base="knn:16,16", p=Fraction(1, 2),
-                                seed=20240501, trials=100)
-    summary = pc.run_experiment(full, Fraction(1, 10))
+    small = dict(base="knn:16,16", p=Fraction(1, 2), seed=20240501,
+                 trials=10, epsilon=Fraction(1, 10))
+    # the same arguments give the same summary, every field compared
+    one = pc.run_experiment(**small)
+    two = pc.run_experiment(**small)
+    assert one == two, "summary not reproducible"
+    full = dict(base="knn:16,16", p=Fraction(1, 2), seed=20240501,
+                trials=100, epsilon=Fraction(1, 10))
+    summary = pc.run_experiment(**full)
     # per-trial records are keyed by (seed, trial): extending the trial
     # count must not disturb earlier trials
     assert summary.records[:10] == one.records

@@ -11,7 +11,7 @@ from stableseq import graphs
 from stableseq.exact import count_by_size, polynomial_eval
 from stableseq.graphs import bipartition
 
-from util import (count_upper_via_partition_log2, disjoint_union,
+from util import (cli_json, count_upper_via_partition_log2, disjoint_union,
                   regular_bipartite_corpus)
 
 ULP128 = mp.mpf(2) ** -126  # two units at 128-bit working precision
@@ -219,7 +219,7 @@ def test_step_bound_examples():
     assert s2 >= 1
 
 
-def test_bound_table_shape_and_serialization():
+def test_bound_table_shape_and_serialization(capsys):
     g = graphs.hypercube(3)
     seq = count_by_size(g)
     table = bnd.build_bound_table(8, 3, seq)
@@ -229,8 +229,10 @@ def test_bound_table_shape_and_serialization():
         assert row.exact_log2 is not None
         assert row.lower_log2 <= row.exact_log2 <= row.upper_log2
         assert set(row.tags) == {bnd.TAG_COUNT_LOWER, bnd.TAG_COUNT_UPPER}
-    payload = table.to_json_dict()
+    assert (table.half_order, table.degree) == (4, 3)
+    payload = cli_json(capsys, "bounds", "--graph", "qd:3")
     assert payload["n"] == 4 and payload["d"] == 3
+    assert [r["t"] for r in payload["rows"]] == [r.t for r in table.rows]
 
 
 def test_sandwich_clean_on_corpus():

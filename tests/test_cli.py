@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -462,6 +463,78 @@ PINNED_STDOUT = [
                          ids=[" ".join(a[:1] + a[-2:]) for a, _ in PINNED_STDOUT])
 def test_plain_and_csv_stdout_pinned(capsys, argv, stdout):
     assert run_cli(capsys, *argv) == (0, stdout, "")
+
+
+# JSON stdout byte for byte: Fractions as p/q, mpmath numbers to 18
+# digits, keys sorted, one line.
+PINNED_JSON = [
+    (["bounds", "--graph", "qd:3"],
+     '{"d": 3, "n": 4,'
+     ' "partition_bounds": [{"almost_regular_log2": "11.9543790462161161",'
+     ' "exact_value": "529/128", "lambda": "1/4",'
+     ' "regular_log2": "2.62104571288278272"},'
+     ' {"almost_regular_log2": "13.0065166695512914",'
+     ' "exact_value": "81/8", "lambda": "1/2",'
+     ' "regular_log2": "3.67318333621795806"},'
+     ' {"almost_regular_log2": "14.6666666666666667",'
+     ' "exact_value": "35", "lambda": "1",'
+     ' "regular_log2": "5.33333333333333333"},'
+     ' {"almost_regular_log2": "17.0065166695512914",'
+     ' "exact_value": "177", "lambda": "2",'
+     ' "regular_log2": "7.67318333621795806"},'
+     ' {"almost_regular_log2": "19.9543790462161161",'
+     ' "exact_value": "1313", "lambda": "4",'
+     ' "regular_log2": "10.6210457128827827"}],'
+     ' "rows": [{"exact_log2": "0.0", "lower_log2": "0.0", "t": 0,'
+     ' "tags": ["binomial-lower", "entropy-upper"],'
+     ' "upper_log2": "1.33333333333333333"}, {"exact_log2": "3.0",'
+     ' "lower_log2": "2.0", "t": 1, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "4.57844583116986479"},'
+     ' {"exact_log2": "4.0", "lower_log2": "2.58496250072115618", "t": 2,'
+     ' "tags": ["binomial-lower", "entropy-upper"],'
+     ' "upper_log2": "5.33333333333333333"}, {"exact_log2": "3.0",'
+     ' "lower_log2": "2.0", "t": 3, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "4.57844583116986479"},'
+     ' {"exact_log2": "1.0", "lower_log2": "0.0", "t": 4,'
+     ' "tags": ["binomial-lower", "entropy-upper"],'
+     ' "upper_log2": "1.33333333333333333"}], "violations": []}'),
+    (["cube-window", "--d", "16", "--t", "1", "--t", "20000"],
+     '{"rows": [{"central_log2": "17.4420347685705135", "d": 16,'
+     ' "e1": null, "e1_reason": "f = 212269 not below t/2", "e2": null,'
+     ' "e2_reason": "d f = 3396304 above 2^(d-2)", "f_cut": 212269,'
+     ' "lambda": "1/32767", "range": "below", "t": 1},'
+     ' {"central_log2": "31600.3362321753488", "d": 16, "e1": null,'
+     ' "e1_reason": "f = 3078 above (2^(d-1) - t)/(2d)", "e2": null,'
+     ' "e2_reason": "d f = 49248 above 2^(d-2)", "f_cut": 3078,'
+     ' "lambda": "625/399", "range": "below", "t": 20000}]}'),
+    (["percolate", "--base", "knn:4,4", "--p", "1/2", "--seed", "1",
+      "--trials", "2"],
+     '{"base": "knn:4,4", "d_prime": "2/1", "epsilon": "1/10",'
+     ' "p": "1/2", "per_trial": [{"alpha": 4, "flagged": false,'
+     ' "h_value": "3/4", "holds": true, "s_used": 11,'
+     ' "stream_id": 12793040940332582595, "trial": 0}, {"alpha": 4,'
+     ' "flagged": false, "h_value": "1/1", "holds": true, "s_used": 14,'
+     ' "stream_id": 6301985355436268297, "trial": 1}], "seed": 1,'
+     ' "success_rate": "1/1", "trials": 2}'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_JSON,
+                         ids=[a[0] for a, _ in PINNED_JSON])
+def test_json_stdout_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, *argv, "--format", "json") == (0, stdout + "\n", "")
+
+
+@pytest.mark.parametrize("value", [Decimal("1.5"), complex(1, 2),
+                                   mp.mpc(1, 2), mp.iv.mpf(1), object()])
+def test_wire_refuses_unknown_types(value):
+    # only Fractions and mpmath reals get a JSON form beside what json
+    # writes itself; anything else reaching the output is an error, not a
+    # guess
+    with pytest.raises(TypeError, match="no JSON form"):
+        cli._wire(value)
+    with pytest.raises(TypeError):
+        json.dumps({"x": value}, default=cli._wire)
 
 
 @pytest.mark.parametrize("argv", [

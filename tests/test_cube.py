@@ -24,6 +24,14 @@ def vs(d, verts):
     return VertexSet(d, sum(1 << v for v in verts))
 
 
+def piece_masks(comps):
+    """The 2-components as vertex masks; each must be a tuple of vertices
+    in increasing order."""
+    for c in comps:
+        assert isinstance(c, tuple) and all(u < v for u, v in zip(c, c[1:])), c
+    return [sum(1 << v for v in c) for c in comps]
+
+
 # --- independent brute-force implementations (adjacency-matrix style) -----
 
 def brute_nbhd(d, verts):
@@ -149,11 +157,11 @@ def test_closure_literal_for_non_independent_sets():
 
 def test_two_components_examples():
     comps = two_components(vs(3, [0b000, 0b011]))
-    assert len(comps) == 1 and comps[0].size == 2
+    assert comps == [(0b000, 0b011)]
     comps = two_components(vs(4, [0b0000, 0b1111]))
-    assert len(comps) == 2 and all(c.size == 1 for c in comps)
+    assert comps == [(0b0000,), (0b1111,)]
     comps = two_components(vs(4, [0b0000]))
-    assert len(comps) == 1 and comps[0].size == 1
+    assert comps == [(0b0000,)]
     with pytest.raises(ValueError):
         two_components(vs(3, [0b000, 0b001]))
 
@@ -168,7 +176,7 @@ def test_two_components_match_row_flood_fill(d, odd, data):
     for x in picks:
         bits |= 1 << (x ^ (x.bit_count() + odd) % 2)
     comps = two_components(VertexSet(d, bits))
-    assert [c.bits for c in comps] == cube_two_components(d, bits)
+    assert piece_masks(comps) == cube_two_components(d, bits)
 
 
 def test_two_components_at_the_dimension_cap():
@@ -187,8 +195,8 @@ def test_two_components_at_the_dimension_cap():
             verts.append(v)
     a = cube.vertex_set(20, verts)
     comps = two_components(a)
-    assert [c.bits for c in comps] == cube_two_components(20, a.bits)
-    assert max(c.size for c in comps) > 5 and min(c.size for c in comps) == 1
+    assert piece_masks(comps) == cube_two_components(20, a.bits)
+    assert max(map(len, comps)) > 5 and min(map(len, comps)) == 1
 
 
 def test_structure_stats_sides():
@@ -205,6 +213,23 @@ def test_structure_stats_sides():
     assert empty.comps == 0 and empty.max_comp == 0
 
 
+def test_side_matches_vertex_parities():
+    # the even-weight mask against a parity test of each vertex, from Q_1
+    # up: empty, one-class and mixed sets
+    rng = random.Random(7)
+    for d in range(1, 9):
+        n = 1 << d
+        evens = sum(1 << v for v in range(n) if v.bit_count() % 2 == 0)
+        cases = [0, evens, evens ^ (1 << n) - 1, (1 << n) - 1]
+        cases += [rng.getrandbits(n) & rng.choice(cases[1:])
+                  for _ in range(50)]
+        for bits in cases:
+            parities = {v.bit_count() % 2 for v in range(n) if bits >> v & 1}
+            want = (cube.SIDE_MIXED if len(parities) == 2 else
+                    cube.SIDE_ODD if parities == {1} else cube.SIDE_EVEN)
+            assert VertexSet(d, bits).side == want, (d, bits)
+
+
 def test_against_brute_force_small_sets():
     for d in (3, 4):
         evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
@@ -213,7 +238,7 @@ def test_against_brute_force_small_sets():
                 a = vs(d, verts)
                 assert set(neighborhood(a).vertices()) == brute_nbhd(d, verts)
                 assert set(closure(a).vertices()) == brute_closure(d, verts)
-                ours = sorted(frozenset(c.vertices())
+                ours = sorted(frozenset(c)
                               for c in two_components(a))
                 assert ours == brute_two_components(d, verts)
 
@@ -228,7 +253,7 @@ def test_against_brute_force_random_larger_sets():
             a = vs(d, verts)
             assert set(neighborhood(a).vertices()) == brute_nbhd(d, verts)
             assert set(closure(a).vertices()) == brute_closure(d, verts)
-            ours = sorted(frozenset(c.vertices())
+            ours = sorted(frozenset(c)
                           for c in two_components(a))
             assert ours == brute_two_components(d, verts)
             assert structure_stats(a).small == \
@@ -243,7 +268,7 @@ def test_scattered_sets_have_full_neighborhoods():
             for verts in combinations(evens, size):
                 a = vs(d, verts)
                 comps = two_components(a)
-                if max(c.size for c in comps) <= 1:
+                if max(map(len, comps)) <= 1:
                     assert neighborhood(a).size == d * size, (d, verts)
 
 
@@ -534,4 +559,4 @@ def test_neighborhood_additive_over_two_components():
         a = vs(d, verts)
         comps = two_components(a)
         assert neighborhood(a).size == \
-            sum(neighborhood(c).size for c in comps)
+            sum(neighborhood(vs(d, c)).size for c in comps)

@@ -20,7 +20,8 @@ from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
                                       step_weight, step_weight_drop_bound)
 from stableseq.numerics import mpf_from
 
-from util import case_scan_by_definition, suffix_starts_by_definition
+from util import (case_scan_by_definition, cli_json,
+                  suffix_starts_by_definition)
 
 
 def test_lambda_of_t():
@@ -276,13 +277,13 @@ def test_window_factors_near_one_at_top():
     assert w.e1 is None and "trivial bound" in w.e1_reason
 
 
-def test_estimate_window_at_small_d_reports_reasons():
+def test_estimate_window_at_small_d_reports_reasons(capsys):
     w = estimate_window(5, 8)
     assert w.e1 is None and w.e2 is None
     assert "not below t/2" in w.e1_reason
     assert w.f_cut == f_cut(5, 8)
     assert w.tag == est.RANGE_BELOW
-    payload = w.to_json_dict()
+    [payload] = cli_json(capsys, "cube-window", "--d", "5", "--t", "8")["rows"]
     assert payload["e1"] is None and payload["lambda"] == "1/1"
 
 
@@ -462,22 +463,25 @@ def test_window_powers_agree_with_exact_fractions():
             assert abs(got / mpf_from(exact) - 1) <= tol, (d, t)
 
 
-def test_window_factors_keep_their_digits_at_huge_exponents():
+def test_window_factors_keep_their_digits_at_huge_exponents(capsys):
     # here 3 f^2 / t and d^2 f^2 / 2^(d-1) are near 10^50; rounded to the
     # working precision before exp, they would be off by about 10^5 and
     # every printed digit of E1 and E2 wrong
-    w = estimate_window(192, (1 << 191) // 10).to_json_dict()
+    [w] = cli_json(capsys, "cube-window", "--d", "192",
+                   "--t", str((1 << 191) // 10))["rows"]
     assert w["e1"] == ("3.02822897683493303e-6115646416056504723688976579634"
                        "0268866462505734045")
     assert w["e2"] == ("4.86853019929168477e+7514906316461666384093299011345"
                        "7141677154890642032000")
     for d in (150, 192, 256):
+        argv = ["cube-window", "--d", str(d)]
         for k in (1, 3, 7):
-            t = (1 << (d - 1)) * k // 10
-            got = estimate_window(d, t).to_json_dict()
-            with mp.workprec(2000):
-                want = estimate_window(d, t).to_json_dict()
-            assert (got["e1"], got["e2"]) == (want["e1"], want["e2"]), (d, k)
+            argv += ["--t", str((1 << (d - 1)) * k // 10)]
+        got = cli_json(capsys, *argv)["rows"]
+        want = cli_json(capsys, "--precision", "2000", *argv)["rows"]
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert (g["e1"], g["e2"]) == (w["e1"], w["e2"]), (d, g["t"])
 
 
 def test_estimate_window_matches_f_cut_and_central_log2():

@@ -1,4 +1,3 @@
-import json
 import random
 from math import comb
 from fractions import Fraction
@@ -13,7 +12,7 @@ from stableseq.exact import (CountBudgetError, IndSetSequence, count_by_size,
 from stableseq.graphs import GraphError, bipartition
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
-                  components, convolve, disjoint_union,
+                  cli_json, components, convolve, disjoint_union,
                   fraction_polynomial_eval, regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
@@ -121,9 +120,9 @@ def test_sequence_validation():
         IndSetSequence((1, -1, 2))
 
 
-def test_serialization_roundtrip():
+def test_serialization_roundtrip(capsys):
     seq = count_by_size(graphs.hypercube(4))
-    data = json.loads(json.dumps(seq.to_json_dict("qd:4")))
+    data = cli_json(capsys, "count", "--graph", "qd:4")
     assert data["graph"] == "qd:4"
     assert data["total"] == "743"
     assert tuple(map(int, data["counts"])) == seq.counts

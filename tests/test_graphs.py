@@ -9,9 +9,8 @@ from stableseq import graphs
 from stableseq.graphs import (GraphError, NotBipartiteError,
                               RegularityProfile, SizeCapError, bipartition,
                               regularity_profile)
-from stableseq.percolation import percolate
 
-from util import (check_simple, components, disjoint_union,
+from util import (check_simple, components, disjoint_union, percolate,
                   regular_bipartite_corpus)
 
 

@@ -8,7 +8,8 @@ from stableseq import seqshape as ss
 from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
 
-from util import check_simple, knn_sequence
+from util import (check_simple, cli_json, default_step_rule, knn_sequence,
+                  percolate)
 
 
 def test_splitmix64_published_vectors():
@@ -45,7 +46,7 @@ def test_percolate_matches_naive_stream():
         for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
             for seed, trial in ((0, 0), (2024, 3), (1 << 64, 1),
                                 (3 << 70 | 5, 7), (99, 10 ** 6)):
-                got = pc.percolate(g, p, seed, trial).adj
+                got = percolate(g, p, seed, trial).adj
                 assert list(got) == naive_percolate(g, p, seed, trial), \
                     (spec, p, seed, trial)
 
@@ -60,33 +61,33 @@ def test_lane_sampler_matches_naive_stream(spec):
     for p in (Fraction(0), Fraction(1), Fraction(1, 1 << 64),
               1 - Fraction(1, 1 << 64), Fraction(1, 3)):
         for seed in ((1 << 64) - 1, 1 << 64, -1):
-            got = pc.percolate(g, p, seed, trial=seed % 5).adj
+            got = percolate(g, p, seed, trial=seed % 5).adj
             assert list(got) == naive_percolate(g, p, seed, seed % 5), \
                 (spec, p, seed)
 
 
 def test_percolate_p_one_and_zero():
     g = graphs.complete_bipartite(6, 6)
-    assert pc.percolate(g, 1, 99).adj == g.adj
-    assert pc.percolate(g, 0, 99).edge_count == 0
+    assert percolate(g, 1, 99).adj == g.adj
+    assert percolate(g, 0, 99).edge_count == 0
     with pytest.raises(ValueError):
-        pc.percolate(g, Fraction(3, 2), 1)
+        percolate(g, Fraction(3, 2), 1)
 
 
 def test_percolate_deterministic_and_simple():
     g = graphs.hypercube(4)
-    a = pc.percolate(g, Fraction(1, 3), 2024)
-    b = pc.percolate(g, Fraction(1, 3), 2024)
+    a = percolate(g, Fraction(1, 3), 2024)
+    b = percolate(g, Fraction(1, 3), 2024)
     assert a.adj == b.adj
     check_simple(a)
-    c = pc.percolate(g, Fraction(1, 3), 2025)
+    c = percolate(g, Fraction(1, 3), 2025)
     assert c.adj != a.adj  # overwhelmingly likely under a changed seed
 
 
 def test_percolate_trial_streams_differ():
     g = graphs.complete_bipartite(8, 8)
-    a = pc.percolate(g, Fraction(1, 2), 7, trial=0)
-    b = pc.percolate(g, Fraction(1, 2), 7, trial=1)
+    a = percolate(g, Fraction(1, 2), 7, trial=0)
+    b = percolate(g, Fraction(1, 2), 7, trial=1)
     assert a.adj != b.adj
 
 
@@ -95,7 +96,7 @@ def test_percolate_binomial_mean_band():
     # three-sigma band around 32 (sigma of the mean = 4/100)
     g = graphs.complete_bipartite(8, 8)
     trials = 10 ** 4
-    total = sum(pc.percolate(g, Fraction(1, 2), 31415, trial=i).edge_count
+    total = sum(percolate(g, Fraction(1, 2), 31415, trial=i).edge_count
                 for i in range(trials))
     mean = total / trials
     sigma_mean = math.sqrt(64 * 0.25) / math.sqrt(trials)
@@ -103,7 +104,7 @@ def test_percolate_binomial_mean_band():
 
 
 def test_gnnp_single_edge_and_degree_band():
-    g = pc.percolate(graphs.complete_bipartite(1, 1), 1, 5)
+    g = percolate(graphs.complete_bipartite(1, 1), 1, 5)
     assert g.n == 2 and g.edge_count == 1
     # the experiment's frame on knn:n,n is the base's own bipartition: the
     # sides {0..n-1} and {n..2n-1}
@@ -115,18 +116,16 @@ def test_gnnp_single_edge_and_degree_band():
     # expected vertex degree n p; averaged over trials stays within 3 sigma
     degsum = 0
     for i in range(trials):
-        degsum += pc.percolate(base, p, 777, trial=i).degree(0)
+        degsum += percolate(base, p, 777, trial=i).degree(0)
     mean = degsum / trials
     sigma_mean = math.sqrt(n * (1 / 3) * (2 / 3)) / math.sqrt(trials)
     assert abs(mean - n * p) <= 3 * sigma_mean
 
 
 def test_run_experiment_deterministic():
-    cfg = pc.PercolationConfig(base="knn:10,10", p=Fraction(1, 2), seed=91,
-                               trials=12)
-    one = pc.run_experiment(cfg)
-    two = pc.run_experiment(cfg)
-    assert one.to_json_dict() == two.to_json_dict()
+    one = pc.run_experiment("knn:10,10", Fraction(1, 2), seed=91, trials=12)
+    two = pc.run_experiment("knn:10,10", Fraction(1, 2), seed=91, trials=12)
+    assert one == two
     assert len(one.records) == 12
     assert one.success_rate == Fraction(
         sum(1 for r in one.records if r.holds), 12)
@@ -136,9 +135,8 @@ def test_run_experiment_p_one_matches_closed_form():
     # at p = 1 every sample is K_{n,n} itself: the verdict must match a
     # direct check on the closed-form sequence
     n = 9
-    cfg = pc.PercolationConfig(base=f"knn:{n},{n}", p=Fraction(1), seed=3,
-                               trials=2)
-    summary = pc.run_experiment(cfg, Fraction(1, 10))
+    summary = pc.run_experiment(f"knn:{n},{n}", Fraction(1), seed=3,
+                                trials=2, epsilon=Fraction(1, 10))
     seq = knn_sequence(n)
     assert seq.counts == count_by_size(graphs.complete_bipartite(n, n)).counts
     s_used = summary.records[0].s_used
@@ -153,10 +151,10 @@ def test_run_experiment_p_one_matches_closed_form():
 def test_run_experiment_on_qd4_at_p_one_matches_direct_check():
     # Q_4 is a 4-regular bipartite base: at p = 1 every sample is Q_4, the
     # defect is 1/4 and each verdict is a direct check on the exact count
-    cfg = pc.PercolationConfig(base="qd:4", p=Fraction(1), seed=8, trials=3)
-    summary = pc.run_experiment(cfg, Fraction(1, 10))
+    summary = pc.run_experiment("qd:4", Fraction(1), seed=8, trials=3,
+                                epsilon=Fraction(1, 10))
     seq = count_by_size(graphs.hypercube(4))
-    s_used = pc.default_step_rule(8, Fraction(1, 4), Fraction(1, 10))
+    s_used = default_step_rule(8, Fraction(1, 4), Fraction(1, 10))
     direct = ss.check_property_bgs(seq, 8, Fraction(1, 10), Fraction(1, 10),
                                    s_used)
     assert summary.d_prime == 4
@@ -171,19 +169,18 @@ def test_run_experiment_on_qd4_at_p_one_matches_direct_check():
                                      ("knn:33,33", Fraction(1, 3))])
 def test_run_experiment_matches_per_trial_route(base, p):
     # the experiment builds its sampler and step rule once; every record
-    # must equal the one the public per-trial calls give (knn:33,33 has
-    # 1089 edges, so each sample spans two lane passes)
-    cfg = pc.PercolationConfig(base=base, p=p, seed=5, trials=3)
+    # must equal the one the per-trial calls give (knn:33,33 has 1089
+    # edges, so each sample spans two lane passes)
     eps = Fraction(1, 10)
-    summary = pc.run_experiment(cfg, eps)
+    summary = pc.run_experiment(base, p, seed=5, trials=3, epsilon=eps)
     g = graphs.parse_graph_spec(base)
     frame = graphs.bipartition(g)
     n = g.n // 2
     for r in summary.records:
-        sample = pc.percolate(g, p, cfg.seed, r.trial)
+        sample = percolate(g, p, summary.seed, r.trial)
         h = graphs.regularity_profile(sample, frame, summary.d_prime).h_value
         assert (r.h_value, r.s_used, r.alpha) == \
-            (h, pc.default_step_rule(n, h, eps), count_by_size(sample).alpha)
+            (h, default_step_rule(n, h, eps), count_by_size(sample).alpha)
 
 
 def test_theorem_step_consistency_at_p_one():
@@ -200,17 +197,15 @@ def test_theorem_step_consistency_at_p_one():
 def test_default_step_rule():
     # h = 19/32 makes the n h term dominate log2(16) = 4:
     # ceil(9.5 / log2(11/9)) = 33
-    assert pc.default_step_rule(16, Fraction(19, 32), Fraction(1, 10)) == 33
+    assert default_step_rule(16, Fraction(19, 32), Fraction(1, 10)) == 33
     # tiny defect: the log term takes over
-    assert pc.default_step_rule(16, Fraction(1, 1000), Fraction(1, 10)) == \
+    assert default_step_rule(16, Fraction(1, 1000), Fraction(1, 10)) == \
         math.ceil(4 / math.log2(0.55 / 0.45))
 
 
 def test_flagged_trials_counted_as_failures():
     # p = 0 gives the empty graph: alpha = 2n != n, so every trial flags
-    cfg = pc.PercolationConfig(base="knn:5,5", p=Fraction(0), seed=1,
-                               trials=3)
-    summary = pc.run_experiment(cfg)
+    summary = pc.run_experiment("knn:5,5", Fraction(0), seed=1, trials=3)
     assert summary.success_rate == 0
     assert all(r.flagged and not r.holds for r in summary.records)
     assert all(r.alpha == 10 for r in summary.records)
@@ -218,23 +213,23 @@ def test_flagged_trials_counted_as_failures():
 
 def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
-        pc.PercolationConfig(base="knn:4,4", p=Fraction(2), seed=0,
-                             trials=1)
+        pc.run_experiment("knn:4,4", Fraction(2), seed=0, trials=1)
     with pytest.raises(ValueError):
-        pc.PercolationConfig(base="knn:4,4", p=Fraction(1, 2), seed=0,
-                             trials=0)
+        pc.run_experiment("knn:4,4", Fraction(1, 2), seed=0, trials=0)
+    # p is checked first, then trials, and both before the base is read
+    with pytest.raises(ValueError, match=r"^p outside \[0, 1\]$"):
+        pc.run_experiment("knn:4,5", Fraction(3, 2), seed=0, trials=0)
+    with pytest.raises(ValueError, match=r"^trials >= 1 required$"):
+        pc.run_experiment("knn:4,5", Fraction(1, 2), seed=0, trials=0)
     # an experiment beyond the counting budget is refused, not run
     monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 100)
     with pytest.raises(exact.CountBudgetError):
-        pc.run_experiment(pc.PercolationConfig(base="knn:40,40",
-                                               p=Fraction(1, 2), seed=0,
-                                               trials=1))
+        pc.run_experiment("knn:40,40", Fraction(1, 2), seed=0, trials=1)
 
 
-def test_summary_json_fields():
-    cfg = pc.PercolationConfig(base="knn:6,6", p=Fraction(1, 2), seed=11,
-                               trials=4)
-    payload = pc.run_experiment(cfg).to_json_dict()
+def test_summary_json_fields(capsys):
+    payload = cli_json(capsys, "percolate", "--base", "knn:6,6", "--p", "1/2",
+                       "--seed", "11", "--trials", "4")
     assert payload["base"] == "knn:6,6"
     assert payload["p"] == "1/2"
     assert payload["d_prime"] == "3/1"

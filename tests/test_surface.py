@@ -2,12 +2,13 @@
 function in the package must be referenced from the package itself or from
 the bench harness.
 
-References are read from the syntax tree (names, attribute accesses and
-imported names), not from the source text, so a mention in a docstring or
-comment does not count as a caller.  A function that only tests need
-belongs in tests/util.py; a function that states a paper inequality which
-a test asserts, but which no code path evaluates, is named in ALLOWED with
-that claim.
+References are read from the syntax tree (names and attribute accesses),
+not from the source text, so a mention in a docstring or comment does not
+count as a caller, and neither does an import: a name that is only
+imported or re-exported, as from the package's __init__, has no caller.
+A function that only tests need belongs in tests/util.py; a function that
+states a paper inequality which a test asserts, but which no code path
+evaluates, is named in ALLOWED with that claim.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ def _references(path: Path) -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return names
 
 

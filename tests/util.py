@@ -1,20 +1,22 @@
-"""Shared test helpers: brute-force oracles, reference implementations
-and the graph corpus.
+"""Shared test helpers: brute-force oracles, reference implementations,
+the graph corpus and cli_json, which reads a verb's JSON output.
 
 The oracles here deliberately avoid the library's incremental tricks: plain
 subset scans and quadratic checks, so they stay independent of the code
-paths they validate.  Five helpers that only tests need live here rather
+paths they validate.  Seven helpers that only tests need live here rather
 than in the library: the simplicity check check_simple, disjoint_union,
 which places test graphs side by side, count_upper_via_partition_log2, a
 second route to the entropy count bound, components, the plain flood fill
-that the engine's component sweep is checked against, and
+that the engine's component sweep is checked against,
 cube_two_components, the flood fill over one 2**d-bit row of
 distance-2 neighbours per vertex that the hypercube's 2-components are
-checked against.
+checked against, and percolate and default_step_rule, the percolation
+experiment's sampler and step rule applied to one sample.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,10 +25,18 @@ import mpmath as mp
 
 from stableseq import graphs
 from stableseq.bounds import partition_upper_regular_log2
+from stableseq.cli import main
 from stableseq.cube_estimates import case_inequalities
 from stableseq.exact import IndSetSequence
 from stableseq.graphs import Graph, GraphError
 from stableseq.numerics import bits_of, log2_fraction, mpf_from
+from stableseq.percolation import _sampler, _step_rule
+
+
+def cli_json(capsys, *argv) -> dict:
+    """The JSON that the command line prints for argv, which must exit 0."""
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def knn_sequence(n: int) -> IndSetSequence:
@@ -74,6 +84,17 @@ def cube_two_components(d: int, bits: int) -> list[int]:
     steps = [1 << i ^ 1 << j for i in range(d) for j in range(i)]
     rows = {v: sum(1 << (v ^ step) for step in steps) for v in bits_of(bits)}
     return components(rows, bits)
+
+
+def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
+    """The sample of g at retention probability p drawn by the stream of
+    (seed, trial): the experiment's sampler, built for one draw."""
+    return _sampler(g, p)(seed, trial)
+
+
+def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
+    """The experiment's step s for a sample of defect h, n = |V|/2."""
+    return _step_rule(n, epsilon)(h)
 
 
 def disjoint_union(*parts: Graph) -> Graph:
