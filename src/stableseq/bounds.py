@@ -15,8 +15,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .exact import IndSetSequence, polynomial_eval
-from .graphs import Bipartition, Graph, regularity_profile
+from .exact import IndSetSequence
 from .numerics import binom, entropy_power, log2_fraction, mpf_from
 
 
@@ -66,17 +65,11 @@ def count_upper_log2(nverts: int, d: int, t: int) -> mp.mpf:
     return h * Fraction(nverts, 2) + mpf_from(Fraction(nverts, 2 * d))
 
 
-def count_upper_dominates(nverts: int, d: int, t: int, value: int) -> bool:
-    """Exact test value <= 2**(H(2t/|V|)|V|/2 + |V|/(2d)).
-
-    Requires even |V|; both sides are then integer powers of rationals.
-    """
-    if nverts % 2:
-        raise ValueError("exact form needs even |V|")
-    n = nverts // 2
-    r = entropy_power(n, t)  # 2**(n H(t/n)), rational
-    # value <= r * 2^(n/d)  <=>  (value/r)^d <= 2^n
-    return (Fraction(value) / r) ** d <= Fraction(2) ** n
+def count_upper_dominates(n: int, d: int, power: Fraction, value: int) -> bool:
+    """Exact test value <= power * 2**(n/d) on |V| = 2n vertices, where
+    power = 2**(n H(t/n)) = entropy_power(n, t) is rational: the entropy
+    upper bound on i_t, cleared to (value/power)**d <= 2**n."""
+    return (Fraction(value) / power) ** d <= Fraction(2) ** n
 
 
 def count_lower_binomial(nverts: int, t: int) -> int:
@@ -96,16 +89,6 @@ def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
 # ---------------------------------------------------------------------------
 # Partition-function bounds
 # ---------------------------------------------------------------------------
-
-def partition_upper_regular_log2(nverts: int, d: int, lam) -> mp.mpf:
-    """Upper bound, in bits, on P(G, lam) for d-regular G:
-    |V|/(2d) + (|V|/2) log2(1 + lam)."""
-    lam = Fraction(lam)
-    if d < 1 or lam <= 0:
-        raise ValueError("need d >= 1 and lam > 0")
-    return mpf_from(Fraction(nverts, 2 * d)) \
-        + Fraction(nverts, 2) * log2_fraction(1 + lam)
-
 
 def partition_upper_regular_value(nverts: int, d: int, lam) -> Optional[Fraction]:
     """Exact rational value 2**(|V|/(2d)) * (1+lam)**(|V|/2) when both
@@ -140,31 +123,36 @@ def c_of_lambda(lam) -> Fraction:
     return 2 * (1 + lam)
 
 
-def partition_upper_almost_regular_log2(g: Graph, b: Bipartition, d,
-                                        lam) -> mp.mpf:
-    """Upper bound, in bits, on P(G, lam) for bipartite G with defect
-    h(G, d): n log2(1+lam) + n h(G,d) log2 C(lam), where 2n = |V|."""
+def partition_upper_log2(nverts: int, d, h: Fraction,
+                         lam) -> tuple[mp.mpf, mp.mpf]:
+    """Both upper bounds, in bits, on P(G, lam) for bipartite G on
+    nverts = 2n vertices with defect h = h(G, d): the regular bound
+    n/d + n log2(1 + lam), valid for d-regular G, and the almost-regular
+    bound n log2(1 + lam) + n h log2 C(lam).  n log2(1 + lam) is evaluated
+    once for both."""
     lam = Fraction(lam)
-    prof = regularity_profile(g, b, d)
-    n = prof.half_order
-    return n * log2_fraction(1 + lam) \
-        + n * prof.h_value * log2_fraction(c_of_lambda(lam))
+    if d < 1 or lam <= 0:
+        raise ValueError("need d >= 1 and lam > 0")
+    n = Fraction(nverts, 2)
+    shared = n * log2_fraction(1 + lam)
+    return (mpf_from(Fraction(nverts, 2 * d)) + shared,
+            shared + n * h * log2_fraction(c_of_lambda(lam)))
 
 
-def partition_upper_almost_regular_dominates(g: Graph, b: Bipartition, d,
-                                             lam, value: Fraction) -> bool:
-    """Exact domination test against (1+lam)**n * C(lam)**(n h).
+def partition_upper_almost_regular_dominates(nverts: int, h: Fraction, lam,
+                                             value: Fraction) -> bool:
+    """Exact domination test against (1+lam)**n * C(lam)**(n h), for
+    bipartite G on nverts = 2n vertices with defect h = h(G, d).
 
-    With n = |V|/2 and n*h = p/q rational, compare
+    With n*h = p/q rational, compare
     value**(2q) <= (1+lam)**(|V| q) * C(lam)**(2 p).
     """
     lam = Fraction(lam)
-    prof = regularity_profile(g, b, d)
-    nh = prof.half_order * prof.h_value
+    nh = Fraction(nverts, 2) * h
     q = nh.denominator
     p = nh.numerator
     lhs = Fraction(value) ** (2 * q)
-    rhs = (1 + lam) ** (g.n * q) * c_of_lambda(lam) ** (2 * p)
+    rhs = (1 + lam) ** (nverts * q) * c_of_lambda(lam) ** (2 * p)
     return lhs <= rhs
 
 
@@ -245,14 +233,19 @@ class BoundTable:
 
 def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
     """Per-t lower/upper bounds in bits for a d-regular bipartite graph on
-    nverts vertices, beside the exact log2 i_t of its sequence seq."""
+    nverts vertices, beside the exact log2 i_t of its sequence seq.  Row
+    n - t takes its bounds from row t: C(n, t) = C(n, n - t), and entropy
+    canonicalises x to min(x, 1 - x), so both are the same numbers."""
     if nverts % 2:
         raise ValueError("bound table needs even |V|")
     n = nverts // 2
     rows = []
     for t in range(n + 1):
-        lower = count_lower_binomial_log2(nverts, t)
-        upper = count_upper_log2(nverts, d, t)
+        if 2 * t <= n:
+            lower = count_lower_binomial_log2(nverts, t)
+            upper = count_upper_log2(nverts, d, t)
+        else:
+            lower, upper = rows[n - t].lower_log2, rows[n - t].upper_log2
         it = seq[t] if t <= seq.alpha else 0
         exact = mp.log(mpf_from(it), 2) if it > 0 else mp.mpf("-inf")
         rows.append(BoundRow(t=t, lower_log2=lower, upper_log2=upper,
@@ -275,34 +268,39 @@ class BoundViolation:
 
 def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[BoundViolation]:
     """Exact check that C(|V|/2, t) <= i_t <= the entropy upper bound for
-    every t up to |V|/2.  Empty list means no violation."""
+    every t up to |V|/2.  Empty list means no violation.  C(n, t) and
+    2**(n H(t/n)) are symmetric in t and n - t, so each pair shares one
+    evaluation."""
+    if nverts % 2:
+        raise ValueError("sandwich check needs even |V|")
     violations = []
     n = nverts // 2
+    halves = [(binom(n, t), entropy_power(n, t)) for t in range(n // 2 + 1)]
     for t in range(n + 1):
         it = seq[t] if t <= seq.alpha else 0
-        lower = count_lower_binomial(nverts, t)
+        lower, power = halves[min(t, n - t)]
         if it < lower:
             violations.append(BoundViolation(
                 "lower", t, None, f"i_{t} = {it} < C({n},{t}) = {lower}"))
-        if not count_upper_dominates(nverts, d, t, it):
+        if not count_upper_dominates(n, d, power, it):
             violations.append(BoundViolation(
                 "upper", t, None, f"i_{t} = {it} exceeds entropy upper bound"))
     return violations
 
 
-def check_partition_dominance(g: Graph, b: Bipartition, d: int,
-                              seq: IndSetSequence, lambdas=DEFAULT_ACTIVITIES,
-                              ) -> list[BoundViolation]:
-    """Exact check that both partition-function bounds dominate P(G, lam)."""
+def check_partition_dominance(nverts: int, d: int, h: Fraction,
+                              values) -> list[BoundViolation]:
+    """Exact check that both partition-function bounds dominate P(G, lam),
+    for bipartite G on nverts vertices with defect h = h(G, d), at each
+    pair (lam, P(G, lam)) of values."""
     violations = []
-    for lam in lambdas:
+    for lam, p_exact in values:
         lam = Fraction(lam)
-        p_exact = polynomial_eval(seq, lam)
-        if not partition_upper_regular_dominates(g.n, d, lam, p_exact):
+        if not partition_upper_regular_dominates(nverts, d, lam, p_exact):
             violations.append(BoundViolation(
                 "partition-regular", None, lam,
                 f"P(G,{lam}) = {p_exact} exceeds regular partition bound"))
-        if not partition_upper_almost_regular_dominates(g, b, d, lam, p_exact):
+        if not partition_upper_almost_regular_dominates(nverts, h, lam, p_exact):
             violations.append(BoundViolation(
                 "partition-almost-regular", None, lam,
                 f"P(G,{lam}) = {p_exact} exceeds almost-regular bound"))

@@ -108,19 +108,19 @@ def cmd_bounds(args) -> int:
     payload = {"n": table.half_order, "d": table.degree,
                "rows": [vars(r) for r in table.rows]}
     violations = bnd.check_sandwich(g.n, d, seq)
-    lambdas = args.lam or bnd.DEFAULT_ACTIVITIES
-    violations += bnd.check_partition_dominance(g, b, d, seq, lambdas)
+    # h(G, d) once per call and P(G, lam) once per activity, shared by the
+    # exact checks and the printed bounds
+    h = graphs.regularity_profile(g, b, d).h_value
+    values = [(lam, polynomial_eval(seq, lam))
+              for lam in args.lam or bnd.DEFAULT_ACTIVITIES]
+    violations += bnd.check_partition_dominance(g.n, d, h, values)
     payload["violations"] = [v.detail for v in violations]
-    payload["partition_bounds"] = [
-        {
-            "lambda": str(lam),
-            "regular_log2": bnd.partition_upper_regular_log2(g.n, d, lam),
-            "almost_regular_log2":
-                bnd.partition_upper_almost_regular_log2(g, b, d, lam),
-            "exact_value": str(polynomial_eval(seq, lam)),
-        }
-        for lam in lambdas
-    ]
+    payload["partition_bounds"] = []
+    for lam, p_exact in values:
+        regular, almost = bnd.partition_upper_log2(g.n, d, h, lam)
+        payload["partition_bounds"].append(
+            {"lambda": str(lam), "regular_log2": regular,
+             "almost_regular_log2": almost, "exact_value": str(p_exact)})
     _emit(args, payload,
           [f"bound table for {args.graph} (d = {d}); "
            f"violations: {len(violations)}", *payload["violations"]],

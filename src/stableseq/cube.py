@@ -25,7 +25,7 @@ from typing import Optional
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
 from .exact import _binom_sum, count_by_size
 from .graphs import Graph
-from .numerics import binom, bits_of
+from .numerics import binom
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
 SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
@@ -69,7 +69,17 @@ class VertexSet:
         return SIDE_ODD if self.bits and not evens else SIDE_EVEN
 
     def vertices(self) -> list[int]:
-        return list(bits_of(self.bits))
+        """The vertices in ascending order, found in one right-to-left pass
+        over the binary digits: peeling the lowest bit off the set, as
+        numerics.bits_of does, rewrites all 2**d bits at every vertex."""
+        digits = bin(self.bits)
+        top = len(digits) - 1
+        out = []
+        i = digits.rfind("1")
+        while i >= 0:
+            out.append(top - i)
+            i = digits.rfind("1", 0, i)
+        return out
 
 
 def _even_mask(d: int) -> int:

@@ -73,6 +73,14 @@ def _kept(states: int, ones: int, k: int, threshold: int) -> bytes:
     return ((_MASK64 + threshold) * ones - x).to_bytes(16 * k, "little")[8::16]
 
 
+def _probability(p) -> Fraction:
+    """p as a Fraction, refused outside [0, 1]."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("p outside [0, 1]")
+    return p
+
+
 def _sampler(g: Graph, p):
     """The sampler of g at p: a function of (seed, trial) that keeps each
     edge of g independently with probability p, using the deterministic
@@ -91,9 +99,7 @@ def _sampler(g: Graph, p):
     below the threshold exactly when bit 64 of 2**64 + threshold - 1 - word
     is set; that difference lies in [0, 2**65), so no lane borrows either,
     and byte 8 of each lane is the edge's keep flag."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p outside [0, 1]")
+    p = _probability(p)
     # Threshold floor(p * 2^64) makes the keep probability exact for dyadic
     # p and within 2^-64 otherwise.
     threshold = (p.numerator << 64) // p.denominator
@@ -166,9 +172,7 @@ def run_experiment(base: str, p, seed: int, trials: int,
     d' = d p is a recorded experimental choice; it is surfaced in the
     summary next to every verdict.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p outside [0, 1]")
+    p = _probability(p)
     if trials < 1:
         raise ValueError("trials >= 1 required")
     g = parse_graph_spec(base)

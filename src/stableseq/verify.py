@@ -59,8 +59,10 @@ def _suite_small(count):
     bad = []
     for name, g, d in corpus:
         s = count(g)
-        b = graphs.bipartition(g)
-        if bnd.check_partition_dominance(g, b, d, s):
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
+        values = [(lam, polynomial_eval(s, lam))
+                  for lam in bnd.DEFAULT_ACTIVITIES]
+        if bnd.check_partition_dominance(g.n, d, h, values):
             bad.append(name)
     yield ("partition bounds dominate on small corpus", not bad, ",".join(bad))
 

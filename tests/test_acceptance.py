@@ -89,10 +89,10 @@ def test_criterion_4_partition_function_bounds():
     violations = []
     for name, g, d in corpus:
         seq = count_by_size(g)
-        b = graphs.bipartition(g)
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
+        values = [(lam, polynomial_eval(seq, lam)) for lam in lambdas]
         violations.extend(
-            (name, v) for v in
-            bnd.check_partition_dominance(g, b, d, seq, lambdas))
+            (name, v) for v in bnd.check_partition_dominance(g.n, d, h, values))
     tight = []
     for d in range(2, 9):
         exact = polynomial_eval(

@@ -10,6 +10,7 @@ from stableseq import bounds as bnd
 from stableseq import graphs
 from stableseq.exact import count_by_size, polynomial_eval
 from stableseq.graphs import bipartition
+from stableseq.numerics import entropy_power
 
 from util import (cli_json, count_upper_via_partition_log2, disjoint_union,
                   regular_bipartite_corpus)
@@ -80,7 +81,8 @@ def test_count_upper_tight_on_knn_unions():
             assert seq[m * d] == 2 ** m
             upper = bnd.count_upper_log2(g.n, d, m * d)
             assert upper == m
-            assert bnd.count_upper_dominates(g.n, d, m * d, seq[m * d])
+            assert bnd.count_upper_dominates(
+                g.n // 2, d, entropy_power(g.n // 2, m * d), seq[m * d])
 
 
 def test_count_lower_examples():
@@ -99,7 +101,8 @@ def test_partition_upper_regular_examples():
     assert bnd.partition_upper_regular_value(16, 4, 1) == 1024
     assert bnd.partition_upper_regular_dominates(16, 4, 1, Fraction(743))
     # tiny activity: bound tends to |V|/(2d) bits, nonnegative
-    assert bnd.partition_upper_regular_log2(16, 4, Fraction(1, 10 ** 9)) >= 2
+    assert bnd.partition_upper_log2(16, 4, Fraction(1, 4),
+                                    Fraction(1, 10 ** 9))[0] >= 2
 
 
 def test_count_upper_via_partition_matches_closed_form():
@@ -140,22 +143,24 @@ def test_c_of_lambda_branches():
 
 def test_partition_upper_almost_regular_examples():
     g = graphs.hypercube(4)
-    b = bipartition(g)
+    h = graphs.regularity_profile(g, bipartition(g), 4).h_value
     # balanced 4-regular at activity 1: n + 8n/d = 8 + 16 = 24 bits
-    val = bnd.partition_upper_almost_regular_log2(g, b, 4, 1)
+    val = bnd.partition_upper_log2(g.n, 4, h, 1)[1]
     assert abs(val - 24) < ULP128
     assert 2 ** 24 >= 743
     # activity 127: middle and upper branch agree
-    low = bnd.partition_upper_almost_regular_log2(g, b, 4, Fraction(127))
-    hi = bnd.partition_upper_almost_regular_log2(g, b, 4, Fraction(127))
+    low = bnd.partition_upper_log2(g.n, 4, h, Fraction(127))[1]
+    hi = bnd.partition_upper_log2(g.n, 4, h, Fraction(127))[1]
     assert low == hi
 
 
 def test_partition_bounds_dominate_on_corpus():
     for name, g, d in regular_bipartite_corpus():
         seq = count_by_size(g)
-        b = bipartition(g)
-        assert bnd.check_partition_dominance(g, b, d, seq) == [], name
+        h = graphs.regularity_profile(g, bipartition(g), d).h_value
+        values = [(lam, polynomial_eval(seq, lam))
+                  for lam in bnd.DEFAULT_ACTIVITIES]
+        assert bnd.check_partition_dominance(g.n, d, h, values) == [], name
 
 
 def test_almost_regular_bound_other_degrees():
@@ -164,9 +169,10 @@ def test_almost_regular_bound_other_degrees():
     b = bipartition(g)
     seq = count_by_size(g)
     for dd in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)):
+        h = graphs.regularity_profile(g, b, dd).h_value
         for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
             p = polynomial_eval(seq, lam)
-            assert bnd.partition_upper_almost_regular_dominates(g, b, dd, lam, p)
+            assert bnd.partition_upper_almost_regular_dominates(g.n, h, lam, p)
 
 
 def test_suff_condition_examples():
@@ -247,7 +253,7 @@ def test_exact_comparators_agree_with_float_route():
     margin = mp.mpf(2) ** -100
     for name, g, d in regular_bipartite_corpus()[:15]:
         seq = count_by_size(g)
-        b = graphs.bipartition(g)
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
         n = g.n // 2
         for t in range(n + 1):
             it = seq[t] if t <= seq.alpha else 0
@@ -256,20 +262,21 @@ def test_exact_comparators_agree_with_float_route():
             float_upper = bnd.count_upper_log2(g.n, d, t)
             gap = float_upper - mp.log(it, 2)
             if abs(gap) > margin:
-                assert bnd.count_upper_dominates(g.n, d, t, it) == (gap > 0), \
-                    (name, t)
+                assert bnd.count_upper_dominates(
+                    n, d, entropy_power(n, t), it) == (gap > 0), (name, t)
         for lam in (Fraction(1, 3), Fraction(1), Fraction(5)):
             p_exact = polynomial_eval(seq, lam)
-            f_reg = bnd.partition_upper_regular_log2(g.n, d, lam) \
+            reg_log2, alm_log2 = bnd.partition_upper_log2(g.n, d, h, lam)
+            f_reg = reg_log2 \
                 - mp.log(mp.mpf(p_exact.numerator) / p_exact.denominator, 2)
             if abs(f_reg) > margin:
                 assert bnd.partition_upper_regular_dominates(
                     g.n, d, lam, p_exact) == (f_reg > 0), (name, lam)
-            f_alm = bnd.partition_upper_almost_regular_log2(g, b, d, lam) \
+            f_alm = alm_log2 \
                 - mp.log(mp.mpf(p_exact.numerator) / p_exact.denominator, 2)
             if abs(f_alm) > margin:
                 assert bnd.partition_upper_almost_regular_dominates(
-                    g, b, d, lam, p_exact) == (f_alm > 0), (name, lam)
+                    g.n, h, lam, p_exact) == (f_alm > 0), (name, lam)
 
 
 def test_suff_condition_agrees_with_float_route():

@@ -466,7 +466,9 @@ def test_plain_and_csv_stdout_pinned(capsys, argv, stdout):
 
 
 # JSON stdout byte for byte: Fractions as p/q, mpmath numbers to 18
-# digits, keys sorted, one line.
+# digits, keys sorted, one line.  qd:3 has a middle bound row that mirrors
+# itself; crown:5 has odd n = 5, so every row t mirrors another row 5 - t,
+# and its three activities reach all three branches of c_of_lambda.
 PINNED_JSON = [
     (["bounds", "--graph", "qd:3"],
      '{"d": 3, "n": 4,'
@@ -498,6 +500,34 @@ PINNED_JSON = [
      ' {"exact_log2": "1.0", "lower_log2": "0.0", "t": 4,'
      ' "tags": ["binomial-lower", "entropy-upper"],'
      ' "upper_log2": "1.33333333333333333"}], "violations": []}'),
+    (["bounds", "--graph", "crown:5", "--lam", "1/200", "--lam", "1/3",
+      "--lam", "200"],
+     '{"d": 4, "n": 5, "partition_bounds": [{"almost_regular_log2":'
+     ' "10.8497921209946804", "exact_value":'
+     ' "168100401001/160000000000", "lambda": "1/200",'
+     ' "regular_log2": "1.28597750702101959"},'
+     ' {"almost_regular_log2": "12.0751874963942191", "exact_value":'
+     ' "1940/243", "lambda": "1/3", "regular_log2":'
+     ' "3.32518749639421909"}, {"almost_regular_log2":'
+     ' "49.0690730698683038", "exact_value": "656161002001",'
+     ' "lambda": "200", "regular_log2": "39.5052584558946431"}],'
+     ' "rows": [{"exact_log2": "0.0", "lower_log2": "0.0", "t": 0,'
+     ' "tags": ["binomial-lower", "entropy-upper"], "upper_log2":'
+     ' "1.25"}, {"exact_log2": "3.32192809488736235", "lower_log2":'
+     ' "2.32192809488736235", "t": 1, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "4.85964047443681174"},'
+     ' {"exact_log2": "4.6438561897747247", "lower_log2":'
+     ' "3.32192809488736235", "t": 2, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "6.10475297227334319"},'
+     ' {"exact_log2": "4.32192809488736235", "lower_log2":'
+     ' "3.32192809488736235", "t": 3, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "6.10475297227334319"},'
+     ' {"exact_log2": "3.32192809488736235", "lower_log2":'
+     ' "2.32192809488736235", "t": 4, "tags": ["binomial-lower",'
+     ' "entropy-upper"], "upper_log2": "4.85964047443681174"},'
+     ' {"exact_log2": "1.0", "lower_log2": "0.0", "t": 5, "tags":'
+     ' ["binomial-lower", "entropy-upper"], "upper_log2": "1.25"}],'
+     ' "violations": []}'),
     (["cube-window", "--d", "16", "--t", "1", "--t", "20000"],
      '{"rows": [{"central_log2": "17.4420347685705135", "d": 16,'
      ' "e1": null, "e1_reason": "f = 212269 not below t/2", "e2": null,'
@@ -520,7 +550,8 @@ PINNED_JSON = [
 
 
 @pytest.mark.parametrize("argv, stdout", PINNED_JSON,
-                         ids=[a[0] for a, _ in PINNED_JSON])
+                         ids=["bounds", "bounds crown:5", "cube-window",
+                              "percolate"])
 def test_json_stdout_pinned(capsys, argv, stdout):
     assert run_cli(capsys, *argv, "--format", "json") == (0, stdout + "\n", "")
 

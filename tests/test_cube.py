@@ -230,6 +230,22 @@ def test_side_matches_vertex_parities():
             assert VertexSet(d, bits).side == want, (d, bits)
 
 
+def test_vertices_ascending_by_bit_test():
+    # the digit scan against a test of each bit, from Q_1 up: empty and
+    # full sets, the lowest and highest vertex alone, and random sets; in
+    # Q_20, a set built from its sorted vertices
+    rng = random.Random(11)
+    for d in range(1, 11):
+        n = 1 << d
+        cases = [0, (1 << n) - 1, 1, 1 << n - 1]
+        cases += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(5)]
+        for bits in cases:
+            want = [v for v in range(n) if bits >> v & 1]
+            assert VertexSet(d, bits).vertices() == want, (d, bits)
+    verts = sorted({0, (1 << 20) - 1, *rng.sample(range(1 << 20), 3000)})
+    assert vs(20, verts).vertices() == verts
+
+
 def test_against_brute_force_small_sets():
     for d in (3, 4):
         evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]

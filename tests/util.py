@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from stableseq import graphs
-from stableseq.bounds import partition_upper_regular_log2
+from stableseq.bounds import partition_upper_log2
 from stableseq.cli import main
 from stableseq.cube_estimates import case_inequalities
 from stableseq.exact import IndSetSequence
@@ -119,7 +119,9 @@ def count_upper_via_partition_log2(nverts: int, d: int, t: int,
     lam = Fraction(2 * t, nverts - 2 * t) if lam is None else Fraction(lam)
     if lam <= 0:
         raise ValueError("lam > 0 required")
-    return partition_upper_regular_log2(nverts, d, lam) - t * log2_fraction(lam)
+    # the regular bound, the first of the pair, does not read the defect
+    regular, _ = partition_upper_log2(nverts, d, Fraction(1, d), lam)
+    return regular - t * log2_fraction(lam)
 
 
 def convolve(a, b) -> tuple[int, ...]:
