@@ -16,7 +16,7 @@ from typing import Optional
 import mpmath as mp
 
 from .exact import IndSetSequence
-from .numerics import binom, entropy_power, log2_fraction, mpf_from
+from .numerics import binom, entropy_power, log2, log2_fraction, mpf_from
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def entropy(x) -> mp.mpf:
         return mp.mpf(1)
     y = min(x, 1 - x)
     yf = mpf_from(y)
-    return -(yf * mp.log(yf, 2) + (1 - yf) * mp.log(1 - yf, 2))
+    return -(yf * log2(yf) + (1 - yf) * log2(1 - yf))
 
 
 def entropy_derivative(x) -> mp.mpf:
@@ -47,7 +47,7 @@ def entropy_derivative(x) -> mp.mpf:
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("derivative defined on (0, 1)")
-    return mp.log(mpf_from((1 - x) / x), 2)
+    return log2(mpf_from((1 - x) / x))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def count_lower_binomial(nverts: int, t: int) -> int:
 
 
 def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
-    return mp.log(mpf_from(count_lower_binomial(nverts, t)), 2)
+    return log2(mpf_from(count_lower_binomial(nverts, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
         else:
             lower, upper = rows[n - t].lower_log2, rows[n - t].upper_log2
         it = seq[t] if t <= seq.alpha else 0
-        exact = mp.log(mpf_from(it), 2) if it > 0 else mp.mpf("-inf")
+        exact = log2(mpf_from(it)) if it > 0 else mp.mpf("-inf")
         rows.append(BoundRow(t=t, lower_log2=lower, upper_log2=upper,
                              exact_log2=exact,
                              tags=(TAG_COUNT_LOWER, TAG_COUNT_UPPER)))

@@ -197,8 +197,8 @@ def cmd_cube_window(args) -> int:
           ("d", "t", "range", "central_log2", "e1_log2", "e2_log2",
            "e1_applicable", "e2_applicable"),
           ((r.d, r.t, r.tag, mp.nstr(r.central_log2, 18),
-            mp.nstr(mp.log(r.e1, 2), 12) if r.e1 is not None else "",
-            mp.nstr(mp.log(r.e2, 2), 12) if r.e2 is not None else "",
+            mp.nstr(numerics.log2(r.e1), 12) if r.e1 is not None else "",
+            mp.nstr(numerics.log2(r.e2), 12) if r.e2 is not None else "",
             r.e1 is not None, r.e2 is not None) for r in rows))
     return EXIT_OK
 

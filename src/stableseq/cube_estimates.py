@@ -10,13 +10,15 @@ A rational that decides a verdict stays an exact Fraction: the case
 margins, the dominance tests and the reasons a factor does not apply.  The
 verdicts and the integer of the estimate window (the density-window tag and
 the cutoff f_cut) are certified in interval arithmetic from (d, t), with
-escalating precision.  Factors that are only displayed (the terms of E1
-and E2 and the central value) are evaluated in floating point, without
-forming their exact powers.
+escalating precision; the tag takes intervals only where floats with a
+proven error bound cannot decide it (see range_tag).  Factors that are
+only displayed (the terms of E1 and E2 and the central value) are
+evaluated in floating point, without forming their exact powers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -134,7 +136,7 @@ def linked_sum_dominates(d: int, lam, k: int, total: Fraction) -> bool:
 
 def central_log2(d: int, t: int) -> mp.mpf:
     """log2 of the central value 2 C(2**(d-1), t) exp(density weight)."""
-    return 1 + log2_binom(1 << (d - 1), t) + _weight(d, t) / mp.log(2)
+    return 1 + log2_binom(1 << (d - 1), t) + _weight(d, t) / mp.ln2
 
 
 def _weight(d: int, t: int) -> mp.mpf:
@@ -232,24 +234,58 @@ def _factors(d: int, t: int) -> tuple:
 # Density-window classification and the estimate window
 # ---------------------------------------------------------------------------
 
+_DENSE_BASE = 1 - math.sqrt(0.5)    # 1 - 1/sqrt(2), within 2^-51 relative
+_BAND = 2.0 ** -36                  # relative half-width of range_tag's band
+
+
+def _float_side(x: float, y: float) -> Optional[bool]:
+    """Whether x >= y, from floats each within 2^-41 of its value relative:
+    True above y (1 + _BAND), False below y (1 - _BAND), None between."""
+    if x >= y * (1 + _BAND):
+        return True
+    if x <= y * (1 - _BAND):
+        return False
+    return None
+
+
 def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     """Classify t against the two density windows.
 
     Upper window: 2**(d-1)(1 - 1/sqrt(2) + 2 log2(d)/d) <= t <= 2**(d-1).
     Lower window: 2**(d-1) c log2(d)/d**(1/3) <= t < the upper threshold.
-    The constant c is a configuration parameter, not a derived quantity.
+    The constant c is a configuration parameter, not a derived quantity; it
+    must be positive (ValueError otherwise).
 
-    Both comparisons are certified.  The upper threshold is irrational
-    (log2(d) is an integer or transcendental), so interval escalation
-    settles it.  The lower one is decided as d t^3 >= (c 2^(d-1) log2(d))^3:
-    exactly when d is a power of two, where the two sides can be equal, and
-    by interval escalation otherwise.
+    Each comparison is first made in floats, from the ratio r = t/2**(d-1)
+    (int true division: correctly rounded, and no overflow at any d): r
+    against 1 - 1/sqrt(2) + 2 log2(d)/d, and r**3 d against (c log2 d)**3.
+    Each IEEE operation and int-to-float conversion is within 2^-53 of its
+    value, relative, and math.log2 is taken to be within 2^-44 (2^8 units
+    in the last place; the tests check it against mpmath).  The worst side,
+    (c log2 d)**3, triples the error of the log and adds six roundings:
+    3 * 2^-44 + 6 * 2^-53 < 2^-41 relative.  So where the two floats differ
+    by more than the band, a relative half-width of 2^-36, the float
+    comparison has the sign of the exact one.  The lower side is filtered
+    only for 2^-300 < c < 2^300, which keeps (c log2 d)**3 above 2^-900
+    and below overflow: an r, r**2 or r**3 below 2^-1022, where rounding
+    is absolute, then errs by less than 2^-1000, far inside the band.
+
+    Inside the band the comparison is certified by interval escalation.
+    The upper threshold is irrational (log2(d) is an integer or
+    transcendental), so escalation settles it.  The lower one is decided as
+    d t^3 >= (c 2^(d-1) log2(d))^3: exactly when d is a power of two, where
+    the two sides can be equal, and by escalation otherwise.
     """
     c = Fraction(c)
+    if c <= 0:
+        raise ValueError(f"the density-window constant c must be positive, "
+                         f"not {c}")
     half = 1 << (d - 1)
     if t < 0 or t > half:
         return RANGE_DEGENERATE
     iv = mp.iv
+    r = t / half
+    log2_d = math.log2(d)
 
     def upper():
         return iv.mpf(half) * (1 - 1 / iv.sqrt(2)
@@ -258,17 +294,26 @@ def range_tag(d: int, t: int, c=Fraction(1)) -> str:
     def lower_cubed():
         return (iv_from(c) * half * iv.log(d) / iv.ln2) ** 3
 
-    if certified_leq(upper, lambda: iv.mpf(t),
-                     f"t = {{}} against the upper threshold at d = {d}", t):
+    dense = _float_side(r, _DENSE_BASE + 2 * log2_d / d)
+    if dense is None:
+        dense = certified_leq(
+            upper, lambda: iv.mpf(t),
+            f"t = {{}} against the upper threshold at d = {d}", t)
+    if dense:
         return RANGE_DENSE
     k = d.bit_length() - 1
     if d == 1 << k:     # log2(d) = k
         sparse = d * t ** 3 >= (c * half * k) ** 3
     else:
-        n = d * t ** 3
-        sparse = certified_leq(
-            lower_cubed, lambda: iv.mpf(n),
-            f"d t^3 = {{}} against the lower threshold at d = {d}", n)
+        sparse = None
+        if abs(c.numerator.bit_length() - c.denominator.bit_length()) < 300:
+            w = c.numerator / c.denominator * log2_d
+            sparse = _float_side(r * r * r * d, w * w * w)
+        if sparse is None:
+            n = d * t ** 3
+            sparse = certified_leq(
+                lower_cubed, lambda: iv.mpf(n),
+                f"d t^3 = {{}} against the lower threshold at d = {d}", n)
     return RANGE_SPARSE if sparse else RANGE_BELOW
 
 

@@ -81,12 +81,24 @@ def iv_from(q) -> mp.iv.mpf:
     return mp.iv.mpf(q)
 
 
+def log2(x: mp.mpf) -> mp.mpf:
+    """log2 of a positive mpf, bit for bit the value of mp.log(x, 2).  An
+    exact power of two 2**k, 1 included, is its exponent k: mpmath takes
+    the quotient of two logs at 20 extra bits, which rounds back to k.
+    Anything else goes to mp.log.  Splitting 2**k off a general x would
+    not do: log2(m) + k differs from mp.log(m * 2**k, 2) in the last bits."""
+    sign, man, exp, _bc = x._mpf_
+    if man == 1 and not sign:
+        return mp.mpf(exp)
+    return mp.log(x, 2)
+
+
 def log2_fraction(q: Fraction) -> mp.mpf:
     """log2 of a positive rational, as log2(p) - log2(q) of its numerator and
     denominator, each converted by mpf_from."""
     if q <= 0:
         raise ValueError("log2 of a non-positive rational")
-    return mp.log(mpf_from(q.numerator), 2) - mp.log(mpf_from(q.denominator), 2)
+    return log2(mpf_from(q.numerator)) - log2(mpf_from(q.denominator))
 
 
 def log2_binom(n: int, k: int) -> mp.mpf:
@@ -100,7 +112,7 @@ def log2_binom(n: int, k: int) -> mp.mpf:
     if k < 0 or k > n:
         return mp.mpf("-inf")
     if n <= 4096:
-        return mp.log(mpf_from(binom(n, k)), 2)
+        return log2(mpf_from(binom(n, k)))
     m = min(k, n - k)
     if m == 0:
         return mp.mpf(0)
@@ -108,7 +120,7 @@ def log2_binom(n: int, k: int) -> mp.mpf:
     with mp.extraprec(bits - m.bit_length() + bits.bit_length() + 8):
         ln = mp.loggamma(mpf_from(n) + 1) - mp.loggamma(mpf_from(k) + 1) \
             - mp.loggamma(mpf_from(n - k) + 1)
-        value = ln / mp.log(2)
+        value = ln / mp.ln2
     return +value
 
 

@@ -22,7 +22,7 @@ from .bounds import entropy_derivative
 from .exact import count_by_size
 from .graphs import (Graph, bipartition, parse_graph_spec, regularity_profile,
                      spec_family)
-from .numerics import mpf_from
+from .numerics import log2, mpf_from
 from .seqshape import check_property_bgs
 
 _MASK64 = (1 << 64) - 1
@@ -129,7 +129,7 @@ def _step_rule(n: int, epsilon: Fraction):
     ceil(C(eps) * max(log2 n, n h)) with C(eps) = 1/H'((1-eps)/2), floored
     at 1; C(eps) and log2 n are evaluated once."""
     c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
-    log2_n = mp.log(n, 2)
+    log2_n = log2(mpf_from(n))
 
     def rule(h: Fraction) -> int:
         return max(1, int(mp.ceil(c_eps * max(log2_n, mpf_from(h) * n))))

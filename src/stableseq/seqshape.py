@@ -17,7 +17,7 @@ from typing import Optional
 import mpmath as mp
 
 from .exact import IndSetSequence
-from .numerics import log2_binom, mpf_from
+from .numerics import log2, log2_binom, mpf_from
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -160,7 +160,7 @@ def transition_ratio_log2(d: int, t: int, it: int) -> mp.mpf:
     """log2 of i_t(Q_d) / (2 C(2**(d-1), t)), from the exact count it."""
     if not 0 <= t <= 1 << (d - 1):
         raise ValueError("t outside [0, 2^(d-1)]")
-    return mp.log(mpf_from(it), 2) - 1 - log2_binom(1 << (d - 1), t)
+    return log2(mpf_from(it)) - 1 - log2_binom(1 << (d - 1), t)
 
 
 def predicted_transition_limit(g) -> mp.mpf:

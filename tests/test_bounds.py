@@ -148,10 +148,20 @@ def test_partition_upper_almost_regular_examples():
     val = bnd.partition_upper_log2(g.n, 4, h, 1)[1]
     assert abs(val - 24) < ULP128
     assert 2 ** 24 >= 743
-    # activity 127: middle and upper branch agree
-    low = bnd.partition_upper_log2(g.n, 4, h, Fraction(127))[1]
-    hi = bnd.partition_upper_log2(g.n, 4, h, Fraction(127))[1]
-    assert low == hi
+    # the middle value 256 of C(lam) is the upper branch 2(1 + lam) at
+    # lam = 127 and the lower branch 2(1 + 1/lam) at lam = 1/127, and just
+    # past each breakpoint the outer branch takes over
+    eps = Fraction(1, 10 ** 9)
+    for lam, outer in ((Fraction(127), lambda x: 2 * (1 + x)),
+                       (Fraction(1, 127), lambda x: 2 * (1 + 1 / x))):
+        assert bnd.c_of_lambda(lam) == 256 == outer(lam)
+    assert bnd.c_of_lambda(127 + eps) == 2 * (1 + (127 + eps))
+    assert bnd.c_of_lambda(Fraction(1, 127) - eps) == \
+        2 * (1 + 1 / (Fraction(1, 127) - eps))
+    # at lam = 127 the almost-regular bound is n log2(1 + lam) + 8 n h
+    # exactly: 8 * 7 + 8 * 8 * 1/4, each log2 that of a power of two
+    assert h == Fraction(1, 4)
+    assert bnd.partition_upper_log2(g.n, 4, h, Fraction(127))[1] == 72
 
 
 def test_partition_bounds_dominate_on_corpus():

@@ -546,12 +546,83 @@ PINNED_JSON = [
      ' "flagged": false, "h_value": "1/1", "holds": true, "s_used": 14,'
      ' "stream_id": 6301985355436268297, "trial": 1}], "seed": 1,'
      ' "success_rate": "1/1", "trials": 2}'),
+    (["transition", "--d", "5"],
+     '{"rows": [{"d": 5, "g": "-5/2", "predicted_limit":'
+     ' "1.68852704093e+32", "ratio_log2": "-1.0", "t": 0}, {"d": 5, "g":'
+     ' "-35/16", "predicted_limit": "1.77886086371e+17", "ratio_log2":'
+     ' "0.0", "t": 1}, {"d": 5, "g": "-15/8", "predicted_limit":'
+     ' "1711337388.01", "ratio_log2": "0.793549122533", "t": 2}, {"d":'
+     ' 5, "g": "-25/16", "predicted_limit": "87548.4424161",'
+     ' "ratio_log2": "1.36257007938", "t": 3}, {"d": 5, "g": "-5/4",'
+     ' "predicted_limit": "441.972198312", "ratio_log2":'
+     ' "1.69187770464", "t": 4}, {"d": 5, "g": "-15/16",'
+     ' "predicted_limit": "26.0602081803", "ratio_log2":'
+     ' "1.77297612993", "t": 5}, {"d": 5, "g": "-5/8",'
+     ' "predicted_limit": "5.72688342993", "ratio_log2":'
+     ' "1.61208967874", "t": 6}, {"d": 5, "g": "-5/16",'
+     ' "predicted_limit": "2.54498047665", "ratio_log2":'
+     ' "1.24697141788", "t": 7}, {"d": 5, "g": "0/1", "predicted_limit":'
+     ' "1.6487212707", "ratio_log2": "0.781339332014", "t": 8}, {"d": 5,'
+     ' "g": "5/16", "predicted_limit": "1.30686444449", "ratio_log2":'
+     ' "0.387023123109", "t": 9}, {"d": 5, "g": "5/8",'
+     ' "predicted_limit": "1.15402103801", "ratio_log2":'
+     ' "0.164630701773", "t": 10}, {"d": 5, "g": "15/16",'
+     ' "predicted_limit": "1.07969380108", "ratio_log2":'
+     ' "0.0569899785848", "t": 11}, {"d": 5, "g": "5/4",'
+     ' "predicted_limit": "1.04189638448", "ratio_log2":'
+     ' "0.0126276083277", "t": 12}, {"d": 5, "g": "25/16",'
+     ' "predicted_limit": "1.02221155037", "ratio_log2": "0.0", "t":'
+     ' 13}, {"d": 5, "g": "15/8", "predicted_limit": "1.01182828026",'
+     ' "ratio_log2": "0.0", "t": 14}, {"d": 5, "g": "35/16",'
+     ' "predicted_limit": "1.00631392041", "ratio_log2": "0.0", "t":'
+     ' 15}, {"d": 5, "g": "5/2", "predicted_limit": "1.00337465487",'
+     ' "ratio_log2": "0.0", "t": 16}]}'),
+    # the integers on both sides of the lower and the upper threshold at
+    # d = 162, c = 1/4, which the float filter of range_tag leaves to
+    # interval escalation
+    (["--c-constant", "1/4", "cube-window", "--d", "162",
+      "--t", "983901200548999509989235008683683587452382131585",
+      "--t", "983901200548999509989235008683683587452382131586",
+      "--t", "1120997042581640189594153558764653888444982682507",
+      "--t", "1120997042581640189594153558764653888444982682508"],
+     '{"rows": [{"central_log2": "2.69364703215931831e+48", "d": 162,'
+     ' "e1": "2.67566691494908228e-24", "e1_reason": null, "e2":'
+     ' "3.36997358051176941e+69412", "e2_reason": null, "f_cut":'
+     ' 4219164034511246047894737, "lambda":'
+     ' "983901200548999509989235008683683587452382131585/193910207411280'
+     '6326418134656748882451859482954367",'
+     ' "range": "below", "t":'
+     ' 983901200548999509989235008683683587452382131585},'
+     ' {"central_log2": "2.69364703215931831e+48", "d": 162, "e1":'
+     ' "2.67566691494908228e-24", "e1_reason": null, "e2":'
+     ' "3.36997358051176941e+69412", "e2_reason": null, "f_cut":'
+     ' 4219164034511246047894737, "lambda":'
+     ' "491950600274499754994617504341841793726191065793/969551037056403'
+     '163209067328374441225929741477183",'
+     ' "range": "range4", "t":'
+     ' 983901200548999509989235008683683587452382131586},'
+     ' {"central_log2": "2.80749327462335326e+48", "d": 162, "e1":'
+     ' "0.999999996553450921", "e1_reason": null, "e2":'
+     ' "1.00001156301045132", "e2_reason": null, "f_cut":'
+     ' 35886726102544515197, "lambda":'
+     ' "1120997042581640189594153558764653888444982682507/18020062320801'
+     '65646813216106667912150866882403445",'
+     ' "range": "range4", "t":'
+     ' 1120997042581640189594153558764653888444982682507},'
+     ' {"central_log2": "2.80749327462335326e+48", "d": 162, "e1":'
+     ' "0.999999996553450921", "e1_reason": null, "e2":'
+     ' "1.00001156301045132", "e2_reason": null, "f_cut":'
+     ' 35886726102544515197, "lambda":'
+     ' "280249260645410047398538389691163472111245670627/450501558020041'
+     '411703304026666978037716720600861",'
+     ' "range": "range123", "t":'
+     ' 1120997042581640189594153558764653888444982682508}]}'),
 ]
 
 
 @pytest.mark.parametrize("argv, stdout", PINNED_JSON,
                          ids=["bounds", "bounds crown:5", "cube-window",
-                              "percolate"])
+                              "percolate", "transition", "cube-window d162"])
 def test_json_stdout_pinned(capsys, argv, stdout):
     assert run_cli(capsys, *argv, "--format", "json") == (0, stdout + "\n", "")
 
@@ -778,6 +849,18 @@ def test_parser_reuse_carries_no_state(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run_cli(capsys, *window) == (0, plain_out, "")
+
+
+@pytest.mark.parametrize("c", ["0", "-1/4"])
+def test_non_positive_c_constant_is_a_usage_error(capsys, c):
+    # a lower density window starting at or below t = 0 comes from no
+    # positive constant; "--c-constant=-1/4" keeps argparse from reading
+    # the value as a flag
+    code, out, err = run_cli(capsys, f"--c-constant={c}", "cube-window",
+                             "--d", "12", "--t", "0", "--t", "5")
+    assert (code, out) == (2, "")
+    assert err == \
+        f"error: the density-window constant c must be positive, not {c}\n"
 
 
 def test_global_flags_do_not_leak_into_next_call(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stableseq import cube_estimates as est
+from stableseq import cube_estimates as est, numerics
 from stableseq.cube import NotApplicableError, small_set_scan
 from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
                                       central_log2,
@@ -545,3 +546,79 @@ def test_range_tag_next_to_both_thresholds():
     # (c 2^(d-1) log2 d)^3 = 96^3
     assert range_tag(8, 48, Fraction(1, 4)) == est.RANGE_SPARSE
     assert range_tag(8, 47, Fraction(1, 4)) == est.RANGE_BELOW
+
+
+def _near_thresholds(d, c):
+    """The integers next to the upper and lower thresholds at (d, c), with
+    the thresholds taken at d + 200 bits, inside [0, 2^(d-1)]."""
+    half = 1 << (d - 1)
+    with mp.workprec(d + 200):
+        upper = half * (1 - 1 / mp.sqrt(2) + 2 * mp.log(d, 2) / d)
+        lower = half * mp.mpf(c.numerator) / c.denominator \
+            * mp.log(d, 2) / mp.cbrt(d)
+        near = {int(mp.floor(x)) + i for x in (upper, lower)
+                for i in (-1, 0, 1, 2)}
+    return {t for t in near if 0 <= t <= half}
+
+
+def test_range_tag_float_filter_agrees_with_intervals(monkeypatch):
+    # every tag, decided by the float filter where it may, equals the tag
+    # decided by intervals alone; the grid is t = 0, t = 2^(d-1), random t
+    # and the integers next to both thresholds, where the band sends the
+    # comparison to intervals from about d = 40 on
+    rng = random.Random(24)
+    ds = sorted({*range(1, 41), *rng.sample(range(41, 2000), 12),
+                 511, 512, 1000, 1999, 2000})
+    cases = []
+    for d in ds:
+        half = 1 << (d - 1)
+        for c in rng.sample([Fraction(1), Fraction(1, 4), Fraction(3),
+                             Fraction(1, 10 ** 6)], 2 if d > 40 else 4):
+            ts = {0, half, *(rng.randrange(half + 1) for _ in range(3))}
+            cases += [(d, t, c) for t in sorted(ts | _near_thresholds(d, c))]
+    filtered = [range_tag(d, t, c) for d, t, c in cases]
+    monkeypatch.setattr(est, "_float_side", lambda x, y: None)
+    assert filtered == [range_tag(d, t, c) for d, t, c in cases]
+    assert len(cases) > 1000
+    assert set(filtered) == {est.RANGE_DENSE, est.RANGE_SPARSE,
+                             est.RANGE_BELOW}
+
+
+def test_range_tag_escalates_only_inside_the_band(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return numerics.certified_leq(*args)
+    monkeypatch.setattr(est, "certified_leq", counting)
+    # far from both thresholds: floats decide, at any d
+    half = 1 << 1999
+    assert [range_tag(2000, t) for t in (1, half // 5, half // 2, half)] \
+        == [est.RANGE_BELOW] * 2 + [est.RANGE_DENSE] * 2
+    assert range_tag(40, 1 << 33, Fraction(1, 10 ** 6)) == est.RANGE_SPARSE
+    assert calls == []
+    # next to a threshold at d = 162: the comparison with it escalates
+    for t in _near_thresholds(162, Fraction(1, 4)):
+        calls.clear()
+        range_tag(162, t, Fraction(1, 4))
+        assert calls, t
+
+
+def test_math_log2_within_range_tag_assumption():
+    # range_tag's band takes math.log2 of an integer to be within 2^-44 of
+    # log2 d, relative
+    ds = [*range(2, 5000), *(3 ** k for k in range(8, 40)),
+          *((1 << k) - 1 for k in range(13, 64))]
+    with mp.workprec(120):
+        for d in ds:
+            exact = mp.log(d, 2)
+            assert abs(math.log2(d) - exact) <= exact * 2.0 ** -44, d
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(-1, 4)])
+def test_range_tag_refuses_a_non_positive_constant(c):
+    # c <= 0 would open the lower window at or below t = 0
+    with pytest.raises(ValueError, match="must be positive"):
+        range_tag(12, 5, c)
+    with pytest.raises(ValueError, match="must be positive"):
+        range_tag(12, 0, c)

@@ -39,6 +39,19 @@ def test_log2_fraction_is_bit_identical_to_direct_logs(m, k, q, prec):
         assert log2_fraction(r)._mpf_ == direct._mpf_
 
 
+@pytest.mark.parametrize("prec", [53, 160, 1000])
+def test_log2_is_bit_identical_to_mp_log(prec):
+    # exact powers of two take the exponent; odd multiples of them, whose
+    # last bits a split log2(m) + k would move, go to mp.log
+    with mp.workprec(prec):
+        for k in range(-300, 301):
+            for m in (1, 3, 5, 127, (1 << 90) + 1):
+                x = mp.ldexp(m, k)
+                assert numerics.log2(x)._mpf_ == mp.log(x, 2)._mpf_, (m, k)
+        assert numerics.log2(mp.mpf(1))._mpf_ == mp.mpf(0)._mpf_
+        assert numerics.log2(mp.ldexp(1, -300)) == -300
+
+
 def test_mpf_from_edge_values():
     for q in (0, 1, -1, 2, -2, Fraction(0), Fraction(-3, 8), Fraction(1, 1 << 72000)):
         direct = mp.mpf(q.numerator) / q.denominator \
