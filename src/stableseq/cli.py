@@ -271,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact independent-set sequences, entropy and "
                     "partition-function bounds, hypercube estimate windows, "
                     "shape checkers, and percolation experiments.")
-    ap.add_argument("--precision", type=int, default=numerics.DEFAULT_PRECISION_BITS,
-                    metavar="BITS", help="working mantissa bits for "
-                    "transcendental evaluation (default %(default)s)")
     ap.add_argument("--c-constant", type=_fraction, default=Fraction(1),
                     metavar="RATIONAL", dest="c_constant",
                     help="unpinned constant in the density-window "
@@ -358,10 +355,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The verb runs at the requested mpmath precision and, since a count can
-    # be longer than CPython's int-to-str limit (4300 digits by default, from
-    # 3.10.7 on), without that limit; the caller's values come back afterwards.
-    saved_prec = mp.mp.prec, mp.iv.prec
+    # The verb runs at numerics.WORKING_BITS and, since a count can be longer
+    # than CPython's int-to-str limit (4300 digits by default, from 3.10.7
+    # on), without that limit; the caller's values come back afterwards.
     saved_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved_digits is not None:
         sys.set_int_max_str_digits(0)
@@ -372,11 +368,11 @@ def main(argv=None) -> int:
             # --help leaves through argparse's SystemExit; its text is
             # flushed here so that a closed stdout is handled below too
             sys.stdout.flush()
-        numerics.set_precision(args.precision)
         # The verb is looked up by name on every call, not stored in the
         # shared parser, so a rebinding of a module-level cmd_* function
         # (a test's monkeypatch, a tracing wrapper) takes effect.
-        code = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        with numerics.working_precision():
+            code = globals()["cmd_" + args.verb.replace("-", "_")](args)
         # Flushed here, so a reader that has gone shows up below and not in
         # the interpreter's flush at shutdown.
         sys.stdout.flush()
@@ -395,7 +391,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        mp.mp.prec, mp.iv.prec = saved_prec
         if saved_digits is not None:
             sys.set_int_max_str_digits(saved_digits)
 

@@ -56,24 +56,14 @@ class Graph:
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs u < v, ascending lexicographically."""
         for u in range(self.n):
             for v in bits_of(self.adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -96,14 +86,6 @@ class Bipartition:
 
     class_e: tuple[int, ...]
     class_o: tuple[int, ...]
-
-    @property
-    def e_mask(self) -> int:
-        return sum(1 << v for v in self.class_e)
-
-    @property
-    def o_mask(self) -> int:
-        return sum(1 << v for v in self.class_o)
 
 
 def bipartition(g: Graph) -> Bipartition:

@@ -1,42 +1,42 @@
 """Shared exact-rational and high-precision numeric helpers.
 
 Counting is always exact (Python ints / fractions.Fraction).  Transcendental
-evaluations go through mpmath at a configurable mantissa width; one-sided
-comparisons that involve a transcendental use interval arithmetic so that a
-reported verdict never depends on rounding direction.
+evaluations go through mpmath; one-sided comparisons that involve a
+transcendental use interval arithmetic so that a reported verdict never
+depends on rounding direction.
+
+The command line and percolation.run_experiment run at WORKING_BITS, under
+working_precision.  Every other function computes at the caller's mpmath
+precision, and importing the package changes neither mp.mp.prec nor
+mp.iv.prec.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
-# Working mantissa width for transcendental evaluation.  Entropy differences
-# near x = 1/2 are second-order small, so double precision is not enough at
-# class sizes around 2**20.
-DEFAULT_PRECISION_BITS = 128
-_GUARD_BITS = 32
+# Working precision for transcendental evaluation: a 128-bit mantissa plus
+# 32 guard bits.  Entropy differences near x = 1/2 are second-order small,
+# so double precision is not enough at class sizes around 2**20.
+WORKING_BITS = 160
 _MAX_PREC = 16384   # interval precision at which a comparison gives up
 
 
-def set_precision(bits: int = DEFAULT_PRECISION_BITS) -> None:
-    """Set the working precision (mantissa bits, guard bits added on top).
-    With the guard bits it may not pass _MAX_PREC, where an interval
-    comparison that cannot decide gives up, or no comparison would run."""
-    if bits < 53:
-        raise ValueError("precision below double precision is not supported")
-    if bits + _GUARD_BITS > _MAX_PREC:
-        raise ValueError(
-            f"precision above {_MAX_PREC - _GUARD_BITS} bits is not supported "
-            f"(with {_GUARD_BITS} guard bits, interval comparisons stop at "
-            f"{_MAX_PREC} bits)")
-    mp.mp.prec = bits + _GUARD_BITS
-    mp.iv.prec = bits + _GUARD_BITS
-
-
-set_precision()
+@contextlib.contextmanager
+def working_precision():
+    """Set mp.mp.prec and mp.iv.prec to WORKING_BITS for the body (or, as a
+    decorator, the call) and give back the caller's values afterwards;
+    mp.iv has no workprec of its own."""
+    saved = mp.mp.prec, mp.iv.prec
+    mp.mp.prec = mp.iv.prec = WORKING_BITS
+    try:
+        yield
+    finally:
+        mp.mp.prec, mp.iv.prec = saved
 
 
 def binom(n: int, k: int) -> int:

@@ -22,7 +22,7 @@ from .bounds import entropy_derivative
 from .exact import count_by_size
 from .graphs import (Graph, bipartition, parse_graph_spec, regularity_profile,
                      spec_family)
-from .numerics import log2, mpf_from
+from .numerics import log2, mpf_from, working_precision
 from .seqshape import check_property_bgs
 
 _MASK64 = (1 << 64) - 1
@@ -159,6 +159,7 @@ class ExperimentSummary:
     success_rate: Fraction
 
 
+@working_precision()
 def run_experiment(base: str, p, seed: int, trials: int,
                    epsilon=Fraction(1, 10)) -> ExperimentSummary:
     """Sample trials graphs by percolating the graph of spec base at p,
@@ -170,7 +171,8 @@ def run_experiment(base: str, p, seed: int, trials: int,
     disconnected, and n = |V|/2.
 
     d' = d p is a recorded experimental choice; it is surfaced in the
-    summary next to every verdict.
+    summary next to every verdict.  The step rule is evaluated at
+    numerics.WORKING_BITS whatever the caller's mpmath precision.
     """
     p = _probability(p)
     if trials < 1:

@@ -687,55 +687,16 @@ def test_usage_errors(capsys):
     assert "error" in err
 
 
-def test_precision_flag(capsys):
-    code, out, _ = run_cli(capsys, "--precision", "192", "count",
-                           "--graph", "qd:2", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["total"] == "7"
-
-
 def test_main_restores_caller_precision(capsys):
-    saved = mp.mp.prec, mp.iv.prec
-    try:
-        mp.mp.prec = 300
-        mp.iv.prec = 250
-        code, _out, _err = run_cli(capsys, "--precision", "64", "cube-window",
-                                   "--d", "8", "--t", "20")
-        assert code == 0
-        assert (mp.mp.prec, mp.iv.prec) == (300, 250)
-    finally:
-        mp.mp.prec, mp.iv.prec = saved
-
-
-def test_precision_below_double_exits_2(capsys):
-    prec = mp.mp.prec, mp.iv.prec
-    code, out, err = run_cli(capsys, "--precision", "10", "count",
-                             "--graph", "qd:2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: precision below double precision")
-    assert (mp.mp.prec, mp.iv.prec) == prec
-
-
-@pytest.mark.parametrize("bits", ["16353", "20000"])
-def test_precision_past_the_interval_cap_exits_2(capsys, bits):
-    # 32 guard bits on top would start every interval comparison past its
-    # 16384-bit cap, so none would run and each would read as undecided
-    prec = mp.mp.prec, mp.iv.prec
-    code, out, err = run_cli(capsys, "--precision", bits, "cube-window",
-                             "--d", "5", "--t", "8")
-    assert (code, out) == (2, "")
-    assert err == ("error: precision above 16352 bits is not supported "
-                   "(with 32 guard bits, interval comparisons stop at "
-                   "16384 bits)\n")
-    assert (mp.mp.prec, mp.iv.prec) == prec
-
-
-def test_precision_at_the_interval_cap_runs(capsys):
-    code, out, err = run_cli(capsys, "--precision", "16352", "cube-window",
-                             "--d", "5", "--t", "8")
-    assert (code, err) == (0, "")
-    assert out.startswith("d=5 t=8 [below] central_log2 = 15.3730719536;")
+    # every verb runs at the working precision, whatever the caller's: at
+    # 53 bits these 18-digit values would come out different
+    argv = ("cube-window", "--d", "96", "--t", str((1 << 95) * 2 // 5),
+            "--format", "json")
+    default = run_cli(capsys, *argv)
+    for caller in ((300, 250), (53, 53)):
+        mp.mp.prec, mp.iv.prec = caller
+        assert run_cli(capsys, *argv) == default
+        assert (mp.mp.prec, mp.iv.prec) == caller
 
 
 def test_removed_flags_are_usage_errors(capsys):
@@ -745,6 +706,7 @@ def test_removed_flags_are_usage_errors(capsys):
                   "--backend", "bipartite"],
                  ["bounds", "--graph", "qd:3", "--d", "3"],
                  ["--workers", "2", "count", "--graph", "qd:3"],
+                 ["--precision", "192", "count", "--graph", "qd:3"],
                  ["percolate", "--base", "knn:4,4", "--p", "1/2",
                   "--s-rule", "default"]):
         with pytest.raises(SystemExit) as exc:
@@ -839,8 +801,7 @@ def test_parser_reuse_carries_no_state(capsys):
     window = ("cube-window", "--d", "96", "--t", str((1 << 95) * 2 // 5),
               "--format", "json")
     _code, plain_out, _ = run_cli(capsys, *window)
-    code, flagged_out, _ = run_cli(capsys, "--c-constant", "1/4",
-                                   "--precision", "200", *window)
+    code, flagged_out, _ = run_cli(capsys, "--c-constant", "1/4", *window)
     assert code == 0 and flagged_out != plain_out
     assert run_cli(capsys, *window) == (0, plain_out, "")
 
@@ -867,16 +828,13 @@ def test_global_flags_do_not_leak_into_next_call(capsys, monkeypatch):
     seen = []
 
     def record(args):
-        seen.append((args.c_constant, args.precision, mp.mp.prec))
+        seen.append(args.c_constant)
         return 0
     monkeypatch.setattr(cli, "cmd_cube_window", record)
-    assert main(["--c-constant", "1/4", "--precision", "200",
+    assert main(["--c-constant", "1/4",
                  "cube-window", "--d", "8", "--t", "20"]) == 0
     assert main(["cube-window", "--d", "8", "--t", "20"]) == 0
-    default = numerics.DEFAULT_PRECISION_BITS
-    (c1, bits1, prec1), (c2, bits2, prec2) = seen
-    assert (c1, bits1, c2, bits2) == (Fraction(1, 4), 200, Fraction(1), default)
-    assert prec1 - prec2 == 200 - default
+    assert seen == [Fraction(1, 4), Fraction(1)]
 
 
 VERBS = ("count", "bounds", "check", "cube-structure", "cube-window",

@@ -474,15 +474,21 @@ def test_window_factors_keep_their_digits_at_huge_exponents(capsys):
                        "0268866462505734045")
     assert w["e2"] == ("4.86853019929168477e+7514906316461666384093299011345"
                        "7141677154890642032000")
+    # the reference is the same window at 2032 bits, in process; the
+    # conftest fixture gives back the working precision afterwards
     for d in (150, 192, 256):
+        ts = [(1 << (d - 1)) * k // 10 for k in (1, 3, 7)]
         argv = ["cube-window", "--d", str(d)]
-        for k in (1, 3, 7):
-            argv += ["--t", str((1 << (d - 1)) * k // 10)]
+        for t in ts:
+            argv += ["--t", str(t)]
         got = cli_json(capsys, *argv)["rows"]
-        want = cli_json(capsys, "--precision", "2000", *argv)["rows"]
+        mp.mp.prec = mp.iv.prec = 2032
+        want = [estimate_window(d, t) for t in ts]
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
-            assert (g["e1"], g["e2"]) == (w["e1"], w["e2"]), (d, g["t"])
+            assert [g["e1"], g["e2"]] == [
+                None if x is None else mp.nstr(x, 18) for x in (w.e1, w.e2)
+            ], (d, g["t"])
 
 
 def test_estimate_window_matches_f_cut_and_central_log2():
@@ -518,6 +524,16 @@ def test_case_inequalities_equal_their_fraction_forms():
         "case4": {"d0": None, "fails": list(range(14, 201)),
                   "monotone_from": None},
     }
+
+
+def test_case4_margin_closed_form():
+    # criterion 8's case-4 margin in closed form: its leading term -5 d^4/4
+    # is the 5 d^4/2^d error factor on the 2^(d-2) term, and the margin is
+    # negative from d = 14 on
+    for d in range(2, 2001):
+        assert case_inequalities(d)["case4"]["margin"] == \
+            Fraction(53 * d * d, 2) - Fraction(5 * d ** 4, 4) - 1 \
+            + Fraction(75 * d ** 6 - 215 * d ** 4, 2 ** d), d
 
 
 def test_range_tag_next_to_both_thresholds():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -140,3 +143,20 @@ def test_certified_ceil_next_to_integers():
                 got = numerics.certified_ceil(
                     lambda: numerics.iv_from(q) * mp.iv.e, "ceil({} * e)", q)
                 assert got == want, (bits, k, ulp)
+
+
+def test_importing_every_module_leaves_mpmath_precision_alone():
+    # a fresh interpreter's precisions, before and after importing the
+    # package and each of its modules
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    code = ("import importlib, pkgutil, mpmath as mp\n"
+            "print(mp.mp.prec, mp.iv.prec)\n"
+            "import stableseq\n"
+            "for module in pkgutil.iter_modules(stableseq.__path__):\n"
+            "    importlib.import_module('stableseq.' + module.name)\n"
+            "print(mp.mp.prec, mp.iv.prec)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert after == before

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from stableseq import exact, graphs, percolation as pc
@@ -8,8 +9,8 @@ from stableseq import seqshape as ss
 from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
 
-from util import (check_simple, cli_json, default_step_rule, knn_sequence,
-                  percolate)
+from util import (check_simple, cli_json, default_step_rule, edge_count,
+                  knn_sequence, percolate)
 
 
 def test_splitmix64_published_vectors():
@@ -29,7 +30,7 @@ def naive_percolate(g, p, seed, trial):
     index = 0
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
+            if not g.adj[u] >> v & 1:
                 continue
             word = pc._splitmix64(pc._splitmix64(pc._splitmix64(
                 seed & mask) ^ (trial & mask)) ^ index)
@@ -57,7 +58,7 @@ def test_lane_sampler_matches_naive_stream(spec):
     # knn:16,16 fills 256 lanes, knn:33,33 more than one pass of _LANES,
     # knn:0,5 none; the thresholds at and next to 0 and 2^64
     g = graphs.parse_graph_spec(spec)
-    assert spec != "knn:33,33" or g.edge_count > pc._LANES
+    assert spec != "knn:33,33" or edge_count(g) > pc._LANES
     for p in (Fraction(0), Fraction(1), Fraction(1, 1 << 64),
               1 - Fraction(1, 1 << 64), Fraction(1, 3)):
         for seed in ((1 << 64) - 1, 1 << 64, -1):
@@ -69,7 +70,7 @@ def test_lane_sampler_matches_naive_stream(spec):
 def test_percolate_p_one_and_zero():
     g = graphs.complete_bipartite(6, 6)
     assert percolate(g, 1, 99).adj == g.adj
-    assert percolate(g, 0, 99).edge_count == 0
+    assert edge_count(percolate(g, 0, 99)) == 0
     with pytest.raises(ValueError):
         percolate(g, Fraction(3, 2), 1)
 
@@ -96,7 +97,7 @@ def test_percolate_binomial_mean_band():
     # three-sigma band around 32 (sigma of the mean = 4/100)
     g = graphs.complete_bipartite(8, 8)
     trials = 10 ** 4
-    total = sum(percolate(g, Fraction(1, 2), 31415, trial=i).edge_count
+    total = sum(edge_count(percolate(g, Fraction(1, 2), 31415, trial=i))
                 for i in range(trials))
     mean = total / trials
     sigma_mean = math.sqrt(64 * 0.25) / math.sqrt(trials)
@@ -105,7 +106,7 @@ def test_percolate_binomial_mean_band():
 
 def test_gnnp_single_edge_and_degree_band():
     g = percolate(graphs.complete_bipartite(1, 1), 1, 5)
-    assert g.n == 2 and g.edge_count == 1
+    assert g.n == 2 and edge_count(g) == 1
     # the experiment's frame on knn:n,n is the base's own bipartition: the
     # sides {0..n-1} and {n..2n-1}
     n, p, trials = 12, Fraction(1, 3), 400
@@ -116,7 +117,7 @@ def test_gnnp_single_edge_and_degree_band():
     # expected vertex degree n p; averaged over trials stays within 3 sigma
     degsum = 0
     for i in range(trials):
-        degsum += percolate(base, p, 777, trial=i).degree(0)
+        degsum += percolate(base, p, 777, trial=i).adj[0].bit_count()
     mean = degsum / trials
     sigma_mean = math.sqrt(n * (1 / 3) * (2 / 3)) / math.sqrt(trials)
     assert abs(mean - n * p) <= 3 * sigma_mean
@@ -129,6 +130,25 @@ def test_run_experiment_deterministic():
     assert len(one.records) == 12
     assert one.success_rate == Fraction(
         sum(1 for r in one.records if r.holds), 12)
+
+
+def test_run_experiment_runs_at_working_precision(monkeypatch):
+    # the experiment counts at 160/160 whatever the caller's precisions,
+    # gives the same summary, and hands the caller's precisions back
+    seen = []
+
+    def count(g):
+        seen.append((mp.mp.prec, mp.iv.prec))
+        return count_by_size(g)
+    monkeypatch.setattr(pc, "count_by_size", count)
+    summaries = []
+    for caller in (53, 300):
+        mp.mp.prec = mp.iv.prec = caller
+        summaries.append(pc.run_experiment("knn:6,6", Fraction(1, 2),
+                                           seed=4, trials=2))
+        assert (mp.mp.prec, mp.iv.prec) == (caller, caller)
+    assert seen == [(160, 160)] * 4
+    assert summaries[0] == summaries[1]
 
 
 def test_run_experiment_p_one_matches_closed_form():

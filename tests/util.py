@@ -3,11 +3,13 @@ the graph corpus and cli_json, which reads a verb's JSON output.
 
 The oracles here deliberately avoid the library's incremental tricks: plain
 subset scans and quadratic checks, so they stay independent of the code
-paths they validate.  Seven helpers that only tests need live here rather
-than in the library: the simplicity check check_simple, disjoint_union,
-which places test graphs side by side, count_upper_via_partition_log2, a
-second route to the entropy count bound, components, the plain flood fill
-that the engine's component sweep is checked against,
+paths they validate.  Nine helpers that only tests need live here rather
+than in the library: the simplicity check check_simple, edge_count,
+vertex_mask, the bitset of a vertex list such as a bipartition class,
+disjoint_union, which places test graphs side by side,
+count_upper_via_partition_log2, a second route to the entropy count
+bound, components, the plain flood fill that the engine's component sweep
+is checked against,
 cube_two_components, the flood fill over one 2**d-bit row of
 distance-2 neighbours per vertex that the hypercube's 2-components are
 checked against, and percolate and default_step_rule, the percolation
@@ -55,6 +57,16 @@ def check_simple(g: Graph) -> None:
         for v in bits_of(g.adj[u]):
             if not (g.adj[v] >> u & 1):
                 raise GraphError(f"asymmetric edge {u}->{v}")
+
+
+def edge_count(g: Graph) -> int:
+    """The number of edges of g."""
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
+def vertex_mask(vertices) -> int:
+    """The bitset of the given vertices."""
+    return sum(1 << v for v in vertices)
 
 
 def components(adj, mask: int) -> list[int]:
