@@ -9,7 +9,7 @@ floating forms (128-bit mantissa by default) are for display and tables only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -224,14 +224,8 @@ class BoundRow:
     tags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    half_order: int          # n = |V|/2
-    degree: int
-    rows: tuple[BoundRow, ...] = field(default_factory=tuple)
-
-
-def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
+def build_bound_table(nverts: int, d: int,
+                      seq: IndSetSequence) -> tuple[BoundRow, ...]:
     """Per-t lower/upper bounds in bits for a d-regular bipartite graph on
     nverts vertices, beside the exact log2 i_t of its sequence seq.  Row
     n - t takes its bounds from row t: C(n, t) = C(n, n - t), and entropy
@@ -251,26 +245,18 @@ def build_bound_table(nverts: int, d: int, seq: IndSetSequence) -> BoundTable:
         rows.append(BoundRow(t=t, lower_log2=lower, upper_log2=upper,
                              exact_log2=exact,
                              tags=(TAG_COUNT_LOWER, TAG_COUNT_UPPER)))
-    return BoundTable(half_order=n, degree=d, rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # Exact sandwich / domination checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundViolation:
-    kind: str
-    t: Optional[int]
-    lam: Optional[Fraction]
-    detail: str
-
-
-def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[BoundViolation]:
+def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[str]:
     """Exact check that C(|V|/2, t) <= i_t <= the entropy upper bound for
-    every t up to |V|/2.  Empty list means no violation.  C(n, t) and
-    2**(n H(t/n)) are symmetric in t and n - t, so each pair shares one
-    evaluation."""
+    every t up to |V|/2, as one message per violation; an empty list means
+    none.  C(n, t) and 2**(n H(t/n)) are symmetric in t and n - t, so each
+    pair shares one evaluation."""
     if nverts % 2:
         raise ValueError("sandwich check needs even |V|")
     violations = []
@@ -280,28 +266,24 @@ def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[BoundViolat
         it = seq[t] if t <= seq.alpha else 0
         lower, power = halves[min(t, n - t)]
         if it < lower:
-            violations.append(BoundViolation(
-                "lower", t, None, f"i_{t} = {it} < C({n},{t}) = {lower}"))
+            violations.append(f"i_{t} = {it} < C({n},{t}) = {lower}")
         if not count_upper_dominates(n, d, power, it):
-            violations.append(BoundViolation(
-                "upper", t, None, f"i_{t} = {it} exceeds entropy upper bound"))
+            violations.append(f"i_{t} = {it} exceeds entropy upper bound")
     return violations
 
 
 def check_partition_dominance(nverts: int, d: int, h: Fraction,
-                              values) -> list[BoundViolation]:
+                              values) -> list[str]:
     """Exact check that both partition-function bounds dominate P(G, lam),
     for bipartite G on nverts vertices with defect h = h(G, d), at each
-    pair (lam, P(G, lam)) of values."""
+    pair (lam, P(G, lam)) of values; one message per violation."""
     violations = []
     for lam, p_exact in values:
         lam = Fraction(lam)
         if not partition_upper_regular_dominates(nverts, d, lam, p_exact):
-            violations.append(BoundViolation(
-                "partition-regular", None, lam,
-                f"P(G,{lam}) = {p_exact} exceeds regular partition bound"))
+            violations.append(
+                f"P(G,{lam}) = {p_exact} exceeds regular partition bound")
         if not partition_upper_almost_regular_dominates(nverts, h, lam, p_exact):
-            violations.append(BoundViolation(
-                "partition-almost-regular", None, lam,
-                f"P(G,{lam}) = {p_exact} exceeds almost-regular bound"))
+            violations.append(
+                f"P(G,{lam}) = {p_exact} exceeds almost-regular bound")
     return violations

@@ -104,17 +104,16 @@ def cmd_bounds(args) -> int:
         raise ValueError("bounds verb needs a regular bipartite graph")
     d = degs.pop()
     seq = count_by_size(g)
-    table = bnd.build_bound_table(g.n, d, seq)
-    payload = {"n": table.half_order, "d": table.degree,
-               "rows": [vars(r) for r in table.rows]}
+    rows = bnd.build_bound_table(g.n, d, seq)
+    payload = {"n": g.n // 2, "d": d, "rows": [vars(r) for r in rows]}
     violations = bnd.check_sandwich(g.n, d, seq)
     # h(G, d) once per call and P(G, lam) once per activity, shared by the
     # exact checks and the printed bounds
-    h = graphs.regularity_profile(g, b, d).h_value
+    h = graphs.regularity_profile(g, b, d)
     values = [(lam, polynomial_eval(seq, lam))
               for lam in args.lam or bnd.DEFAULT_ACTIVITIES]
     violations += bnd.check_partition_dominance(g.n, d, h, values)
-    payload["violations"] = [v.detail for v in violations]
+    payload["violations"] = violations
     payload["partition_bounds"] = []
     for lam, p_exact in values:
         regular, almost = bnd.partition_upper_log2(g.n, d, h, lam)
@@ -123,10 +122,10 @@ def cmd_bounds(args) -> int:
              "almost_regular_log2": almost, "exact_value": str(p_exact)})
     _emit(args, payload,
           [f"bound table for {args.graph} (d = {d}); "
-           f"violations: {len(violations)}", *payload["violations"]],
+           f"violations: {len(violations)}", *violations],
           ("t", "lower_log2", "upper_log2", "exact_log2", "tags"),
           ((r.t, mp.nstr(r.lower_log2, 18), mp.nstr(r.upper_log2, 18),
-            mp.nstr(r.exact_log2, 18), "|".join(r.tags)) for r in table.rows))
+            mp.nstr(r.exact_log2, 18), "|".join(r.tags)) for r in rows))
     return EXIT_INVARIANT if violations else EXIT_OK
 
 

@@ -143,9 +143,8 @@ def _odd_cycle(adj, layers: list[int], inside: int) -> list[int]:
     return walks[0] + walks[1][-2::-1]
 
 
-@dataclass(frozen=True)
-class RegularityProfile:
-    """The four summands of the almost-regularity defect h(G, d).
+def regularity_profile(g: Graph, b: Bipartition, d) -> Fraction:
+    """The almost-regularity defect h(G, d), in exact rational arithmetic:
 
     h(G, d) = 1/d + |{v in E : d(v) < d}| / n
             + (1/(d n)) * sum_{v in O, d(v) >= d} (d(v) - d)
@@ -154,17 +153,6 @@ class RegularityProfile:
     For a d-regular balanced bipartite graph every correction term vanishes
     and h(G, d) = 1/d exactly.
     """
-
-    d: Fraction
-    h_value: Fraction
-    low_deg_count_e: int
-    excess_deg_sum_o: Fraction
-    class_gap: int
-    half_order: Fraction  # n = |V|/2, kept rational for odd orders
-
-
-def regularity_profile(g: Graph, b: Bipartition, d) -> RegularityProfile:
-    """Evaluate h(G, d) in exact rational arithmetic."""
     d = Fraction(d)
     if d <= 0:
         raise GraphError("degree parameter d must be positive")
@@ -178,10 +166,7 @@ def regularity_profile(g: Graph, b: Bipartition, d) -> RegularityProfile:
     high = [deg for v in b.class_o if (deg := adj[v].bit_count()) >= cut]
     excess = sum(high) - len(high) * d
     gap = len(b.class_o) - len(b.class_e)
-    h = Fraction(1) / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
-    return RegularityProfile(d=d, h_value=h, low_deg_count_e=low,
-                             excess_deg_sum_o=excess, class_gap=gap,
-                             half_order=n)
+    return Fraction(1) / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +188,9 @@ def hypercube(d: int) -> Graph:
     adjacency flips exactly one coordinate."""
     if d < 0:
         raise GraphError("d < 0")
-    _check_cap(1 << d)
+    # compared before 2^d is built or printed: d may be huge
+    if d > VERTEX_CAP.bit_length() - 1:
+        raise SizeCapError(f"|V| = 2^{d} exceeds cap {VERTEX_CAP}")
     return Graph(1 << d, tuple(_cube_row(d, v) for v in range(1 << d)))
 
 

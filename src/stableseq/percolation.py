@@ -195,8 +195,7 @@ def run_experiment(base: str, p, seed: int, trials: int,
     for trial in range(trials):
         sample = sampler(seed, trial)
         if d_prime > 0:
-            prof = regularity_profile(sample, frame, d_prime)
-            h = prof.h_value
+            h = regularity_profile(sample, frame, d_prime)
         else:
             h = Fraction(0)
         s_used = step_rule(h)

@@ -75,9 +75,6 @@ def check_sstep(seq, kind: str, lo: int, hi: int,
 
 @dataclass(frozen=True)
 class PropertyBGS:
-    beta: Fraction
-    gamma: Fraction
-    s: int
     holds: bool
     increasing: MonotonicityReport
     decreasing: MonotonicityReport
@@ -113,9 +110,8 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
         else MonotonicityReport(INCREASING, lo1, lo1, s, True, None)
     dec = check_sstep(counts, DECREASING, lo2, hi2, s) if hi2 >= lo2 \
         else MonotonicityReport(DECREASING, hi2, hi2, s, True, None)
-    return PropertyBGS(beta=beta, gamma=gamma, s=s,
-                       holds=inc.holds and dec.holds,
-                       increasing=inc, decreasing=dec)
+    return PropertyBGS(holds=inc.holds and dec.holds, increasing=inc,
+                       decreasing=dec)
 
 
 def is_unimodal(seq) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -59,7 +59,7 @@ def _suite_small(count):
     bad = []
     for name, g, d in corpus:
         s = count(g)
-        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d)
         values = [(lam, polynomial_eval(s, lam))
                   for lam in bnd.DEFAULT_ACTIVITIES]
         if bnd.check_partition_dominance(g.n, d, h, values):

@@ -89,7 +89,7 @@ def test_criterion_4_partition_function_bounds():
     violations = []
     for name, g, d in corpus:
         seq = count_by_size(g)
-        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d)
         values = [(lam, polynomial_eval(seq, lam)) for lam in lambdas]
         violations.extend(
             (name, v) for v in bnd.check_partition_dominance(g.n, d, h, values))

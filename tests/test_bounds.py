@@ -143,7 +143,7 @@ def test_c_of_lambda_branches():
 
 def test_partition_upper_almost_regular_examples():
     g = graphs.hypercube(4)
-    h = graphs.regularity_profile(g, bipartition(g), 4).h_value
+    h = graphs.regularity_profile(g, bipartition(g), 4)
     # balanced 4-regular at activity 1: n + 8n/d = 8 + 16 = 24 bits
     val = bnd.partition_upper_log2(g.n, 4, h, 1)[1]
     assert abs(val - 24) < ULP128
@@ -167,7 +167,7 @@ def test_partition_upper_almost_regular_examples():
 def test_partition_bounds_dominate_on_corpus():
     for name, g, d in regular_bipartite_corpus():
         seq = count_by_size(g)
-        h = graphs.regularity_profile(g, bipartition(g), d).h_value
+        h = graphs.regularity_profile(g, bipartition(g), d)
         values = [(lam, polynomial_eval(seq, lam))
                   for lam in bnd.DEFAULT_ACTIVITIES]
         assert bnd.check_partition_dominance(g.n, d, h, values) == [], name
@@ -179,7 +179,7 @@ def test_almost_regular_bound_other_degrees():
     b = bipartition(g)
     seq = count_by_size(g)
     for dd in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)):
-        h = graphs.regularity_profile(g, b, dd).h_value
+        h = graphs.regularity_profile(g, b, dd)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
             p = polynomial_eval(seq, lam)
             assert bnd.partition_upper_almost_regular_dominates(g.n, h, lam, p)
@@ -238,17 +238,16 @@ def test_step_bound_examples():
 def test_bound_table_shape_and_serialization(capsys):
     g = graphs.hypercube(3)
     seq = count_by_size(g)
-    table = bnd.build_bound_table(8, 3, seq)
-    assert len(table.rows) == 5
-    for row in table.rows:
+    rows = bnd.build_bound_table(8, 3, seq)
+    assert len(rows) == 5
+    for row in rows:
         assert row.lower_log2 <= row.upper_log2
         assert row.exact_log2 is not None
         assert row.lower_log2 <= row.exact_log2 <= row.upper_log2
         assert set(row.tags) == {bnd.TAG_COUNT_LOWER, bnd.TAG_COUNT_UPPER}
-    assert (table.half_order, table.degree) == (4, 3)
     payload = cli_json(capsys, "bounds", "--graph", "qd:3")
     assert payload["n"] == 4 and payload["d"] == 3
-    assert [r["t"] for r in payload["rows"]] == [r.t for r in table.rows]
+    assert [r["t"] for r in payload["rows"]] == [r.t for r in rows]
 
 
 def test_sandwich_clean_on_corpus():
@@ -263,7 +262,7 @@ def test_exact_comparators_agree_with_float_route():
     margin = mp.mpf(2) ** -100
     for name, g, d in regular_bipartite_corpus()[:15]:
         seq = count_by_size(g)
-        h = graphs.regularity_profile(g, graphs.bipartition(g), d).h_value
+        h = graphs.regularity_profile(g, graphs.bipartition(g), d)
         n = g.n // 2
         for t in range(n + 1):
             it = seq[t] if t <= seq.alpha else 0

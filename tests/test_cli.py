@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stableseq
 from stableseq import cli, cube_estimates, exact, numerics
@@ -777,6 +781,124 @@ def test_count_refuses_graph_over_vertex_cap(capsys):
     code, out, err = run_cli(capsys, "count", "--graph", "path:100000")
     assert (code, out) == (2, "")
     assert err == "error: |V| = 100000 exceeds cap 32768\n"
+
+
+def test_count_refuses_huge_hypercube_before_building_it(capsys):
+    # Q_d is refused on d alone: 2^d is never built or printed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--graph", "qd:99999999999")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: |V| = 2^99999999999 exceeds cap 32768\n"
+    assert len(err) < 100
+
+
+# The exit-code contract over a grammar of argv.  Valid values stay small
+# (family sizes up to 12, Q_d up to d = 5 where it is counted, two trials,
+# cube-window up to d = 64), so every call takes milliseconds.  Each value
+# may come padded with whitespace or in non-ASCII digits, or be replaced
+# by an invalid form; qd: also takes sizes up to 10^11.
+_OTHER_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_INVALID = ("-1", "-3/2", "0", "1/0", "", " ", "x", "1.5", "\u00bd")
+
+
+@st.composite
+def _arg(draw, values):
+    """A value of values, spelled plainly, padded or in other digits, or
+    one of the invalid forms."""
+    form = draw(st.sampled_from(("plain", "padded", "digits", "invalid")))
+    if form == "invalid":
+        return draw(st.sampled_from(_INVALID))
+    text = str(draw(values))
+    if form == "padded":
+        return f" {text}\t"
+    if form == "digits":
+        digits = draw(st.sampled_from(_OTHER_DIGITS))
+        return text.translate(str.maketrans("0123456789", digits))
+    return text
+
+
+def _ints(lo, hi):
+    return _arg(st.integers(lo, hi))
+
+
+def _fractions(hi):
+    return _arg(st.fractions(0, hi, max_denominator=12))
+
+
+@st.composite
+def _graph_spec(draw):
+    family = draw(st.sampled_from(("qd", "knn", "cycle", "path", "crown",
+                                   "circ", "aems", "torus")))
+    if family == "qd":
+        size = draw(st.one_of(_ints(0, 5), st.integers(16, 10 ** 11)))
+        return f"qd:{size}"
+    if family in ("knn", "circ"):
+        parts = draw(st.lists(_ints(0, 12), min_size=1, max_size=3))
+        return f"{family}:{','.join(parts)}"
+    if family == "aems":
+        return family
+    return f"{family}:{draw(_ints(0, 12))}"
+
+
+_VERBS = {
+    # verb: (flag, value strategy, required)
+    "count": [("--graph", _graph_spec(), True)],
+    "bounds": [("--graph", _graph_spec(), True), ("--lam", _fractions(8), False)],
+    "check": [("--graph", _graph_spec(), True),
+              ("--property", st.sampled_from(("unimodal", "final-third", "bgs",
+                                              "convex")), True),
+              ("--beta", _fractions(1), False), ("--gamma", _fractions(1), False),
+              ("--step", _ints(0, 12), False)],
+    "cube-structure": [("--d", _ints(0, 6), True),
+                       ("--set", st.lists(_ints(0, 70), max_size=4).map(",".join),
+                        False)],
+    "cube-window": [("--d", _ints(0, 64), True),
+                    ("--t", st.one_of(_ints(0, 40), _ints(0, 1 << 64)), True)],
+    "transition": [("--d", _ints(0, 5), True), ("--t", _ints(0, 20), False)],
+    "percolate": [("--base", _graph_spec(), True), ("--p", _fractions(1), True),
+                  ("--seed", _ints(0, 1 << 64), False),
+                  ("--trials", _ints(0, 2), False),
+                  ("--epsilon", _fractions(1), False)],
+}
+
+
+@st.composite
+def _argvs(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--c-constant", draw(_fractions(4))]
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    argv.append(verb)
+    for flag, values, required in _VERBS[verb] + [
+            ("--format", st.sampled_from(("json", "csv", "plain", "xml")),
+             False)]:
+        if draw(st.floats(0, 1)) < (0.95 if required else 0.4):
+            value = draw(values)
+            argv += ([f"{flag}={value}"] if draw(st.booleans())
+                     else [flag, value])
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(_argvs())
+def test_every_argv_exits_0_or_2_with_a_documented_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 2), (argv, code, err)
+    lines = err.splitlines(keepends=True)
+    assert (err == "" and code == 0
+            or code == 2 and len(lines) == 1 and err.startswith("error: ")
+            and err.endswith("\n")
+            or code == 2 and err.startswith("usage: stableseq")
+            and ": error: " in lines[-1]), (argv, err)
 
 
 # main() parses with one parser built on its first call; these pin that

@@ -13,7 +13,7 @@ from stableseq.graphs import GraphError, bipartition
 
 from util import (bipartite_mask_graph, brute_sequence, brute_side_profile,
                   cli_json, components, convolve, disjoint_union,
-                  fraction_polynomial_eval, regular_bipartite_corpus)
+                  fraction_polynomial_eval, grid, regular_bipartite_corpus)
 
 Q3_SEQUENCE = (1, 8, 16, 8, 2)
 Q4_SEQUENCE = (1, 16, 88, 208, 228, 128, 56, 16, 2)
@@ -174,6 +174,15 @@ def test_q6_published_values():
     seq = count_by_size(graphs.hypercube(6))
     assert seq.total == HYPERCUBE_TOTALS[6]
     assert (seq[1], seq[2], seq.alpha, seq[32]) == (64, 1824, 32, 2)
+
+
+# Total independent-set counts of the k x k grid, k = 1 .. 8 (OEIS A006506).
+GRID_TOTALS = (2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_grid_totals_match_oeis(k):
+    assert count_by_size(grid(k, k)).total == GRID_TOTALS[k - 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 150, 299, 300])
@@ -381,8 +390,12 @@ def test_star_among_many_isolated_vertices():
     empty = graphs.Graph(2500, (0,) * 2500)
     g = disjoint_union(empty, graphs.complete_bipartite(1, 3), empty)
     star = (1, 4, 3, 1)
+    # one row by C(n, k + 1) = C(n, k) (n - k) / (k + 1), not 20,000 combs
+    row = [1]
+    for k in range(5000):
+        row.append(row[-1] * (5000 - k) // (k + 1))
     assert count_by_size(g).counts == tuple(
-        sum(c * comb(5000, t - j) for j, c in enumerate(star) if j <= t)
+        sum(c * row[t - j] for j, c in enumerate(star) if 0 <= t - j <= 5000)
         for t in range(5004))
 
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stableseq import graphs
-from stableseq.graphs import (GraphError, NotBipartiteError,
-                              RegularityProfile, SizeCapError, bipartition,
-                              regularity_profile)
+from stableseq.graphs import (GraphError, NotBipartiteError, SizeCapError,
+                              bipartition, regularity_profile)
 
 from util import (check_simple, components, disjoint_union, edge_count,
                   percolate, regular_bipartite_corpus, vertex_mask)
@@ -198,60 +197,35 @@ def test_bipartition_class_e_is_the_sum_of_component_minima():
 
 def test_regularity_profile_q4():
     g = graphs.hypercube(4)
-    prof = regularity_profile(g, bipartition(g), 4)
-    assert prof.h_value == Fraction(1, 4)
-    assert prof.low_deg_count_e == 0
-    assert prof.excess_deg_sum_o == 0
-    assert prof.class_gap == 0
+    assert regularity_profile(g, bipartition(g), 4) == Fraction(1, 4)
 
 
 def test_regularity_profile_regular_corpus_is_inverse_degree():
     for name, g, d in regular_bipartite_corpus():
-        prof = regularity_profile(g, bipartition(g), d)
-        assert prof.h_value == Fraction(1, d), name
+        assert regularity_profile(g, bipartition(g), d) == Fraction(1, d), name
 
 
 def test_regularity_profile_k23():
     # classes normalized so E is the two degree-3 vertices; with d = 2 the
     # only correction is the class gap: 1/2 + 1/(5/2) = 9/10
     g = graphs.complete_bipartite(2, 3)
-    prof = regularity_profile(g, bipartition(g), 2)
-    assert prof.low_deg_count_e == 0
-    assert prof.excess_deg_sum_o == 0
-    assert prof.class_gap == 1
-    assert prof.half_order == Fraction(5, 2)
-    assert prof.h_value == Fraction(9, 10)
+    assert regularity_profile(g, bipartition(g), 2) == Fraction(9, 10)
 
 
 def test_regularity_profile_star():
     g = graphs.complete_bipartite(1, 3)
-    prof = regularity_profile(g, bipartition(g), 1)
-    assert prof.class_gap == 2
-    assert prof.h_value == 2
-
-
-def test_regularity_profile_identity_reconstruction():
-    # the reported total always equals the four documented summands
-    for name, g, d in regular_bipartite_corpus()[:8]:
-        for dd in (Fraction(1), Fraction(d), Fraction(d, 2), Fraction(2 * d, 3)):
-            prof = regularity_profile(g, bipartition(g), dd)
-            n = prof.half_order
-            assert prof.h_value == (1 / dd + Fraction(prof.low_deg_count_e) / n
-                                    + prof.excess_deg_sum_o / (dd * n)
-                                    + Fraction(prof.class_gap) / n), (name, dd)
+    # a class gap of 2 over n = 2: h = 1/1 + 2/2
+    assert regularity_profile(g, bipartition(g), 1) == 2
 
 
 def _profile_by_fractions(g, b, d):
-    """h(G, d) and its summands, one Fraction per vertex."""
+    """h(G, d) from its four summands, one Fraction per vertex."""
     n = Fraction(g.n, 2)
     low = sum(1 for v in b.class_e if g.adj[v].bit_count() < d)
     excess = sum((Fraction(g.adj[v].bit_count()) - d for v in b.class_o
                   if g.adj[v].bit_count() >= d), start=Fraction(0))
     gap = len(b.class_o) - len(b.class_e)
-    h = 1 / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
-    return RegularityProfile(d=d, h_value=h, low_deg_count_e=low,
-                             excess_deg_sum_o=excess, class_gap=gap,
-                             half_order=n)
+    return 1 / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
 
 
 @pytest.mark.parametrize("base", ["knn:7,7", "knn:12,12", "qd:4"])
@@ -263,10 +237,10 @@ def test_regularity_profile_matches_per_vertex_fractions(base):
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             sample = percolate(g, p, seed)
             for dd in (d * p, Fraction(d), Fraction(d * 2, 3), Fraction(1)):
-                prof = regularity_profile(sample, frame, dd)
-                assert prof == _profile_by_fractions(sample, frame, dd), \
+                h = regularity_profile(sample, frame, dd)
+                assert h == _profile_by_fractions(sample, frame, dd), \
                     (base, seed, p, dd)
-                assert type(prof.excess_deg_sum_o) is Fraction
+                assert type(h) is Fraction
 
 
 def test_regularity_profile_rejects_nonpositive_degree():

@@ -198,7 +198,7 @@ def test_run_experiment_matches_per_trial_route(base, p):
     n = g.n // 2
     for r in summary.records:
         sample = percolate(g, p, summary.seed, r.trial)
-        h = graphs.regularity_profile(sample, frame, summary.d_prime).h_value
+        h = graphs.regularity_profile(sample, frame, summary.d_prime)
         assert (r.h_value, r.s_used, r.alpha) == \
             (h, default_step_rule(n, h, eps), count_by_size(sample).alpha)
 

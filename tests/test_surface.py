@@ -9,12 +9,20 @@ imported or re-exported, as from the package's __init__, has no caller.
 A function that only tests need belongs in tests/util.py; a function that
 states a paper inequality which a test asserts, but which no code path
 evaluates, is named in ALLOWED with that claim.
+
+The package root is a docstring alone, so importing a counting module
+loads no module of the package that it does not use.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stableseq"
@@ -76,3 +84,26 @@ def test_every_public_function_has_a_caller_outside_tests():
 
 def test_allowlist_names_existing_functions():
     assert ALLOWED <= set(_public_functions())
+
+
+def test_package_root_is_a_docstring_alone():
+    # library code imports from the modules; the root re-exports nothing
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr) \
+        and isinstance(body[0].value.value, str)
+
+
+@pytest.mark.parametrize("module, loads", [
+    ("graphs", {"graphs", "numerics"}),
+    ("exact", {"exact", "graphs", "numerics"}),
+])
+def test_counting_modules_load_only_what_they_use(module, loads):
+    # a fresh interpreter: the package root loads no module of its own, so
+    # counting never loads bounds, percolation, seqshape, cube or the CLI
+    code = (f"import sys, stableseq.{module}; print(sorted(m for m in "
+            "sys.modules if m.startswith('stableseq.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted('stableseq.' + m for m in loads)}\n"

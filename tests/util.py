@@ -13,7 +13,9 @@ is checked against,
 cube_two_components, the flood fill over one 2**d-bit row of
 distance-2 neighbours per vertex that the hypercube's 2-components are
 checked against, and percolate and default_step_rule, the percolation
-experiment's sampler and step rule applied to one sample.
+experiment's sampler and step rule applied to one sample.  grid builds
+the k x k grid graph, whose totals are published (OEIS A006506); it is
+not a graph family of the library.
 """
 
 from __future__ import annotations
@@ -116,6 +118,13 @@ def disjoint_union(*parts: Graph) -> Graph:
         shift = len(adj)
         adj.extend(row << shift for row in g.adj)
     return Graph(len(adj), tuple(adj))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph; vertex r * cols + c sits at (r, c)."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return graphs.from_edges(rows * cols, edges)
 
 
 def count_upper_via_partition_log2(nverts: int, d: int, t: int,
