@@ -15,8 +15,8 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
+import re
 import sys
 import time
 from collections.abc import Iterable
@@ -180,8 +180,15 @@ def cmd_cube_structure(args) -> int:
     return EXIT_OK
 
 
+# Largest dimension cube-window takes; a larger d is refused before any
+# work.  The time for one t grows about as d^2.5 at the slowest t measured,
+# near 0.07 * 2^(d-1): 0.29 s at d = 2000, 0.86 s at 3000, 2.2 s at 4000
+# and 4 s at 5000.  4000 is the largest d the window is studied at.
+WINDOW_DIM_CAP = 4000
+
+
 def cmd_cube_window(args) -> int:
-    cube._check_dim(args.d, cap=math.inf)
+    cube._check_dim(args.d, cap=WINDOW_DIM_CAP)
     rows = [est.estimate_window(args.d, t, args.c_constant) for t in args.t]
     plain = []
     for r in rows:
@@ -345,6 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# A value that argparse would take for an option: a "-" and then a digit or
+# a point, as in "-1/2" (argparse knows only "-1" and "-0.5" for numbers).
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _joined_negative_values(argv: list[str]) -> list[str]:
+    """argv with each "--flag -1/2" pair written as "--flag=-1/2", so that
+    a negative value reaches its flag's type and the verb, which refuse it
+    on one error line, and not argparse, which would print its usage text.
+    Every long flag but --help takes a value, and no option starts with a
+    digit or a point."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and not "--help".startswith(out[-1])
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call, not at import, and shared by every later call:
@@ -362,7 +391,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parser().parse_args(_joined_negative_values(
+                sys.argv[1:] if argv is None else argv))
         finally:
             # --help leaves through argparse's SystemExit; its text is
             # flushed here so that a closed stdout is handled below too

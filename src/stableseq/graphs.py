@@ -8,7 +8,6 @@ construction and safe for concurrent shared reads.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,9 +60,14 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs u < v, ascending lexicographically."""
-        for u in range(self.n):
-            for v in bits_of(self.adj[u] >> (u + 1)):
-                yield (u, u + 1 + v)
+        for u, row in enumerate(self.adj):
+            # bit i of row is now vertex u + 1 + i, a neighbour above u;
+            # its lowest bit, 2^i, has bit length i + 1
+            row >>= u + 1
+            while row:
+                low = row & -row
+                yield u, u + low.bit_length()
+                row ^= low
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -152,21 +156,29 @@ def regularity_profile(g: Graph, b: Bipartition, d) -> Fraction:
 
     For a d-regular balanced bipartite graph every correction term vanishes
     and h(G, d) = 1/d exactly.
+
+    Evaluated in integers over the common denominator p |V|, with d = p/q:
+
+    h(G, d) = (q (|V| + 2S) + 2p (low - L + gap)) / (p |V|),
+
+    where S and L are the sum and the number of the class-O degrees at
+    least d, low is the number of class-E degrees below d and
+    gap = |O| - |E|.  One Fraction is built, at the end.
     """
     d = Fraction(d)
-    if d <= 0:
+    p, q = d.numerator, d.denominator
+    if p <= 0:
         raise GraphError("degree parameter d must be positive")
-    n = Fraction(g.n, 2)
-    if n == 0:
+    if g.n == 0:
         raise GraphError("empty graph has no regularity profile")
     # an integer degree is below d exactly when it is below ceil(d)
-    cut = math.ceil(d)
+    cut = -(-p // q)
     adj = g.adj
     low = sum(1 for v in b.class_e if adj[v].bit_count() < cut)
     high = [deg for v in b.class_o if (deg := adj[v].bit_count()) >= cut]
-    excess = sum(high) - len(high) * d
     gap = len(b.class_o) - len(b.class_e)
-    return Fraction(1) / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
+    return Fraction(q * (g.n + 2 * sum(high))
+                    + 2 * p * (low - len(high) + gap), p * g.n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ definitions.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +85,10 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
     [(1+gamma)*n/2, (1-beta)*n].
 
     Interval endpoints are rounded inward (ceil left, floor right), which
-    can only weaken the asserted property.  The sequence must run up to
+    can only weaken the asserted property: the ends are ceil(beta n),
+    floor((1 - gamma) n/2), ceil((1 + gamma) n/2) and floor((1 - beta) n),
+    each taken by integer floor division on the numerators and
+    denominators of beta and gamma.  The sequence must run up to
     alpha = n; anything else is rejected.
     """
     counts = seq.counts if isinstance(seq, IndSetSequence) else tuple(seq)
@@ -97,15 +99,19 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
                          "graphs with full-range sequences")
     beta = Fraction(beta)
     gamma = Fraction(gamma)
-    if not (0 <= beta < 1 and 0 <= gamma < 1):
+    # beta = bp/bq and gamma = gp/gq in lowest terms, bq and gq positive
+    bp, bq = beta.numerator, beta.denominator
+    gp, gq = gamma.numerator, gamma.denominator
+    if not (0 <= bp < bq and 0 <= gp < gq):
         raise ValueError("beta, gamma must lie in [0, 1)")
     # checked here too, since an empty interval never reaches check_sstep
     if s < 1:
         raise ValueError("step s must be >= 1")
-    lo1 = math.ceil(beta * n)
-    hi1 = math.floor((1 - gamma) * Fraction(n, 2))
-    lo2 = math.ceil((1 + gamma) * Fraction(n, 2))
-    hi2 = math.floor((1 - beta) * n)
+    # each end is one floor division; ceil(x/y) = -(-x // y) for y > 0
+    lo1 = -(-bp * n // bq)
+    hi1 = (gq - gp) * n // (2 * gq)
+    lo2 = -(-(gq + gp) * n // (2 * gq))
+    hi2 = (bq - bp) * n // bq
     inc = check_sstep(counts, INCREASING, lo1, hi1, s) if hi1 >= lo1 \
         else MonotonicityReport(INCREASING, lo1, lo1, s, True, None)
     dec = check_sstep(counts, DECREASING, lo2, hi2, s) if hi2 >= lo2 \

@@ -285,7 +285,7 @@ def test_transition_budget_is_the_only_limit(capsys, monkeypatch):
     (["transition", "--d", "21"], "dimension d = 21 outside [1, 20]"),
     (["transition", "--d", "64"], "dimension d = 64 outside [1, 20]"),
     (["cube-window", "--d", "0", "--t", "0"],
-     "dimension d = 0 outside [1, inf]"),
+     "dimension d = 0 outside [1, 4000]"),
     (["cube-structure", "--d", "0"], "dimension d = 0 outside [2, 20]"),
     (["cube-structure", "--d", "1", "--set", "0"],
      "dimension d = 1 outside [2, 20]"),
@@ -937,13 +937,55 @@ def test_parser_reuse_carries_no_state(capsys):
 @pytest.mark.parametrize("c", ["0", "-1/4"])
 def test_non_positive_c_constant_is_a_usage_error(capsys, c):
     # a lower density window starting at or below t = 0 comes from no
-    # positive constant; "--c-constant=-1/4" keeps argparse from reading
-    # the value as a flag
-    code, out, err = run_cli(capsys, f"--c-constant={c}", "cube-window",
-                             "--d", "12", "--t", "0", "--t", "5")
+    # positive constant; the value may follow its flag as "=-1/4" or as a
+    # separate "-1/4", which argparse alone would read as an option
+    for flag in ([f"--c-constant={c}"], ["--c-constant", c]):
+        code, out, err = run_cli(capsys, *flag, "cube-window",
+                                 "--d", "12", "--t", "0", "--t", "5")
+        assert (code, out) == (2, "")
+        assert err == \
+            f"error: the density-window constant c must be positive, not {c}\n"
+
+
+# --c-constant takes both forms in test_non_positive_c_constant_is_a_usage_error
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--graph", "qd:3", "--lam", "-1/2"], "lam > 0 required"),
+    (["bounds", "--graph", "qd:3", "--lam=-1/2"], "lam > 0 required"),
+    (["check", "--graph", "qd:3", "--property", "bgs", "--beta", "-1/2"],
+     "property check rejected: beta, gamma must lie in [0, 1)"),
+    (["percolate", "--base", "knn:3,3", "--p", "-.5"], "p outside [0, 1]"),
+    (["cube-structure", "--d", "3", "--set", "-1,2"],
+     "vertex -1 is not a vertex of Q_3"),
+])
+def test_negative_value_after_its_flag_gives_one_error_line(capsys, argv,
+                                                            message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_negative_value_after_help_or_a_separator_is_left_to_argparse(capsys):
+    # --help takes no value, and "--" ends the options
+    assert _parse_outcome(capsys, main, ["--help", "-1/2"])[0] == 0
+    code, out, err = _parse_outcome(capsys, main,
+                                    ["count", "--graph", "qd:2", "--", "-1/2"])
     assert (code, out) == (2, "")
-    assert err == \
-        f"error: the density-window constant c must be positive, not {c}\n"
+    assert err.startswith("usage: stableseq")
+
+
+def test_cube_window_refuses_a_dimension_over_its_cap_at_once(capsys):
+    # d = 4000, the cap, still runs; one past it is refused before any work,
+    # where an uncapped d = 10^5 took about 2 s at t = 5
+    code, out, _ = run_cli(capsys, "cube-window", "--d", "4000", "--t", "5")
+    assert code == 0 and out.startswith("d=4000 t=5 ")
+    for d in (4001, 10 ** 6, 10 ** 100):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cube-window", "--d", str(d),
+                                 "--t", "5")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: dimension d = {d} outside [1, 4000]\n"
 
 
 def test_global_flags_do_not_leak_into_next_call(capsys, monkeypatch):

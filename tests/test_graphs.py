@@ -9,8 +9,10 @@ from stableseq import graphs
 from stableseq.graphs import (GraphError, NotBipartiteError, SizeCapError,
                               bipartition, regularity_profile)
 
-from util import (check_simple, components, disjoint_union, edge_count,
-                  percolate, regular_bipartite_corpus, vertex_mask)
+from util import (bipartite_mask_graph, check_simple, components,
+                  disjoint_union, edge_count, edges_by_double_loop, percolate,
+                  regular_bipartite_corpus, regularity_profile_by_terms,
+                  vertex_mask)
 
 
 def test_q2_is_a_4_cycle():
@@ -243,10 +245,46 @@ def test_regularity_profile_matches_per_vertex_fractions(base):
                 assert type(h) is Fraction
 
 
+@st.composite
+def _bipartite_with_isolated(draw):
+    """A bipartite graph on sides of 0..6 vertices, beside 0..3 isolated
+    vertices, with at least one vertex."""
+    a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    isolated = draw(st.integers(0 if a + b else 1, 3))
+    g = bipartite_mask_graph(a, b, draw(st.integers(0, (1 << a * b) - 1)))
+    return disjoint_union(g, graphs.Graph(isolated, (0,) * isolated))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bipartite_with_isolated(), st.integers(1, 8),
+       st.fractions(0, 1, max_denominator=12).filter(bool))
+def test_regularity_profile_matches_its_four_fraction_terms(g, d, p):
+    # d' = d p, as the percolation experiment takes it: mostly not an integer
+    b = bipartition(g)
+    h = regularity_profile(g, b, d * p)
+    assert h == regularity_profile_by_terms(g, b, d * p)
+    assert type(h) is Fraction
+
+
 def test_regularity_profile_rejects_nonpositive_degree():
     g = graphs.cycle(4)
     with pytest.raises(GraphError):
         regularity_profile(g, bipartition(g), 0)
+
+
+@st.composite
+def _any_graph(draw):
+    n = draw(st.integers(0, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))),
+                          max_size=120)) if n else []
+    return graphs.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_graph())
+def test_edges_match_a_double_loop_in_order(g):
+    assert list(g.edges()) == edges_by_double_loop(g)
 
 
 def test_graph_text_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ from stableseq import graphs
 from stableseq import seqshape as ss
 from stableseq.exact import count_by_size
 
-from util import regular_bipartite_corpus
+from util import bgs_interval_ends, regular_bipartite_corpus
 
 AEMS = (1, 49, 48, 64)
 
@@ -131,8 +131,10 @@ def test_property_bgs_zero_zero_one_needs_mode_at_half():
 def test_property_bgs_rejects_wrong_range():
     with pytest.raises(ValueError):
         ss.check_property_bgs(AEMS, 24, 0, 0, 1)  # claw composite: alpha != n
-    with pytest.raises(ValueError):
-        ss.check_property_bgs((1, 2, 1), 2, Fraction(1, 2), 1, 1)
+    for bad in (Fraction(-1, 3), 1, Fraction(7, 5)):
+        for beta, gamma in ((bad, Fraction(1, 2)), (Fraction(1, 2), bad)):
+            with pytest.raises(ValueError, match=r"^beta, gamma must lie"):
+                ss.check_property_bgs((1, 2, 1), 2, beta, gamma, 1)
     # a step below 1, also where both intervals are empty and no s-step
     # check runs on them
     for beta_gamma in (0, Fraction(9, 10)):
@@ -140,6 +142,26 @@ def test_property_bgs_rejects_wrong_range():
             with pytest.raises(ValueError, match="^step s must be >= 1$"):
                 ss.check_property_bgs((1, 8, 16, 8, 2), 4, beta_gamma,
                                       beta_gamma, s)
+
+
+@st.composite
+def _below_one(draw):
+    """A rational in [0, 1), its denominator up to 12 or up to 10^30."""
+    q = draw(st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)))
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(0, 40), st.integers(0, 5000)), _below_one(),
+       _below_one())
+def test_property_bgs_ends_match_fraction_ceil_and_floor(n, beta, gamma):
+    lo1, hi1, lo2, hi2 = bgs_interval_ends(n, beta, gamma)
+    # s = n + 1 makes both checks vacuous: only the intervals are read
+    rep = ss.check_property_bgs((1,) * (n + 1), n, beta, gamma, n + 1)
+    assert (rep.increasing.lo, rep.increasing.hi) == \
+        ((lo1, hi1) if hi1 >= lo1 else (lo1, lo1))
+    assert (rep.decreasing.lo, rep.decreasing.hi) == \
+        ((lo2, hi2) if hi2 >= lo2 else (hi2, hi2))
 
 
 def test_property_bgs_monotone_in_s_on_corpus():

@@ -15,7 +15,10 @@ distance-2 neighbours per vertex that the hypercube's 2-components are
 checked against, and percolate and default_step_rule, the percolation
 experiment's sampler and step rule applied to one sample.  grid builds
 the k x k grid graph, whose totals are published (OEIS A006506); it is
-not a graph family of the library.
+not a graph family of the library.  regularity_profile_by_terms,
+bgs_interval_ends and edges_by_double_loop are the Fraction and pairwise
+forms that the integer forms of h(G, d), the interval property's ends and
+Graph.edges are checked against.
 """
 
 from __future__ import annotations
@@ -109,6 +112,37 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
 def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
     """The experiment's step s for a sample of defect h, n = |V|/2."""
     return _step_rule(n, epsilon)(h)
+
+
+def regularity_profile_by_terms(g: Graph, b, d) -> Fraction:
+    """h(G, d) as the sum of its four Fraction terms,
+    1/d + low/n + excess/(d n) + gap/n with 2n = |V|: low counts the
+    class-E degrees below d, excess sums d(v) - d over the class-O degrees
+    at least d and gap = |O| - |E|."""
+    d = Fraction(d)
+    n = Fraction(g.n, 2)
+    degree = [row.bit_count() for row in g.adj]
+    low = sum(1 for v in b.class_e if degree[v] < d)
+    high = [degree[v] for v in b.class_o if degree[v] >= d]
+    excess = sum(high) - len(high) * d
+    gap = len(b.class_o) - len(b.class_e)
+    return 1 / d + Fraction(low) / n + excess / (d * n) + Fraction(gap) / n
+
+
+def bgs_interval_ends(n: int, beta, gamma) -> tuple[int, int, int, int]:
+    """ceil(beta n), floor((1 - gamma) n/2), ceil((1 + gamma) n/2) and
+    floor((1 - beta) n), by math.ceil and math.floor of Fractions."""
+    beta, gamma = Fraction(beta), Fraction(gamma)
+    half = Fraction(n, 2)
+    return (math.ceil(beta * n), math.floor((1 - gamma) * half),
+            math.ceil((1 + gamma) * half), math.floor((1 - beta) * n))
+
+
+def edges_by_double_loop(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of g, testing every pair in ascending
+    lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if g.adj[u] >> v & 1]
 
 
 def disjoint_union(*parts: Graph) -> Graph:
