@@ -3,6 +3,9 @@ formats: the library returns plain values (ints, Fractions, mpmath numbers
 and frozen dataclasses of them), and each verb here turns them into JSON,
 CSV or plain lines.
 
+Only graphs and exact are imported here; each verb imports the modules it
+runs, so count and check never load mpmath or the experiment modules.
+
 Exit codes: 0 success, 1 a verified mathematical invariant failed during the
 run (reserved for CI wiring; it should never fire), 2 usage errors and a
 stdout closed before the output was written.
@@ -22,10 +25,7 @@ import time
 from collections.abc import Iterable
 from fractions import Fraction
 
-import mpmath as mp
-
-from . import bounds as bnd
-from . import cube, cube_estimates as est, graphs, numerics, percolation, seqshape
+from . import graphs
 from .exact import count_by_size, polynomial_eval
 
 EXIT_OK = 0
@@ -46,6 +46,7 @@ def _wire(x) -> str:
     digits."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
+    import mpmath as mp
     if isinstance(x, mp.mpf):
         return mp.nstr(x, 18)
     raise TypeError(f"no JSON form for {type(x).__name__}")
@@ -77,6 +78,18 @@ def _emit(args, payload: dict, plain_lines: Iterable[str],
             print(line)
 
 
+def _at_working_precision(verb):
+    """verb, run at numerics.WORKING_BITS, with the caller's mpmath
+    precision given back afterwards.  Only the verbs that evaluate mpmath
+    take it, so the others never import mpmath."""
+    @functools.wraps(verb)
+    def run(args) -> int:
+        from .numerics import working_precision
+        with working_precision():
+            return verb(args)
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -96,7 +109,10 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+@_at_working_precision
 def cmd_bounds(args) -> int:
+    import mpmath as mp
+    from . import bounds as bnd
     g = graphs.parse_graph_spec(args.graph)
     b = graphs.bipartition(g)
     degs = set(g.degrees())
@@ -130,6 +146,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import seqshape
     g = graphs.parse_graph_spec(args.graph)
     seq = count_by_size(g)
     payload: dict = {"graph": args.graph, "property": args.property,
@@ -168,6 +185,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_cube_structure(args) -> int:
+    from . import cube
     a = cube.vertex_set(args.d, [int(x) for x in args.set.split(",")]
                         if args.set else [])
     stats = cube.structure_stats(a)
@@ -187,7 +205,10 @@ def cmd_cube_structure(args) -> int:
 WINDOW_DIM_CAP = 4000
 
 
+@_at_working_precision
 def cmd_cube_window(args) -> int:
+    import mpmath as mp
+    from . import cube, cube_estimates as est, numerics
     cube._check_dim(args.d, cap=WINDOW_DIM_CAP)
     rows = [est.estimate_window(args.d, t, args.c_constant) for t in args.t]
     plain = []
@@ -209,7 +230,10 @@ def cmd_cube_window(args) -> int:
     return EXIT_OK
 
 
+@_at_working_precision
 def cmd_transition(args) -> int:
+    import mpmath as mp
+    from . import cube, cube_estimates as est
     # d is capped at 20 here and at 15 by graphs.VERTEX_CAP; below that the
     # counting engine's work budget is the only limit
     cube._check_dim(args.d)
@@ -220,9 +244,9 @@ def cmd_transition(args) -> int:
     seq = count_by_size(graphs.hypercube(args.d))
     rows = []
     for t in args.t or range(half + 1):
-        gcoord = seqshape.transition_g(args.d, t)
-        ratio = seqshape.transition_ratio_log2(args.d, t, it=seq[t])
-        predicted = seqshape.predicted_transition_limit(gcoord)
+        gcoord = est.transition_g(args.d, t)
+        ratio = est.transition_ratio_log2(args.d, t, it=seq[t])
+        predicted = est.predicted_transition_limit(gcoord)
         rows.append({
             "d": args.d, "t": t,
             "g": _wire(gcoord),
@@ -237,6 +261,8 @@ def cmd_transition(args) -> int:
 
 
 def cmd_percolate(args) -> int:
+    # run_experiment sets its own working precision
+    from . import percolation
     summary = percolation.run_experiment(args.base, args.p, args.seed,
                                          args.trials, args.epsilon)
     payload = _fields(summary, records="per_trial")
@@ -247,6 +273,7 @@ def cmd_percolate(args) -> int:
     return EXIT_OK
 
 
+@_at_working_precision
 def cmd_verify(args) -> int:
     from .verify import run_suite
     checks = []
@@ -374,6 +401,16 @@ def _joined_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _refusals() -> tuple[type, ...]:
+    """The exceptions main reports on one error line: ValueError, which
+    GraphError and cube_estimates.NotApplicableError are, and an interval
+    comparison left undecided, which only a verb that loaded numerics can
+    raise."""
+    numerics = sys.modules.get(f"{__package__}.numerics")
+    return (ValueError,) + ((numerics.UndecidedComparison,) if numerics
+                            else ())
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call, not at import, and shared by every later call:
@@ -383,9 +420,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The verb runs at numerics.WORKING_BITS and, since a count can be longer
-    # than CPython's int-to-str limit (4300 digits by default, from 3.10.7
-    # on), without that limit; the caller's values come back afterwards.
+    # The verb runs without CPython's int-to-str limit (4300 digits by
+    # default, from 3.10.7 on), since a count can be longer; the caller's
+    # limit comes back afterwards.  A verb that evaluates mpmath sets its
+    # own working precision (_at_working_precision).
     saved_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved_digits is not None:
         sys.set_int_max_str_digits(0)
@@ -400,8 +438,7 @@ def main(argv=None) -> int:
         # The verb is looked up by name on every call, not stored in the
         # shared parser, so a rebinding of a module-level cmd_* function
         # (a test's monkeypatch, a tracing wrapper) takes effect.
-        with numerics.working_precision():
-            code = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        code = globals()["cmd_" + args.verb.replace("-", "_")](args)
         # Flushed here, so a reader that has gone shows up below and not in
         # the interpreter's flush at shutdown.
         sys.stdout.flush()
@@ -415,8 +452,7 @@ def main(argv=None) -> int:
         print("error: stdout closed before the output was written",
               file=sys.stderr)
         return EXIT_USAGE
-    except (graphs.GraphError, cube.NotApplicableError, ValueError,
-            numerics.UndecidedComparison) as exc:
+    except _refusals() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -71,7 +71,7 @@ class VertexSet:
     def vertices(self) -> list[int]:
         """The vertices in ascending order, found in one right-to-left pass
         over the binary digits: peeling the lowest bit off the set, as
-        numerics.bits_of does, rewrites all 2**d bits at every vertex."""
+        graphs._bits_of does, rewrites all 2**d bits at every vertex."""
         digits = bin(self.bits)
         top = len(digits) - 1
         out = []

@@ -3,8 +3,9 @@ activity lam(t), the weight function F_lam(a, g), the enumeration cutoff
 f(d, t), closed-form upper bounds on weighted sums over small sets, the
 multiplicative error factors E1 (lower) and E2 (upper) around the central
 value 2 C(2**(d-1), t) exp(t (1 - t/2**(d-1))**(d-1)), the density-window
-classification, and the exact closing inequalities of the four-case
-monotonicity argument.
+classification, the transition ratio of exact counts to the one-sided
+binomial, and the exact closing inequalities of the four-case monotonicity
+argument.
 
 A rational that decides a verdict stays an exact Fraction: the case
 margins, the dominance tests and the reasons a factor does not apply.  The
@@ -26,7 +27,7 @@ from typing import Optional
 import mpmath as mp
 
 from .numerics import (certified_ceil, certified_leq, iv_from, leq_exp_of,
-                       leq_scaled_exp, log2_binom, mpf_from)
+                       leq_scaled_exp, log2, log2_binom, mpf_from)
 
 RANGE_DENSE = "range123"      # upper density window, t/2^(d-1) above 1 - 1/sqrt(2)
 RANGE_SPARSE = "range4"       # lower window where only near-matching bounds hold
@@ -341,6 +342,29 @@ def estimate_window(d: int, t: int, c=Fraction(1)) -> CubeEstimate:
     return CubeEstimate(d=d, t=t, lam=lam, central_log2=central_log2(d, t),
                         f_cut=f, e1=e1, e1_reason=reason1, e2=e2,
                         e2_reason=reason2, tag=range_tag(d, t, c))
+
+
+# ---------------------------------------------------------------------------
+# Hypercube transition ratio
+# ---------------------------------------------------------------------------
+
+def transition_g(d: int, t: int) -> Fraction:
+    """Window coordinate g with t = 2**(d-1) (1/2 + g/d)."""
+    return Fraction(d) * (Fraction(t, 1 << (d - 1)) - Fraction(1, 2))
+
+
+def transition_ratio_log2(d: int, t: int, it: int) -> mp.mpf:
+    """log2 of i_t(Q_d) / (2 C(2**(d-1), t)), from the exact count it."""
+    if not 0 <= t <= 1 << (d - 1):
+        raise ValueError("t outside [0, 2^(d-1)]")
+    return log2(mpf_from(it)) - 1 - log2_binom(1 << (d - 1), t)
+
+
+def predicted_transition_limit(g) -> mp.mpf:
+    """Predicted limiting ratio exp(e**(-2g) / 2) for the window coordinate
+    g; tends to 1 as g -> +inf and diverges as g -> -inf."""
+    gf = mpf_from(Fraction(g)) if not isinstance(g, (float, mp.mpf)) else mp.mpf(g)
+    return mp.exp(mp.exp(-2 * gf) / 2)
 
 
 # ---------------------------------------------------------------------------

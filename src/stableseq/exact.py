@@ -46,12 +46,12 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .graphs import Graph, GraphError, bipartition
-from .numerics import binom, bits_of
+from .graphs import Graph, GraphError, _bits_of, bipartition
 
 # Largest class the side-profile oracle scans: 2**28 subsets.
 SIDE_BACKEND_CAP = 28
@@ -181,15 +181,22 @@ def side_profile(g: Graph) -> SideProfile:
     if m > SIDE_BACKEND_CAP:
         raise GraphError(f"|classE| = {m} exceeds cap {SIDE_BACKEND_CAP}")
     o_index = {v: i for i, v in enumerate(b.class_o)}
-    nbrs = [[o_index[w] for w in bits_of(g.adj[v])] for v in b.class_e]
+    nbrs = [[o_index[w] for w in _bits_of(g.adj[v])] for v in b.class_e]
     o_size = len(b.class_o)
     table = _profile_scan(nbrs, o_size)
     return SideProfile(table=table, class_e_size=m, class_o_size=o_size)
 
 
+def _binom(n: int, k: int) -> int:
+    """C(n, k) with the usual convention: 0 outside 0 <= k <= n."""
+    if k < 0 or k > n or n < 0:
+        return 0
+    return math.comb(n, k)
+
+
 def _binom_sum(table: dict[tuple[int, int], int], m: int, t: int) -> int:
     """sum over the cells (a, g) -> c of table of c * C(m - g, t - a)."""
-    return sum(c * binom(m - g, t - a) for (a, g), c in table.items())
+    return sum(c * _binom(m - g, t - a) for (a, g), c in table.items())
 
 
 def sequence_from_profile(prof: SideProfile) -> IndSetSequence:
@@ -240,6 +247,18 @@ def _split(adj, mask: int) -> tuple[list[tuple[int, int, int, int]], int]:
         out.append((comp, best_v, best_deg, deg_sum))
         mask ^= comp
     return out, singles
+
+
+def _greedy_independent_size(adj, mask: int) -> int:
+    """Size of the independent set of mask that takes each vertex in
+    increasing order unless a neighbour was taken: a lower bound on the
+    independence number."""
+    size = 0
+    while mask:
+        low = mask & -mask
+        mask &= ~(adj[low.bit_length() - 1] | low)
+        size += 1
+    return size
 
 
 def _path_sequence(k: int) -> list[int]:
@@ -362,7 +381,8 @@ def count_by_size(g: Graph) -> IndSetSequence:
     The work runs on an explicit stack, so no input can exhaust Python's
     recursion limit.  A component's memo entry is stored once the sequences
     of both branches are known, and the memo lives for one call.  Raises
-    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET.  The
+    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET, before
+    any branching when a component's own entry cannot fit.  The
     top-level sequences are grouped by value, and a group of at least
     _POWER_FROM copies is multiplied as one power.
     """
@@ -373,13 +393,21 @@ def count_by_size(g: Graph) -> IndSetSequence:
     branch_nodes = words = 0
     for root in roots:
         top, _, max_deg, deg_sum = root
+        k = top.bit_count()
         if max_deg <= 2:
-            k = top.bit_count()
             seq = tuple(_closed_sequence(k, deg_sum == 2 * k))
             groups[seq] = groups.get(seq, 0) + 1
             continue
-        width = (top.bit_count() + 7) // 8
+        width = (k + 7) // 8
         shift = 8 * width
+        # The root's own entry, always stored and charged, has at least
+        # 1 + shift * alpha // 64 words, alpha >= the greedy set's size; it
+        # can have at most 1 + shift * k // 64, so the greedy walk is taken
+        # only for components of more than about 11585 vertices.
+        if 1 + shift * k // 64 > MEMO_WORD_BUDGET - words:
+            need = 1 + shift * _greedy_independent_size(adj, top) // 64
+            if words + need > MEMO_WORD_BUDGET:
+                raise CountBudgetError(branch_nodes, len(memo), words + need)
         closed: dict[int, int] = {}
         stack: list[tuple] = [root]
         while stack:

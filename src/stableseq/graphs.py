@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numerics import bits_of
-
 # Largest graph built, by a generator or from a file: each row is as wide as
 # the graph, so the rows take n**2 / 8 bytes, 128 MB at the cap.
 VERTEX_CAP = 1 << 15
@@ -34,6 +32,14 @@ class NotBipartiteError(GraphError):
     def __init__(self, odd_cycle: Sequence[int]):
         super().__init__(f"graph is not bipartite (odd cycle {list(odd_cycle)})")
         self.odd_cycle = tuple(odd_cycle)
+
+
+def _bits_of(mask: int):
+    """Iterate set bit positions of a Python-int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,8 @@ def bipartition(g: Graph) -> Bipartition:
             even, odd = odd, even
         class_e |= even
         class_o |= odd
-    return Bipartition(class_e=tuple(bits_of(class_e)),
-                       class_o=tuple(bits_of(class_o)))
+    return Bipartition(class_e=tuple(_bits_of(class_e)),
+                       class_o=tuple(_bits_of(class_o)))
 
 
 def _odd_cycle(adj, layers: list[int], inside: int) -> list[int]:

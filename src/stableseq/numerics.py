@@ -221,11 +221,3 @@ def leq_scaled_exp(x: Fraction, scale: Fraction, exp_arg: int) -> bool:
     if scale <= 0:
         return x <= 0
     return leq_exp_of(x / scale, Fraction(exp_arg))
-
-
-def bits_of(mask: int):
-    """Iterate set bit positions of a Python-int bitset, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -1,6 +1,6 @@
 """Shape checkers for count sequences: relaxed step monotonicity, the
-two-sided interval property for balanced bipartite graphs, the decreasing
-final third, and the hypercube transition ratio.
+two-sided interval property for balanced bipartite graphs, and the
+decreasing final third.
 
 All verdicts use exact integer comparisons; ties satisfy the non-strict
 definitions.
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
 from .exact import IndSetSequence
-from .numerics import log2, log2_binom, mpf_from
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -148,25 +145,3 @@ def check_final_third(seq) -> tuple[bool, Optional[tuple[int, int]]]:
     rep = check_sstep(counts, DECREASING, start, alpha, 1)
     return rep.holds, rep.witness
 
-
-# ---------------------------------------------------------------------------
-# Hypercube transition ratio
-# ---------------------------------------------------------------------------
-
-def transition_g(d: int, t: int) -> Fraction:
-    """Window coordinate g with t = 2**(d-1) (1/2 + g/d)."""
-    return Fraction(d) * (Fraction(t, 1 << (d - 1)) - Fraction(1, 2))
-
-
-def transition_ratio_log2(d: int, t: int, it: int) -> mp.mpf:
-    """log2 of i_t(Q_d) / (2 C(2**(d-1), t)), from the exact count it."""
-    if not 0 <= t <= 1 << (d - 1):
-        raise ValueError("t outside [0, 2^(d-1)]")
-    return log2(mpf_from(it)) - 1 - log2_binom(1 << (d - 1), t)
-
-
-def predicted_transition_limit(g) -> mp.mpf:
-    """Predicted limiting ratio exp(e**(-2g) / 2) for the window coordinate
-    g; tends to 1 as g -> +inf and diverges as g -> -inf."""
-    gf = mpf_from(Fraction(g)) if not isinstance(g, (float, mp.mpf)) else mp.mpf(g)
-    return mp.exp(mp.exp(-2 * gf) / 2)

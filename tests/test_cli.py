@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stableseq
-from stableseq import cli, cube_estimates, exact, numerics
+from stableseq import cli, cube, cube_estimates, exact, numerics
 from stableseq.cli import build_parser, main
 
 
@@ -162,8 +162,8 @@ def test_cube_structure_computes_once(capsys, monkeypatch):
     # which also gives the component lists
     calls = []
     for name in ("structure_stats", "two_components"):
-        fn = getattr(cli.cube, name)
-        monkeypatch.setattr(cli.cube, name, lambda *a, fn=fn, name=name:
+        fn = getattr(cube, name)
+        monkeypatch.setattr(cube, name, lambda *a, fn=fn, name=name:
                             calls.append(name) or fn(*a))
     code, _out, _err = run_cli(capsys, "cube-structure", "--d", "4",
                                "--set", "0,3,5", "--format", "json")
@@ -717,6 +717,23 @@ def test_removed_flags_are_usage_errors(capsys):
             main(argv)
         assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+def test_cube_over_the_budget_is_refused_at_once():
+    # Q_14's root entry alone, at least 8192 slots of 16384 bits past the
+    # first, is over the budget: counting took 48 s to reach it, a greedy
+    # independent set of 8192 vertices takes milliseconds
+    src = os.path.dirname(os.path.dirname(stableseq.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "stableseq.cli", "count",
+                           "--graph", "qd:14"], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True,
+                          timeout=60)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: counting budget of {exact.MEMO_WORD_BUDGET} memo words "
+        "exceeded after 0 branch nodes and 0 memo entries (2097153 words)\n")
 
 
 def test_missing_graph_file_exits_2(capsys, tmp_path):

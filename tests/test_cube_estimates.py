@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stableseq import cube_estimates as est, numerics
+from stableseq import cube_estimates as est, graphs, numerics
 from stableseq.cube import NotApplicableError, small_set_scan
 from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
                                       central_log2,
@@ -19,6 +19,7 @@ from stableseq.cube_estimates import (big_f, case_inequalities, case_scan,
                                       linked_sum_dominates, range_tag,
                                       small_sum_dominates, small_sum_exponent,
                                       step_weight, step_weight_drop_bound)
+from stableseq.exact import count_by_size
 from stableseq.numerics import mpf_from
 
 from util import (case_scan_by_definition, cli_json,
@@ -638,3 +639,37 @@ def test_range_tag_refuses_a_non_positive_constant(c):
         range_tag(12, 5, c)
     with pytest.raises(ValueError, match="must be positive"):
         range_tag(12, 0, c)
+
+
+def test_transition_g_and_limit():
+    assert est.transition_g(5, 8) == 0
+    assert est.transition_g(5, 12) == Fraction(5, 4)
+    limit0 = est.predicted_transition_limit(0)
+    assert abs(limit0 - mp.exp(mp.mpf(1) / 2)) < mp.mpf(2) ** -100
+    assert abs(est.predicted_transition_limit(40) - 1) < mp.mpf(1e-30)
+    assert est.predicted_transition_limit(-3) > 100
+
+
+def test_transition_ratio_qualitative_at_d5():
+    seq = count_by_size(graphs.hypercube(5))
+    ratio_log2 = est.transition_ratio_log2(5, 8, it=seq[8])
+    ratio = mp.mpf(2) ** ratio_log2
+    # d = 5 is far from the limit; only a loose qualitative agreement with
+    # exp(1/2) = 1.6487 is sane to expect
+    assert 1 < ratio < 3
+
+
+def test_transition_ratio_nonnegative_on_hypercubes():
+    # for 1 <= t <= 2^(d-1) the one-sided subsets of the two classes are
+    # disjoint, so i_t >= 2 C(2^(d-1), t) and the log ratio is >= 0
+    for d in (3, 4, 5):
+        seq = count_by_size(graphs.hypercube(d))
+        for t in range(1, (1 << (d - 1)) + 1):
+            assert est.transition_ratio_log2(d, t, it=seq[t]) >= 0, (d, t)
+    # t = 0 double-counts the empty set: ratio is exactly 1/2
+    assert est.transition_ratio_log2(4, 0, it=1) == -1
+
+
+def test_transition_ratio_argument_validation():
+    with pytest.raises(ValueError):
+        est.transition_ratio_log2(4, 99, it=5)

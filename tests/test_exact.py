@@ -264,6 +264,48 @@ def test_budget_error_carries_counters(monkeypatch):
     assert count_by_size(graphs.hypercube(2)).counts == (1, 4, 2)
 
 
+def test_component_whose_own_entry_cannot_fit_is_refused_at_once(monkeypatch):
+    # Q_4's root entry packs alpha = 8 slots of 16 bits: at least 3 words,
+    # and up to 1 + 16 * 16 // 64 = 5, over a budget of 4
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 2)
+    with pytest.raises(CountBudgetError) as err:
+        count_by_size(graphs.hypercube(4))
+    assert str(err.value) == ("counting budget of 2 memo words exceeded "
+                              "after 0 branch nodes and 0 memo entries "
+                              "(3 words)")
+
+
+def _counts_or_refusal(g):
+    try:
+        return count_by_size(g).counts
+    except CountBudgetError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_graphs(max_n=14), st.integers(1, 60))
+def test_refusal_before_branching_keeps_the_verdict(g, budget):
+    # the greedy set is independent, so its size is at most alpha; with it
+    # taken as 0 the check before branching cannot refuse a root entry that
+    # branching would still store, so both runs give the same verdict
+    full = (1 << g.n) - 1
+    alpha = count_by_size(g).alpha
+    assert exact._greedy_independent_size(g.adj, full) <= alpha
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "MEMO_WORD_BUDGET", budget)
+        early = _counts_or_refusal(g)
+        patch.setattr(exact, "_greedy_independent_size", lambda adj, mask: 0)
+        assert _counts_or_refusal(g) == early
+
+
+def test_greedy_set_of_a_hypercube_is_a_class():
+    # the lowest-index greedy walk takes exactly the even vertices of Q_d
+    for d in range(1, 11):
+        g = graphs.hypercube(d)
+        assert exact._greedy_independent_size(g.adj, (1 << g.n) - 1) == \
+            1 << (d - 1)
+
+
 # ---------------------------------------------------------------------------
 # Packed sequences: slot widths at byte boundaries
 # ---------------------------------------------------------------------------

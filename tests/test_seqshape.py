@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,36 +205,3 @@ def test_final_third_on_corpus():
         holds, _ = ss.check_final_third(seq)
         assert holds, name
 
-
-def test_transition_g_and_limit():
-    assert ss.transition_g(5, 8) == 0
-    assert ss.transition_g(5, 12) == Fraction(5, 4)
-    limit0 = ss.predicted_transition_limit(0)
-    assert abs(limit0 - mp.exp(mp.mpf(1) / 2)) < mp.mpf(2) ** -100
-    assert abs(ss.predicted_transition_limit(40) - 1) < mp.mpf(1e-30)
-    assert ss.predicted_transition_limit(-3) > 100
-
-
-def test_transition_ratio_qualitative_at_d5():
-    seq = count_by_size(graphs.hypercube(5))
-    ratio_log2 = ss.transition_ratio_log2(5, 8, it=seq[8])
-    ratio = mp.mpf(2) ** ratio_log2
-    # d = 5 is far from the limit; only a loose qualitative agreement with
-    # exp(1/2) = 1.6487 is sane to expect
-    assert 1 < ratio < 3
-
-
-def test_transition_ratio_nonnegative_on_hypercubes():
-    # for 1 <= t <= 2^(d-1) the one-sided subsets of the two classes are
-    # disjoint, so i_t >= 2 C(2^(d-1), t) and the log ratio is >= 0
-    for d in (3, 4, 5):
-        seq = count_by_size(graphs.hypercube(d))
-        for t in range(1, (1 << (d - 1)) + 1):
-            assert ss.transition_ratio_log2(d, t, it=seq[t]) >= 0, (d, t)
-    # t = 0 double-counts the empty set: ratio is exactly 1/2
-    assert ss.transition_ratio_log2(4, 0, it=1) == -1
-
-
-def test_transition_ratio_argument_validation():
-    with pytest.raises(ValueError):
-        ss.transition_ratio_log2(4, 99, it=5)

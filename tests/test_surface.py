@@ -11,12 +11,15 @@ states a paper inequality which a test asserts, but which no code path
 evaluates, is named in ALLOWED with that claim.
 
 The package root is a docstring alone, so importing a counting module
-loads no module of the package that it does not use.
+loads no module of the package that it does not use; the command line
+imports the modules of a verb in that verb, so counting and the shape
+checks run without mpmath.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -93,17 +96,48 @@ def test_package_root_is_a_docstring_alone():
         and isinstance(body[0].value.value, str)
 
 
-@pytest.mark.parametrize("module, loads", [
-    ("graphs", {"graphs", "numerics"}),
-    ("exact", {"exact", "graphs", "numerics"}),
-])
-def test_counting_modules_load_only_what_they_use(module, loads):
-    # a fresh interpreter: the package root loads no module of its own, so
-    # counting never loads bounds, percolation, seqshape, cube or the CLI
-    code = (f"import sys, stableseq.{module}; print(sorted(m for m in "
-            "sys.modules if m.startswith('stableseq.')))")
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded after code runs in a fresh interpreter, which
+    must exit 0."""
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ,
                                               PYTHONPATH=str(PACKAGE.parent)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{sorted('stableseq.' + m for m in loads)}\n"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module, loads", [
+    ("graphs", {"graphs"}),
+    ("exact", {"exact", "graphs"}),
+])
+def test_counting_modules_load_only_what_they_use(module, loads):
+    # the package root loads no module of its own, so counting never loads
+    # numerics (and with it mpmath), bounds, percolation, seqshape, cube or
+    # the CLI
+    loaded = _modules_after(f"import stableseq.{module}")
+    assert {m for m in loaded if m.startswith("stableseq.")} == \
+        {"stableseq." + m for m in loads}
+    assert "mpmath" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", "qd:3"],
+    ["check", "--graph", "qd:3", "--property", "unimodal"],
+    ["check", "--graph", "qd:3", "--property", "final-third"],
+    ["check", "--graph", "qd:3", "--property", "bgs"],
+])
+def test_counting_verbs_load_no_mpmath(argv):
+    loaded = _modules_after(
+        f"from stableseq import cli; assert cli.main({argv!r}) == 0")
+    assert not loaded & {"mpmath", "stableseq.numerics", "stableseq.bounds",
+                         "stableseq.cube", "stableseq.cube_estimates",
+                         "stableseq.percolation"}
+
+
+def test_percolate_loads_no_cube():
+    loaded = _modules_after(
+        "from stableseq import cli; assert cli.main(['percolate', '--base', "
+        "'knn:4,4', '--p', '1/2', '--trials', '1']) == 0")
+    assert "stableseq.percolation" in loaded
+    assert not loaded & {"stableseq.cube", "stableseq.cube_estimates"}

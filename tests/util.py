@@ -36,8 +36,13 @@ from stableseq.cli import main
 from stableseq.cube_estimates import case_inequalities
 from stableseq.exact import IndSetSequence
 from stableseq.graphs import Graph, GraphError
-from stableseq.numerics import bits_of, log2_fraction, mpf_from
+from stableseq.numerics import log2_fraction, mpf_from
 from stableseq.percolation import _sampler, _step_rule
+
+
+def bits_of(mask: int):
+    """The set bit positions of a bitset, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def cli_json(capsys, *argv) -> dict:
