@@ -261,7 +261,8 @@ def cmd_transition(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    # run_experiment sets its own working precision
+    # no working precision: the step rule is exact in floats and integers,
+    # so percolate loads no mpmath
     from . import percolation
     summary = percolation.run_experiment(args.base, args.p, args.seed,
                                          args.trials, args.epsilon)

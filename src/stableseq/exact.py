@@ -4,17 +4,19 @@ count_by_size is the counting engine.  It branches on a maximum-degree
 vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
 remaining vertex set into connected components whose sequences multiply,
 and memoises the sequence of every branched component, one of maximum
-degree above 2, by its vertex mask.  One bitset sweep of a vertex set
-(_split) gives its components that have an edge, together with each one's
-branch vertex, maximum degree and degree sum, and the number of its
-isolated vertices, so every set is walked once.  An isolated vertex is
+degree above 2 that is not a star, by its vertex mask.  One bitset sweep of
+a vertex set (_split) gives its components that have an edge, together with
+each one's branch vertex, maximum degree and degree sum, and the number of
+its isolated vertices, so every set is walked once.  An isolated vertex is
 never a component: it is counted where the sweep reads its empty row, and
 the s isolated vertices of a set contribute one binomial row (1 + x)**s.
-Components of maximum degree at most 2 are closed where their sequences
-are multiplied, never pushed or memoised: a path by its own closed form, a
-cycle by the branch rule applied once to two paths.  These sequences and
-the binomial rows depend only on size and kind, so they are cached by
-those.
+Stars and components of maximum degree at most 2 are closed where their
+sequences are multiplied, never pushed or memoised: a star K_(1,s), a
+component whose degree sum is twice its maximum degree s, as the row of its
+leaves plus the centre alone, (1 + x)**s + x; a path by its own closed
+form; a cycle by the branch rule applied once to two paths.  These
+sequences and the binomial rows depend only on size and kind, so they are
+cached by those.
 
 Inside one connected component C of the input, every sequence is packed
 into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
@@ -61,12 +63,12 @@ SIDE_BACKEND_CAP = 28
 # real size.  For components of at most 64 vertices that is never more than
 # the L * (1 + B // 64) words a list of L coefficients summing to a B-bit
 # total was charged before the entries were packed.  The closed forms of
-# paths and cycles are not charged: a branch node's children are disjoint
-# induced subgraphs, so the forms one node needs take at most about four
-# times the words of its own entry.  Q_6 takes 858445 words in 94582
-# entries (about 1.1-1.2 s to count, 44 MB peak RSS for the whole `count`
-# process); Q_7 stops at the budget after 99603 branch nodes, about 1.5 s
-# and 53 MB (Python 3.11, x86-64, 2-core Xeon).
+# stars, paths and cycles are not charged: a branch node's children are
+# disjoint induced subgraphs, so the forms one node needs take at most
+# about four times the words of its own entry.  Q_6 takes 854165 words in
+# 93579 entries (about 1.1-1.3 s for the whole `count` process, 36 MB peak
+# RSS); Q_7 stops at the budget after 99416 branch nodes, about 1.5-2 s and
+# 46 MB (Python 3.11, x86-64, 2-core Xeon).
 MEMO_WORD_BUDGET = 1 << 21
 
 # Fewest equal top-level components raised by the power recurrence; fewer
@@ -324,11 +326,19 @@ def _product(factors: list[list[int]]) -> list[int]:
     return out
 
 
-def _closed_sequence(k: int, cycle: bool) -> list[int]:
-    """i_t of the path on k vertices, or of the cycle on k vertices, whose
-    branch on any vertex leaves the paths on k - 1 and k - 3 vertices: both
-    terms have floor(k / 2) + 1 coefficients."""
-    if not cycle:
+def _closed_sequence(k: int, max_deg: int, deg_sum: int) -> list[int]:
+    """i_t of a component on k vertices that is a star, a path or a cycle.
+    It is a star K_(1, max_deg) when deg_sum = 2 max_deg: a connected graph
+    with as many edges as its largest degree is a tree with one vertex
+    joined to all others, whose sequence is (1 + x)**max_deg + x.
+    Otherwise max_deg <= 2 and it is a path if it has fewer than k edges,
+    else a cycle, whose branch on any vertex leaves the paths on k - 1 and
+    k - 3 vertices: both terms have floor(k / 2) + 1 coefficients."""
+    if deg_sum == 2 * max_deg:
+        seq = _binomial_row(max_deg)
+        seq[1] += 1
+        return seq
+    if deg_sum < 2 * k:
         return _path_sequence(k)
     return list(map(add, _path_sequence(k - 1), [0] + _path_sequence(k - 3)))
 
@@ -337,29 +347,31 @@ def _packed_product(memo: dict[int, int], split: tuple,
                     closed: dict[int, int], width: int) -> int:
     """Packed sequence of the vertex set that _split gave split for: the
     product of the memo entries of its branched components, of the packed
-    closed forms of its paths and cycles, and of the packed binomial row of
-    its isolated vertices, multiplied once for all of them.  closed caches
-    the packed forms, keyed by 2k for the path on k vertices, 2k + 1 for the
-    cycle and -s for the row of s isolated vertices."""
+    closed forms of its stars, paths and cycles, and of the packed binomial
+    row of its isolated vertices, multiplied once for all of them.  closed
+    caches the packed forms, keyed by 2k for the path on k vertices, 2k + 1
+    for the cycle, -2s - 1 for the star with s leaves and -2s for the row of
+    s isolated vertices."""
     comps, singles = split
     out = 1
     for c, _, max_deg, deg_sum in comps:
-        if max_deg > 2:
+        if deg_sum == 2 * max_deg:
+            key = -2 * max_deg - 1
+        elif max_deg > 2:
             out *= memo[c]
+            continue
         else:
-            # connected with maximum degree <= 2: a path if it has fewer
-            # than k edges, else a cycle
             k = c.bit_count()
             key = 2 * k + (deg_sum == 2 * k)
-            packed = closed.get(key)
-            if packed is None:
-                packed = closed[key] = _pack(_closed_sequence(k, key & 1),
-                                             width)
-            out *= packed
+        packed = closed.get(key)
+        if packed is None:
+            packed = closed[key] = _pack(_closed_sequence(
+                c.bit_count(), max_deg, deg_sum), width)
+        out *= packed
     if singles:
-        row = closed.get(-singles)
+        row = closed.get(-2 * singles)
         if row is None:
-            row = closed[-singles] = _pack(_binomial_row(singles), width)
+            row = closed[-2 * singles] = _pack(_binomial_row(singles), width)
         out *= row
     return out
 
@@ -371,13 +383,13 @@ def count_by_size(g: Graph) -> IndSetSequence:
     module docstring) at a slot width of ceil(|C| / 8) bytes.  Each vertex
     set is swept once, by _split; a stack entry is either a split tuple to
     expand or a branch node waiting for its children.  Only branched
-    components, those of maximum degree above 2, are pushed and memoised:
-    isolated vertices, paths and cycles are closed where _packed_product
-    multiplies them, from packed binomial rows and closed forms cached by
-    size and kind for the component being counted.  A component of the
-    input that is itself a path or cycle takes its closed form directly,
-    and the isolated vertices of the input join the top-level group of
-    1 + x.
+    components, those of maximum degree above 2 that are not stars, are
+    pushed and memoised: isolated vertices, stars, paths and cycles are
+    closed where _packed_product multiplies them, from packed binomial rows
+    and closed forms cached by size and kind for the component being
+    counted.  A component of the input that is itself a star, path or
+    cycle takes its closed form directly, and the isolated vertices of the
+    input join the top-level group of 1 + x.
     The work runs on an explicit stack, so no input can exhaust Python's
     recursion limit.  A component's memo entry is stored once the sequences
     of both branches are known, and the memo lives for one call.  Raises
@@ -394,8 +406,8 @@ def count_by_size(g: Graph) -> IndSetSequence:
     for root in roots:
         top, _, max_deg, deg_sum = root
         k = top.bit_count()
-        if max_deg <= 2:
-            seq = tuple(_closed_sequence(k, deg_sum == 2 * k))
+        if max_deg <= 2 or deg_sum == 2 * max_deg:
+            seq = tuple(_closed_sequence(k, max_deg, deg_sum))
             groups[seq] = groups.get(seq, 0) + 1
             continue
         width = (k + 7) // 8
@@ -423,7 +435,7 @@ def count_by_size(g: Graph) -> IndSetSequence:
                 with_v = _split(adj, rest) if rest else ([], 0)
                 stack.append((c, without, with_v))
                 for x in without[0] + with_v[0]:
-                    if x[2] > 2 and x[0] not in memo:
+                    if x[2] > 2 and x[3] != 2 * x[2] and x[0] not in memo:
                         stack.append(x)
                 continue
             # P(c - v) + (P(c - N[v]) << w)

@@ -5,7 +5,7 @@ evaluations go through mpmath; one-sided comparisons that involve a
 transcendental use interval arithmetic so that a reported verdict never
 depends on rounding direction.
 
-The command line and percolation.run_experiment run at WORKING_BITS, under
+The command line's verbs that evaluate mpmath run at WORKING_BITS, under
 working_precision.  Every other function computes at the caller's mpmath
 precision, and importing the package changes neither mp.mp.prec nor
 mp.iv.prec.

@@ -12,17 +12,14 @@ output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 
-import mpmath as mp
-
-from .bounds import entropy_derivative
 from .exact import count_by_size
 from .graphs import (Graph, bipartition, parse_graph_spec, regularity_profile,
                      spec_family)
-from .numerics import log2, mpf_from, working_precision
 from .seqshape import check_property_bgs
 
 _MASK64 = (1 << 64) - 1
@@ -124,15 +121,132 @@ def _sampler(g: Graph, p):
     return sample
 
 
+# Most bits of log2 r the exact step rule computes before it refuses an
+# epsilon: enough for an epsilon down to about 10**-4900.
+_STEP_BITS = 1 << 15
+# Relative half-width of the band around a float quotient inside which the
+# step rule decides in integers (see _step_rule).
+_BAND = 2.0 ** -36
+# 2 / ln 2, correctly rounded: log2 r = 2 atanh(epsilon) / ln 2.
+_TWO_OVER_LN2 = 2.8853900817779268
+
+
+def _atanh_bracket(u: int, v: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits atanh(u/v) <= hi, for 0 <= u/v <= 1/3.
+
+    lo sums the series of z**(2j+1)/(2j+1), z = u/v, in units of 2**-bits,
+    each power taken from the one before and floored, and each term
+    floored.  A power then errs by under 1/(1 - z**2) <= 9/8 of a unit, so
+    a term by under 11/8, and the terms from the first power that floors
+    to 0 onwards sum below 1/2: over J powers, the true value lies below
+    lo + 2 J + 2.  A z whose denominator is longer than bits is first
+    floored to bits binary places, which lowers atanh z by under 9/8 of a
+    unit, so hi then gains 2 more."""
+    slack = 2
+    if v.bit_length() > bits:
+        u, v, slack = (u << bits) // v, 1 << bits, 4
+    power = total = (u << bits) // v
+    u2, v2 = u * u, v * v
+    j = 0
+    while power:
+        j += 1
+        power = power * u2 // v2
+        total += power // (2 * j + 1)
+    return total, total + 2 * j + slack
+
+
+def _log2_bracket(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits log2(num/den) <= hi, for num >= den >= 1.
+    With 2**e <= num/den = 2**e f < 2**(e + 1), log2(num/den) is
+    e + atanh(z)/atanh(1/3) for z = (f - 1)/(f + 1) < 1/3, since
+    ln f = 2 atanh(z) and ln 2 = 2 atanh(1/3); exact at a power of two."""
+    e = num.bit_length() - den.bit_length()
+    if den << e > num:
+        e -= 1
+    base = den << e
+    if num == base:
+        return e << bits, e << bits
+    a_lo, a_hi = _atanh_bracket(num - base, num + base, bits)
+    c_lo, c_hi = _atanh_bracket(1, 3, bits)
+    return ((e << bits) + (a_lo << bits) // c_hi,
+            (e << bits) - (-(a_hi << bits) // c_lo))
+
+
+def _ceil_over_log2(x_bracket, x_bits: int, num: int, den: int) -> int:
+    """ceil(x / log2 r) for r = num/den > 1 and x >= 0, where x_bracket(b)
+    gives integers lo <= 2**b x <= hi and x < 2**x_bits; x / log2 r must
+    not be a positive integer, which no bracket could settle.  The
+    quotient lies between the quotients of the two brackets' ends, and the
+    precision doubles until their ceilings agree.  It starts at the bits
+    that x / log2 r needs with log2 r >= (r - 1)/r >= 2**-g: 2 g + x_bits
+    and a margin of 64.  Refuses (ValueError) past _STEP_BITS."""
+    g = max(0, den.bit_length() - (num - den).bit_length() + 2)
+    bits = 2 * g + x_bits + 64
+    while bits <= _STEP_BITS:
+        l_lo, l_hi = _log2_bracket(num, den, bits)
+        x_lo, x_hi = x_bracket(bits)
+        if l_lo > 0:
+            s = -(-x_lo // l_hi)
+            if s == -(-x_hi // l_lo):
+                return s
+        bits *= 2
+    raise ValueError(f"the step rule at this epsilon needs "
+                     f"log2((1 + epsilon)/(1 - epsilon)) to more than "
+                     f"{_STEP_BITS} bits")
+
+
+def _float_ceil(q: float):
+    """ceil of the value that the float q >= 0 approximates within 2**-42,
+    relative (so a q of 0 is exact), or None where that is not certain:
+    where the band of relative half-width _BAND around q holds an
+    integer."""
+    s = math.ceil(q * (1 - _BAND))
+    return s if s == math.ceil(q * (1 + _BAND)) else None
+
+
 def _step_rule(n: int, epsilon: Fraction):
     """The step rule for n and epsilon: a function of the defect h giving
-    ceil(C(eps) * max(log2 n, n h)) with C(eps) = 1/H'((1-eps)/2), floored
-    at 1; C(eps) and log2 n are evaluated once."""
-    c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
-    log2_n = log2(mpf_from(n))
+    s = ceil(C(eps) max(log2 n, n h)), floored at 1, with C(eps) =
+    1/H'((1 - eps)/2) = 1/log2 r for r = (1 + eps)/(1 - eps).  That is
+    max(1, ceil(log2 n / log2 r), ceil(n h / log2 r)), each ceiling exact.
+
+    For r >= 2 the first ceiling is the least s with r**s >= n, at most
+    log2 n + 1 integer powers.  Every other ceiling is first taken from a
+    float quotient: the int true divisions are correctly rounded, and
+    math.atanh and math.log2 are taken to be within 2**-44 of their values,
+    relative (the tests check them against mpmath), so the quotient is
+    within 2**-42 of its value.  Where the band of _float_ceil holds an
+    integer, as it always does once s passes about 2**35, or where epsilon
+    is outside float range, _ceil_over_log2 decides in integers.  The
+    quotient it takes is never a positive integer: n h / log2 r = s needs
+    r**s = 2**(n h), so r a power of two, whose bracket is exact, and for
+    r < 2 no r**s is an integer n.  The first ceiling is found once."""
+    a, b = epsilon.numerator, epsilon.denominator
+    num, den = b + a, b - a
+    if num >= 2 * den:
+        inverse = (1 / math.log2(num / den)
+                   if num.bit_length() - den.bit_length() < 1000 else None)
+        log_term, top, bottom = 0, 1, 1
+        while top < n * bottom:
+            top, bottom, log_term = top * num, bottom * den, log_term + 1
+    else:
+        inverse = (1 / (math.atanh(a / b) * _TWO_OVER_LN2)
+                   if a << 1000 > b else None)
+        log_term = None if inverse is None else _float_ceil(
+            math.log2(n) * inverse)
+        if log_term is None:
+            log_term = _ceil_over_log2(lambda bits: _log2_bracket(n, 1, bits),
+                                       n.bit_length().bit_length(), num, den)
+    log_term = max(1, log_term)
 
     def rule(h: Fraction) -> int:
-        return max(1, int(mp.ceil(c_eps * max(log2_n, mpf_from(h) * n))))
+        u, v = n * h.numerator, h.denominator
+        s = None if inverse is None else _float_ceil(u / v * inverse)
+        if s is None:
+            s = _ceil_over_log2(
+                lambda bits: ((u << bits) // v, -(-(u << bits) // v)),
+                (u // v).bit_length() + 1, num, den)
+        return max(log_term, s)
     return rule
 
 
@@ -159,7 +273,6 @@ class ExperimentSummary:
     success_rate: Fraction
 
 
-@working_precision()
 def run_experiment(base: str, p, seed: int, trials: int,
                    epsilon=Fraction(1, 10)) -> ExperimentSummary:
     """Sample trials graphs by percolating the graph of spec base at p,
@@ -171,8 +284,9 @@ def run_experiment(base: str, p, seed: int, trials: int,
     disconnected, and n = |V|/2.
 
     d' = d p is a recorded experimental choice; it is surfaced in the
-    summary next to every verdict.  The step rule is evaluated at
-    numerics.WORKING_BITS whatever the caller's mpmath precision.
+    summary next to every verdict.  The step rule is exact, in floats where
+    their error bound decides it and in integers elsewhere, so no mpmath
+    precision enters the summary.
     """
     p = _probability(p)
     if trials < 1:

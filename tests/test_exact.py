@@ -321,12 +321,18 @@ def test_pack_roundtrip_at_full_slots(width):
 
 @pytest.mark.parametrize("k", [7, 8, 9, 14, 15, 16, 17, 22, 63, 64, 65])
 def test_star_fills_slots_at_byte_boundaries(k):
-    # K_{1,k}: the centre alone, or any subset of the k leaves.  The slot is
-    # 8 * ceil((k + 1) / 8) bits; at k = 14 and 22, C(k, k/2) would overflow
-    # a slot of 8 * floor((k + 1) / 8) bits
+    # K_{1,k}: the centre alone, or any subset of the k leaves.  A star is
+    # closed, not packed, so the packed root is K_{1,k} with one edge more,
+    # between two leaves, whose subsets of leaves miss the pair.  The slot
+    # is 8 * ceil((k + 1) / 8) bits; at k = 14 and 22, C(k, k/2) would
+    # overflow a slot of 8 * floor((k + 1) / 8) bits
     seq = count_by_size(graphs.complete_bipartite(1, k))
     assert seq.counts == (1, k + 1) + tuple(comb(k, t)
                                             for t in range(2, k + 1))
+    star = graphs.complete_bipartite(1, k)
+    g = graphs.from_edges(k + 1, list(star.edges()) + [(1, 2)])
+    assert count_by_size(g).counts == (1, k + 1) + tuple(
+        comb(k, t) - comb(k - 2, t - 2) for t in range(2, k))
 
 
 def test_union_of_components_of_different_widths():
@@ -439,6 +445,145 @@ def test_star_among_many_isolated_vertices():
     assert count_by_size(g).counts == tuple(
         sum(c * row[t - j] for j, c in enumerate(star) if 0 <= t - j <= 5000)
         for t in range(5004))
+
+
+# ---------------------------------------------------------------------------
+# Stars closed in the engine
+# ---------------------------------------------------------------------------
+
+def _star_polynomial(leaves: int) -> tuple[int, ...]:
+    """(1 + x)**leaves + x, by binomial coefficients."""
+    seq = [comb(leaves, t) for t in range(leaves + 1)]
+    seq[1] += 1
+    return tuple(seq)
+
+
+def _hub_beside_star(leaves: int, pendants: int) -> graphs.Graph:
+    """A hub joined to the centre of K_(1, leaves) and to pendants more
+    vertices: with pendants > leaves the hub has the largest degree, so the
+    engine branches on it and meets the star inside the branch."""
+    hub, centre = 0, 1
+    edges = [(centre, 2 + i) for i in range(leaves)]
+    edges += [(hub, centre)] + [(hub, 2 + leaves + i)
+                                for i in range(pendants)]
+    return graphs.from_edges(2 + leaves + pendants, edges)
+
+
+def _counting_splits(monkeypatch) -> list:
+    """Record each vertex set that count_by_size sweeps: the root's sweep,
+    then one or two for each branch node."""
+    seen = []
+    split = exact._split
+
+    def counted(adj, mask):
+        seen.append(mask)
+        return split(adj, mask)
+    monkeypatch.setattr(exact, "_split", counted)
+    return seen
+
+
+@pytest.mark.parametrize("k", range(4, 65))
+def test_star_closed_form(k):
+    # K_(1, k - 1) at the top level and inside a branch, packed at a slot of
+    # ceil(|C| / 8) bytes: (1 + x)**(k - 1) + x
+    star = _star_polynomial(k - 1)
+    assert exact._closed_sequence(k, k - 1, 2 * (k - 1)) == list(star)
+    assert count_by_size(graphs.complete_bipartite(1, k - 1)).counts == star
+    # seq(G - hub) + x seq(G - N[hub]): the star beside k isolated
+    # vertices, and the star's leaves alone
+    rows = [tuple(comb(m, t) for t in range(m + 1)) for m in (k, k - 1)]
+    expected = convolve(star, rows[0])
+    with_hub = (0,) + rows[1]
+    expected = tuple(a + (with_hub[t] if t < len(with_hub) else 0)
+                     for t, a in enumerate(expected))
+    assert count_by_size(_hub_beside_star(k - 1, k)).counts == expected
+
+
+def test_union_of_stars_makes_no_branch_node(monkeypatch):
+    # each star is closed where the top level groups it: one sweep of the
+    # whole vertex set and no memo entry, so a budget of 0 words holds
+    stars = disjoint_union(*(graphs.complete_bipartite(1, k)
+                             for k in (3, 5, 5, 9, 17, 40)))
+    seen = _counting_splits(monkeypatch)
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 0)
+    expected = (1,)
+    for k in (3, 5, 5, 9, 17, 40):
+        expected = convolve(expected, _star_polynomial(k))
+    assert count_by_size(stars).counts == expected
+    assert seen == [(1 << stars.n) - 1]
+
+
+def test_star_inside_a_branch_is_not_branched(monkeypatch):
+    # the hub is the one branch node: its two sweeps leave the star with 2s
+    # isolated vertices, and the star's s leaves alone
+    g = _hub_beside_star(5, 7)
+    seen = _counting_splits(monkeypatch)
+    assert list(count_by_size(g).counts) == brute_sequence(g)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3, 4, 7, 16])
+def test_star_and_rows_in_one_component_keep_their_keys(leaves):
+    # a star of s leaves beside 2s isolated vertices in one sweep, then the
+    # s leaves alone in the other: the star, the row of 2s and the row of s
+    # are three packed forms in one cache, none read for another
+    g = _hub_beside_star(leaves, 2 * leaves)
+    star = _star_polynomial(leaves)
+    row = lambda m: tuple(comb(m, t) for t in range(m + 1))
+    without = convolve(star, row(2 * leaves))
+    with_hub = (0,) + row(leaves)
+    expected = tuple(a + (with_hub[t] if t < len(with_hub) else 0)
+                     for t, a in enumerate(without))
+    assert count_by_size(g).counts == expected
+    # and through _packed_product with one cache: each form on its own, in
+    # either order
+    width = (g.n + 7) // 8
+    comp = (1 << leaves + 1) - 1
+    parts = {"star": (([(comp, 0, leaves, 2 * leaves)], 0), star),
+             "row2s": (([], 2 * leaves), row(2 * leaves)),
+             "rows": (([], leaves), row(leaves))}
+    for order in (("star", "row2s", "rows"), ("rows", "row2s", "star")):
+        closed = {}
+        for name in order:
+            split, seq = parts[name]
+            assert exact._unpack(exact._packed_product(
+                {}, split, closed, width), width) == list(seq), (order, name)
+
+
+@st.composite
+def star_forests(draw, max_n=16):
+    """Stars and random trees side by side, with up to four edges added
+    between the two classes of the forest's two-colouring and the vertices
+    relabelled: stars at the top level and, where an added edge joins one
+    to more, inside branching."""
+    edges, n = [], 0
+    while n < max_n - 1:
+        size = draw(st.integers(2, min(9, max_n - n)))
+        if draw(st.booleans()):
+            edges += [(n, n + i) for i in range(1, size)]
+        else:
+            edges += [(n + i, n + draw(st.integers(0, i - 1)))
+                      for i in range(1, size)]
+        n += size
+        if not draw(st.booleans()):
+            break
+    n += draw(st.integers(0, min(2, max_n - n)))
+    forest = graphs.from_edges(n, edges)
+    frame = bipartition(forest)
+    if frame.class_e and frame.class_o:
+        for _ in range(draw(st.integers(0, 4))):
+            edges.append((draw(st.sampled_from(frame.class_e)),
+                          draw(st.sampled_from(frame.class_o))))
+    perm = draw(st.permutations(range(n)))
+    return graphs.from_edges(n, sorted({tuple(sorted((perm[u], perm[v])))
+                                        for u, v in edges}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_forests())
+def test_stars_match_side_profile_oracle(g):
+    assert count_by_size(g).counts == \
+        sequence_from_profile(side_profile(g)).counts
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [150])

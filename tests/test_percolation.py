@@ -1,16 +1,19 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stableseq import exact, graphs, percolation as pc
 from stableseq import seqshape as ss
 from stableseq import bounds as bnd
 from stableseq.exact import count_by_size
 
+from stableseq.cli import main
 from util import (check_simple, cli_json, default_step_rule, edge_count,
-                  knn_sequence, percolate)
+                  knn_sequence, mpmath_step_rule, percolate)
 
 
 def test_splitmix64_published_vectors():
@@ -132,22 +135,19 @@ def test_run_experiment_deterministic():
         sum(1 for r in one.records if r.holds), 12)
 
 
-def test_run_experiment_runs_at_working_precision(monkeypatch):
-    # the experiment counts at 160/160 whatever the caller's precisions,
-    # gives the same summary, and hands the caller's precisions back
-    seen = []
-
-    def count(g):
-        seen.append((mp.mp.prec, mp.iv.prec))
-        return count_by_size(g)
-    monkeypatch.setattr(pc, "count_by_size", count)
+def test_run_experiment_leaves_caller_precision():
+    # the step rule is exact and uses no mpmath: the summary is the same at
+    # any caller precision, which the experiment leaves as it was
     summaries = []
-    for caller in (53, 300):
-        mp.mp.prec = mp.iv.prec = caller
-        summaries.append(pc.run_experiment("knn:6,6", Fraction(1, 2),
-                                           seed=4, trials=2))
-        assert (mp.mp.prec, mp.iv.prec) == (caller, caller)
-    assert seen == [(160, 160)] * 4
+    saved = mp.mp.prec, mp.iv.prec
+    try:
+        for caller in (53, 300):
+            mp.mp.prec = mp.iv.prec = caller
+            summaries.append(pc.run_experiment("knn:6,6", Fraction(1, 2),
+                                               seed=4, trials=2))
+            assert (mp.mp.prec, mp.iv.prec) == (caller, caller)
+    finally:
+        mp.mp.prec, mp.iv.prec = saved
     assert summaries[0] == summaries[1]
 
 
@@ -221,6 +221,147 @@ def test_default_step_rule():
     # tiny defect: the log term takes over
     assert default_step_rule(16, Fraction(1, 1000), Fraction(1, 10)) == \
         math.ceil(4 / math.log2(0.55 / 0.45))
+
+
+def _is_power(n: int, base: int) -> bool:
+    while n % base == 0:
+        n //= base
+    return n == 1
+
+
+@st.composite
+def step_inputs(draw):
+    """(n, h, epsilon) with epsilon >= 10**-12, n <= 16384 and h a rational
+    with denominator up to 10**12, away from the two cases where the mpmath
+    rule's product can be an integer: r = (1 + eps)/(1 - eps) an integer
+    with n a power of it, or r a power of two with n h an integer."""
+    b = draw(st.integers(2, 10 ** 12))
+    # a small numerator often, so that s often passes the float band
+    epsilon = Fraction(draw(st.one_of(st.integers(1, min(b - 1, 100)),
+                                      st.integers(1, b - 1))), b)
+    n = draw(st.integers(1, 16384))
+    den = draw(st.integers(1, 10 ** 12))
+    h = Fraction(draw(st.integers(0, 4 * den)), den)
+    r = (1 + epsilon) / (1 - epsilon)
+    if r.denominator == 1:
+        assume(not _is_power(n, r.numerator))
+        assume(not _is_power(r.numerator, 2) or (n * h).denominator > 1)
+    return n, h, epsilon
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_inputs())
+def test_step_rule_matches_mpmath_rule(inputs):
+    # floats decide where their band is clear of an integer, integers
+    # elsewhere (every s past about 2**35, so every epsilon near 10**-12)
+    n, h, epsilon = inputs
+    assert pc._step_rule(n, epsilon)(h) == mpmath_step_rule(n, epsilon)(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_inputs())
+def test_integer_route_matches_float_route(inputs):
+    # with no float quotient trusted, every ceiling is decided in integers
+    n, h, epsilon = inputs
+    expected = pc._step_rule(n, epsilon)(h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pc, "_float_ceil", lambda q: None)
+        assert pc._step_rule(n, epsilon)(h) == expected
+
+
+@pytest.mark.parametrize("epsilon, k", [(Fraction(1, 3), 1),
+                                        (Fraction(3, 5), 2),
+                                        (Fraction(7, 9), 3)])
+def test_step_rule_exact_where_r_is_a_power_of_two(epsilon, k):
+    # r = 2**k: log2 r = k, and the ceilings of log2 n / k and n h / k are
+    # exact even where they are integers, as at n = 64 and n h = 6, 12, 24
+    rule = lambda n, h: pc._step_rule(n, epsilon)(h)
+    assert [rule(64, Fraction(1, 64)), rule(8, Fraction(3, 4)),
+            rule(16, Fraction(3, 4)), rule(16, Fraction(3, 2)),
+            rule(1, Fraction(0))] == {
+        1: [6, 6, 12, 24, 1],
+        2: [3, 3, 6, 12, 1],
+        3: [2, 2, 4, 8, 1],
+    }[k]
+
+
+def test_step_rule_exact_where_n_is_a_power_of_r():
+    # r = 3 at epsilon = 1/2 and r = 5 at 2/3: log2 n / log2 r is the
+    # exponent itself, with no rounding to carry it past
+    for epsilon, r in ((Fraction(1, 2), 3), (Fraction(2, 3), 5)):
+        for e in range(1, 9):
+            assert pc._step_rule(r ** e, epsilon)(Fraction(1, r ** e)) == e
+            assert pc._step_rule(r ** e + 1, epsilon)(Fraction(0)) == e + 1
+
+
+@pytest.mark.parametrize("digits", [30, 47, 49, 60])
+def test_step_rule_exact_at_tiny_epsilon(digits):
+    # where 160 bits of mpmath lose digits of s (from about 10**-30) or
+    # round r to 1 (below about 10**-48): the exact rule agrees with the
+    # mpmath rule at 2000 bits, in well under a second
+    epsilon = Fraction(1, 10 ** digits)
+    start = time.perf_counter()
+    s = pc._step_rule(2, epsilon)(Fraction(1, 2))
+    assert time.perf_counter() - start < 1
+    assert s == mpmath_step_rule(2, epsilon, 2000)(Fraction(1, 2))
+    if digits == 30:
+        assert s == 346573590279972654708616060730
+
+
+def test_step_rule_refuses_an_epsilon_past_its_precision():
+    # a 10**5-digit denominator would need log2 r to about 660000 bits: the
+    # rule refuses at once, naming its bound, and the verb exits 2 with one
+    # error line
+    epsilon = Fraction(1, 10 ** 100000)
+    with pytest.raises(ValueError, match=f"more than {pc._STEP_BITS} bits"):
+        pc._step_rule(2, epsilon)
+    # just inside the bound the rule is exact
+    epsilon = Fraction(1, 10 ** 4000)
+    assert pc._step_rule(2, epsilon)(Fraction(1, 2)) == \
+        mpmath_step_rule(2, epsilon, 3 * pc._STEP_BITS // 2)(Fraction(1, 2))
+    # and near 1 it is cheap: log2 r is about 332193
+    assert pc._step_rule(16384, 1 - Fraction(1, 10 ** 100000))(
+        Fraction(3)) == 1
+
+
+def test_percolate_refuses_an_epsilon_past_its_precision(capsys):
+    code = main(["percolate", "--base", "knn:2,2", "--p", "1", "--epsilon",
+                 "1/1" + "0" * 100000])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: the step rule at this epsilon needs "
+                   f"log2((1 + epsilon)/(1 - epsilon)) to more than "
+                   f"{pc._STEP_BITS} bits\n")
+
+
+def test_float_functions_within_step_rule_assumption():
+    # the step rule takes math.atanh on (2**-1000, 1/3) and math.log2 on
+    # integers from 2 and on ratios of at least 2 to be within 2**-44,
+    # relative
+    xs = [2.0 ** -k for k in range(1, 1000, 7)] + \
+        [k / 3000 for k in range(1, 1000)] + [1 / 3, 0.1, 0.2]
+    ys = [float(k) for k in range(2, 5000)] + [2.0 + k / 97 for k in range(
+        1000)] + [3.0 ** k for k in range(1, 600)]
+    with mp.workprec(120):
+        for x in xs:
+            exact = mp.atanh(mp.mpf(x))
+            assert abs(math.atanh(x) - exact) <= exact * 2.0 ** -44, x
+        for y in ys:
+            exact = mp.log(mp.mpf(y), 2)
+            assert abs(math.log2(y) - exact) <= exact * 2.0 ** -44, y
+    assert abs(pc._TWO_OVER_LN2 - 2 / mp.log(2)) <= 2.0 ** -52
+
+
+@pytest.mark.parametrize("num, den", [(11, 9), (3, 1), (7, 4), (2 ** 70 + 1,
+                                                                  2 ** 70),
+                                      (10 ** 40, 3)])
+def test_log2_bracket_holds_the_value(num, den):
+    with mp.workprec(800):
+        exact = mp.log(mp.mpf(num) / den, 2)
+        for bits in (8, 64, 200, 500):
+            lo, hi = pc._log2_bracket(num, den, bits)
+            assert lo <= exact * 2 ** bits <= hi
+            assert hi - lo <= 8 * bits
 
 
 def test_flagged_trials_counted_as_failures():

@@ -13,7 +13,9 @@ is checked against,
 cube_two_components, the flood fill over one 2**d-bit row of
 distance-2 neighbours per vertex that the hypercube's 2-components are
 checked against, and percolate and default_step_rule, the percolation
-experiment's sampler and step rule applied to one sample.  grid builds
+experiment's sampler and step rule applied to one sample, and
+mpmath_step_rule, the step rule evaluated in mpmath, which the exact rule
+is checked against.  grid builds
 the k x k grid graph, whose totals are published (OEIS A006506); it is
 not a graph family of the library.  regularity_profile_by_terms,
 bgs_interval_ends and edges_by_double_loop are the Fraction and pairwise
@@ -31,12 +33,12 @@ from fractions import Fraction
 import mpmath as mp
 
 from stableseq import graphs
-from stableseq.bounds import partition_upper_log2
+from stableseq.bounds import entropy_derivative, partition_upper_log2
 from stableseq.cli import main
 from stableseq.cube_estimates import case_inequalities
 from stableseq.exact import IndSetSequence
 from stableseq.graphs import Graph, GraphError
-from stableseq.numerics import log2_fraction, mpf_from
+from stableseq.numerics import WORKING_BITS, log2, log2_fraction, mpf_from
 from stableseq.percolation import _sampler, _step_rule
 
 
@@ -117,6 +119,23 @@ def percolate(g: Graph, p, seed: int, trial: int = 0) -> Graph:
 def default_step_rule(n: int, h: Fraction, epsilon: Fraction) -> int:
     """The experiment's step s for a sample of defect h, n = |V|/2."""
     return _step_rule(n, epsilon)(h)
+
+
+def mpmath_step_rule(n: int, epsilon: Fraction, bits: int = WORKING_BITS):
+    """The step rule h -> max(1, ceil(C(eps) max(log2 n, n h))) with
+    C(eps) = 1/H'((1 - eps)/2), C(eps) and log2 n evaluated once, all in
+    mpmath at bits of precision: the experiment's rule before it was exact.
+    Rounding can move a product that is an integer, or within about
+    2**-bits of one, across it."""
+    with mp.workprec(bits):
+        c_eps = 1 / entropy_derivative((1 - epsilon) / 2)
+        log2_n = log2(mpf_from(n))
+
+    def rule(h: Fraction) -> int:
+        with mp.workprec(bits):
+            return max(1, int(mp.ceil(c_eps * max(log2_n,
+                                                  mpf_from(h) * n))))
+    return rule
 
 
 def regularity_profile_by_terms(g: Graph, b, d) -> Fraction:
