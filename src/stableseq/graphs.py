@@ -111,29 +111,43 @@ def bipartition(g: Graph) -> Bipartition:
     class_e = class_o = 0
     unseen = (1 << g.n) - 1
     while unseen:
-        layers = []
-        colors = [0, 0]
-        layer = unseen & -unseen
-        while layer:
-            unseen ^= layer
-            colors[len(layers) & 1] |= layer
-            layers.append(layer)
-            reach = 0
-            frontier = layer
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            if reach & layer:
-                raise NotBipartiteError(_odd_cycle(adj, layers, reach & layer))
-            layer = reach & unseen
-        even, odd = colors
+        layers, inside = _layers(adj, unseen & -unseen)
+        if inside:
+            raise NotBipartiteError(_odd_cycle(adj, layers, inside))
+        even = sum(layers[::2])
+        odd = sum(layers[1::2])
+        unseen ^= even | odd
         if odd.bit_count() < even.bit_count():
             even, odd = odd, even
         class_e |= even
         class_o |= odd
     return Bipartition(class_e=tuple(_bits_of(class_e)),
                        class_o=tuple(_bits_of(class_o)))
+
+
+def _layers(adj, root: int) -> tuple[list[int], int]:
+    """Breadth-first layers, as vertex masks, of the component of the
+    vertex whose bit is root, each found by one bitset sweep of the layer
+    before.  Stops at the first layer with an edge inside it, and returns
+    the layers so far and the vertices of that layer with a neighbour in
+    it: 0 when the component is bipartite, whose colour classes are then
+    the even and the odd layers."""
+    layers = []
+    seen = 0
+    layer = root
+    while layer:
+        seen |= layer
+        layers.append(layer)
+        reach = 0
+        frontier = layer
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if reach & layer:
+            return layers, reach & layer
+        layer = reach & ~seen
+    return layers, 0
 
 
 def _odd_cycle(adj, layers: list[int], inside: int) -> list[int]:

@@ -514,9 +514,11 @@ def test_union_of_stars_makes_no_branch_node(monkeypatch):
 
 
 def test_star_inside_a_branch_is_not_branched(monkeypatch):
-    # the hub is the one branch node: its two sweeps leave the star with 2s
-    # isolated vertices, and the star's s leaves alone
-    g = _hub_beside_star(5, 7)
+    # the hub is the one branch node: its two sweeps leave the star with s
+    # isolated vertices, and the star's s leaves alone.  Both colour classes
+    # have 10 vertices, more than SIDE_CLOSE, so the root is branched
+    g = _hub_beside_star(9, 9)
+    assert exact.SIDE_CLOSE < 10
     seen = _counting_splits(monkeypatch)
     assert list(count_by_size(g).counts) == brute_sequence(g)
     assert len(seen) == 3
@@ -547,7 +549,8 @@ def test_star_and_rows_in_one_component_keep_their_keys(leaves):
         for name in order:
             split, seq = parts[name]
             assert exact._unpack(exact._packed_product(
-                {}, split, closed, width), width) == list(seq), (order, name)
+                {}, split, closed, width, g.adj, None), width) == list(seq), \
+                (order, name)
 
 
 @st.composite
@@ -584,6 +587,165 @@ def star_forests(draw, max_n=16):
 def test_stars_match_side_profile_oracle(g):
     assert count_by_size(g).counts == \
         sequence_from_profile(side_profile(g)).counts
+
+
+# ---------------------------------------------------------------------------
+# Bipartite components closed by their side sums
+# ---------------------------------------------------------------------------
+
+def _binomial(m: int) -> tuple[int, ...]:
+    return tuple(comb(m, t) for t in range(m + 1))
+
+
+def _add(a, b) -> tuple[int, ...]:
+    """Coefficient sum of two sequences of any lengths."""
+    out = [0] * max(len(a), len(b))
+    for seq in (a, b):
+        for t, c in enumerate(seq):
+            out[t] += c
+    return tuple(out)
+
+
+def _complete_bipartite_sequence(a: int, b: int) -> tuple[int, ...]:
+    """(1 + x)**a + (1 + x)**b - 1: a nonempty independent set of K_(a,b)
+    lies in one class."""
+    return _add(_add(_binomial(a), _binomial(b)), (-1,))
+
+
+_PENDANTS = 2 * exact.SIDE_CLOSE + 1
+
+
+def _under_hub(g: graphs.Graph, joins) -> graphs.Graph:
+    """g beside a hub joined to the vertices joins of g, to _PENDANTS
+    pendant vertices and to the centre of a star with SIDE_CLOSE leaves.
+    The hub is vertex g.n.  Both colour classes of the hub's component have
+    more than SIDE_CLOSE vertices and it is not complete bipartite, so the
+    engine branches on it when no vertex of g has more than _PENDANTS
+    neighbours, and meets g's components inside the branch."""
+    hub = g.n
+    centre = hub + 1 + _PENDANTS
+    edges = list(g.edges()) + [(v, hub) for v in joins]
+    edges += [(hub, hub + 1 + i) for i in range(_PENDANTS)]
+    edges += [(hub, centre)] + [(centre, centre + 1 + i)
+                                for i in range(exact.SIDE_CLOSE)]
+    return graphs.from_edges(centre + 1 + exact.SIDE_CLOSE, edges)
+
+
+@st.composite
+def side_sum_graphs(draw):
+    """Up to three random bipartite blocks, the first with a smaller class
+    of 0 to SIDE_CLOSE + 2 vertices, then up to two isolated vertices, all
+    relabelled.  Returns the graph and the vertices of the blocks' smaller
+    classes."""
+    edges, smaller, n = [], [], 0
+    for i in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, exact.SIDE_CLOSE + 2 if i == 0 else 2))
+        b = draw(st.integers(max(a, 1), a + (2 if i == 0 else 1)))
+        mask = draw(st.integers(0, (1 << (a * b)) - 1))
+        edges += [(n + u, n + a + w) for u in range(a) for w in range(b)
+                  if mask >> (u * b + w) & 1]
+        smaller += range(n, n + a)
+        n += a + b
+    n += draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    g = graphs.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return g, [perm[v] for v in smaller]
+
+
+@settings(max_examples=150, deadline=None)
+@given(side_sum_graphs())
+def test_side_sums_match_oracles(drawn):
+    # alone, where a block whose smaller class has at most SIDE_CLOSE
+    # vertices closes at the top level
+    g, smaller = drawn
+    counts = count_by_size(g).counts
+    assert counts == sequence_from_profile(side_profile(g)).counts
+    if g.n <= 16:
+        assert list(counts) == brute_sequence(g)
+    # and under a hub joined to every smaller-class vertex, where the blocks
+    # close inside the hub's branch: seq(G - hub) is g beside the pendants
+    # and the star, and G - N[hub] leaves the blocks' larger classes, the
+    # isolated vertices and the star's leaves alone
+    without = convolve(convolve(counts, _binomial(_PENDANTS)),
+                       _star_polynomial(exact.SIDE_CLOSE))
+    with_hub = _binomial(g.n - len(smaller) + exact.SIDE_CLOSE)
+    assert count_by_size(_under_hub(g, smaller)).counts == \
+        _add(without, (0,) + with_hub)
+
+
+@pytest.mark.parametrize("a", range(1, 13))
+@pytest.mark.parametrize("b", range(1, 13))
+def test_complete_bipartite_closed_form(a, b, monkeypatch):
+    # K_(a,b) closes at the top level in one sweep, as a star, a 4-cycle or
+    # its side sum at any size
+    seen = _counting_splits(monkeypatch)
+    g = graphs.complete_bipartite(a, b)
+    assert count_by_size(g).counts == _complete_bipartite_sequence(a, b)
+    assert seen == [(1 << g.n) - 1]
+    # and inside the hub's branch: seq(G - hub) holds the pendants, the
+    # star and K_(a,b); seq(G - N[hub]) the star's leaves and K_(a - 1, b),
+    # the hub being joined to one vertex of the class of a.  Each is closed
+    # where it is multiplied: the root's sweep and the hub's two
+    seen.clear()
+    hubbed = _under_hub(g, [0])
+    star = _star_polynomial(exact.SIDE_CLOSE)
+    without = convolve(convolve(_binomial(_PENDANTS), star),
+                       _complete_bipartite_sequence(a, b))
+    with_hub = convolve(_binomial(exact.SIDE_CLOSE),
+                        _complete_bipartite_sequence(a - 1, b))
+    assert count_by_size(hubbed).counts == _add(without, (0,) + with_hub)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_odd_cycle_beside_bipartite_parts(seed, monkeypatch):
+    # a component with an odd cycle gets no colouring, though it holds
+    # bipartite blocks and branching leaves them alone; only the bipartite
+    # component beside it can close by a side sum
+    closed_sets = []
+    side_sum = exact._side_sum
+
+    def recorded(adj, c, *rest):
+        closed_sets.append(c)
+        return side_sum(adj, c, *rest)
+    monkeypatch.setattr(exact, "_side_sum", recorded)
+    rng = random.Random(seed)
+    odd = 2 * rng.randint(1, 2) + 1
+    edges = [(i, (i + 1) % odd) for i in range(odd)]
+    n = odd
+    for _ in range(2):
+        a, b = rng.randint(1, 2), rng.randint(1, 2)
+        edges += [(n + u, n + a + w) for u in range(a) for w in range(b)
+                  if rng.random() < 0.6]
+        edges.append((rng.randrange(odd), n + rng.randrange(a + b)))
+        n += a + b
+    a, b = 2, rng.randint(3, 4)
+    edges += [(n + u, n + a + w) for u in range(a) for w in range(b)
+              if rng.random() < 0.8]
+    g = graphs.from_edges(n + a + b, edges)
+    with pytest.raises(graphs.NotBipartiteError):
+        bipartition(g)
+    assert list(count_by_size(g).counts) == brute_sequence(g)
+    assert all(c & ((1 << n) - 1) == 0 for c in closed_sets)
+
+
+@pytest.mark.parametrize("small", [exact.SIDE_CLOSE, exact.SIDE_CLOSE + 1])
+def test_side_sum_closes_up_to_side_close(small, monkeypatch):
+    # K_(s, s + 2) less one edge is connected, of maximum degree s + 2 and
+    # neither a star nor complete bipartite.  Its independent sets are those
+    # of K_(s, s + 2) and the pair of the missing edge's ends.  With
+    # s = SIDE_CLOSE it closes at the top level in the root's one sweep;
+    # with s = SIDE_CLOSE + 1 the engine branches
+    g = graphs.from_edges(2 * small + 2, [
+        (u, small + w) for u in range(small) for w in range(small + 2)
+        if (u, w) != (0, 0)])
+    seen = _counting_splits(monkeypatch)
+    assert count_by_size(g).counts == _add(
+        _complete_bipartite_sequence(small, small + 2), (0, 0, 1))
+    if small <= exact.SIDE_CLOSE:
+        assert seen == [(1 << g.n) - 1]
+    else:
+        assert len(seen) > 1
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [150])
