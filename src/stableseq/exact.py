@@ -3,9 +3,9 @@
 count_by_size is the counting engine.  It branches on a maximum-degree
 vertex v using seq(G) = seq(G - v) + x * seq(G - N[v]), splits each
 remaining vertex set into connected components whose sequences multiply,
-and memoises the sequence of every branched component, one of maximum
-degree above 2 that is not a star and not closed by its side sum (below),
-by its vertex mask.  One bitset sweep of
+and memoises the sequence of every component of maximum degree above 2
+that is not a star by its vertex mask; such a component is branched on
+unless its side sum (below) closes it.  One bitset sweep of
 a vertex set (_split) gives its components that have an edge, together with
 each one's branch vertex, maximum degree and degree sum, and the number of
 its isolated vertices, so every set is walked once.  An isolated vertex is
@@ -19,17 +19,19 @@ form; a cycle by the branch rule applied once to two paths.  These
 sequences and the binomial rows depend only on size and kind, so they are
 cached by those.
 
-Each input component that branches is 2-coloured once, by the bitset BFS
-layering that graphs.bipartition also uses; a component with an odd cycle
-gets no colouring.  A subcomponent c of a coloured one has the classes
-c & east and c & ~east.  When the smaller class S has at most SIDE_CLOSE
-vertices, c is closed by the decomposition of its independent sets into a
-subset A of S and a subset of the other class O that avoids N(A):
-P(c) = sum over A of S of x**|A| (1 + x)**(|O| - |N(A)|), 2**|S| terms.
-A complete bipartite c closes at any size, as (1 + x)**|S| + (1 + x)**|O|
-- 1.  Like stars, paths and cycles, such a component is closed where its
-sequence is multiplied, or at the top level, and is never pushed or
-memoised.
+Each input component that is not a star, path or cycle is 2-coloured
+once, by the bitset BFS layering that graphs.bipartition also uses; a
+component with an odd cycle gets no colouring.  A coloured component, and
+each component c inside it, has the classes c & east and c & ~east.  When
+the smaller class S has at most SIDE_CLOSE vertices, c is closed by the
+decomposition of its independent sets into a subset A of S and a subset
+of the other class O that avoids N(A):
+P(c) = sum over A of S of x**|A| (1 + x)**(|O| - |N(A)|), 2**|S| terms,
+grouped by |N(A)| so that the work is linear in |O|.  A complete
+bipartite c closes at any size, as (1 + x)**|S| + (1 + x)**|O| - 1.  Such
+a component is pushed and memoised like a branched one, and closed by its
+side sum when it is taken from the stack, so a component that recurs is
+summed once and every sum is charged to the budget.
 
 Inside one connected component C of the input, every sequence is packed
 into one integer by Kronecker substitution: P(H) = sum_t i_t(H) * 2**(w*t)
@@ -75,13 +77,13 @@ SIDE_BACKEND_CAP = 28
 # An entry is one packed integer of b bits and counts 1 + b // 64 words, its
 # real size.  For components of at most 64 vertices that is never more than
 # the L * (1 + B // 64) words a list of L coefficients summing to a B-bit
-# total was charged before the entries were packed.  The closed forms of
-# stars, paths and cycles and the side sums are not charged: a branch
-# node's children are disjoint induced subgraphs, so the forms one node
-# needs take at most about four times the words of its own entry.  Q_6
-# takes 409705 words in 30853 entries; Q_7 stops at the budget after 75438
-# branch nodes and about as many side sums, work that the budget does not
-# see (timings in README, "Practical limits").
+# total was charged before the entries were packed.  Side sums are memo
+# entries and charged as such.  The closed forms of stars, paths and cycles
+# are not charged: a branch node's children are disjoint induced subgraphs,
+# so the forms one node needs take at most about four times the words of
+# its own entry.  Q_6 takes 629466 words in 59245 entries, 28392 of them
+# side sums; Q_7 stops at the budget after 57650 branch nodes (timings in
+# README, "Practical limits").
 MEMO_WORD_BUDGET = 1 << 21
 
 # Fewest equal top-level components raised by the power recurrence; fewer
@@ -370,26 +372,27 @@ def _row(closed: dict[int, int], s: int, width: int) -> int:
     return row
 
 
-def _closes(c: int, deg_sum: int, east: int) -> bool:
-    """Whether the component c, 2-coloured by c & east and c & ~east, is
-    closed by its side sum: its smaller class has at most SIDE_CLOSE
-    vertices, or it is complete bipartite."""
-    e = (c & east).bit_count()
-    o = c.bit_count() - e
-    return min(e, o) <= SIDE_CLOSE or deg_sum == 2 * e * o
-
-
-def _side_sum(adj, c: int, deg_sum: int, east: int,
-              closed: dict[int, int], width: int) -> int:
-    """Packed sequence of a component c that _closes.  With S its smaller
-    class and O the other, P(c) = sum over A of S of
-    x**|A| (1 + x)**(|O| - |N(A)|).  Grouped by g = |N(A)| into
-    Q_g = sum over |N(A)| = g of x**|A|, it is R_|O|, where R_0 = Q_0 and
-    R_g = (1 + x) R_(g-1) + Q_g by Horner's rule: c is connected, so
-    N(S) = O.  No slot carries, as R_g is the sum over |N(A)| <= g of
-    x**|A| (1 + x)**(g - |N(A)|), at most P(c) term by term.  A complete
-    bipartite c, whose every nonempty A covers O, takes
-    (1 + x)**|S| + (1 + x)**|O| - 1 at any size."""
+def _side_sum(adj, c: int, deg_sum: int, east: int, marks: list[int],
+              closed: dict[int, int], width: int) -> int | None:
+    """Packed sequence of the component c, 2-coloured by c & east and
+    c & ~east, when it is closed by its side sum: its smaller class S has
+    at most SIDE_CLOSE vertices, or it is complete bipartite.  None when it
+    is not, and is branched on.  With O the other class, P(c) = sum over
+    A of S of x**|A| (1 + x)**(|O| - |N(A)|).  The subsets A are listed
+    with their covers N(A) in binary order over S, so marks[i] =
+    x**(popcount i) packs x**|A| for the i-th; one list serves every side
+    sum of the input component.  Grouped by g = |N(A)| into
+    Q_g = sum over |N(A)| = g of x**|A|, P(c) is the sum of
+    Q_g (1 + x)**(|O| - g) over the g with Q_g nonzero, at most 2**|S| of
+    them.  Each product has a factor of at most |S| + 1 slots, so the work
+    is linear in |O|.  When |O| < 2**SIDE_CLOSE, Horner's rule over every
+    g, R_g = (1 + x) R_(g-1) + Q_g, R_(-1) = 0, takes no more steps than
+    that bound, each one shift and add, and ends at R_|O| = P(c), as c is
+    connected, so N(S) = O.  No slot carries, as every partial sum and
+    every R_g, the sum over |N(A)| <= g of x**|A| (1 + x)**(g - |N(A)|),
+    is at most P(c) term by term.  A complete bipartite c, whose every
+    nonempty A covers O, takes (1 + x)**|S| + (1 + x)**|O| - 1 at any
+    size."""
     side = c & east
     e = side.bit_count()
     o = c.bit_count() - e
@@ -397,19 +400,22 @@ def _side_sum(adj, c: int, deg_sum: int, east: int,
         return _row(closed, e, width) + _row(closed, o, width) - 1
     if e > o:
         side ^= c
-        o = e
+        e, o = o, e
+    if e > SIDE_CLOSE:
+        return None
     shift = 8 * width
     covers = [0]
-    marks = [1]
     while side:
         low = side & -side
         row = adj[low.bit_length() - 1] & c
         covers += [cover | row for cover in covers]
-        marks += [mark << shift for mark in marks]
         side ^= low
     q = [0] * (o + 1)
     for cover, mark in zip(covers, marks):
         q[cover.bit_count()] += mark
+    if o >= 1 << SIDE_CLOSE:
+        return sum(term * _row(closed, o - g, width)
+                   for g, term in enumerate(q) if term)
     r = 0
     for term in q:
         r += (r << shift) + term
@@ -417,28 +423,22 @@ def _side_sum(adj, c: int, deg_sum: int, east: int,
 
 
 def _packed_product(memo: dict[int, int], split: tuple,
-                    closed: dict[int, int], width: int,
-                    adj, east: int | None) -> int:
+                    closed: dict[int, int], width: int) -> int:
     """Packed sequence of the vertex set that _split gave split for: the
-    product of the memo entries of its branched components, of the packed
-    closed forms of its stars, paths and cycles, of the side sums of the
-    components that _closes under the colouring east (None when the input
-    component has an odd cycle), which are the others of maximum degree
-    above 2 and have no memo entry, and of the packed binomial row of its
-    isolated vertices, multiplied once for all of them.  closed caches the
-    packed forms, keyed by 2k for the path on k vertices, 2k + 1 for the
-    cycle, -2s - 1 for the star with s leaves and -2s for the row of s
-    isolated vertices."""
+    product of the memo entries of its components of maximum degree above 2
+    that are not stars, branched or closed by their side sums, of the packed
+    closed forms of its stars, paths and cycles, and of the packed binomial
+    row of its isolated vertices, multiplied once for all of them.  closed
+    caches the packed forms, keyed by 2k for the path on k vertices, 2k + 1
+    for the cycle, -2s - 1 for the star with s leaves and -2s for the row of
+    s isolated vertices."""
     comps, singles = split
     out = 1
     for c, _, max_deg, deg_sum in comps:
         if deg_sum == 2 * max_deg:
             key = -2 * max_deg - 1
         elif max_deg > 2:
-            packed = memo.get(c)
-            if packed is None:
-                packed = _side_sum(adj, c, deg_sum, east, closed, width)
-            out *= packed
+            out *= memo[c]
             continue
         else:
             k = c.bit_count()
@@ -459,26 +459,24 @@ def count_by_size(g: Graph) -> IndSetSequence:
     Each connected component of g is counted with packed sequences (see the
     module docstring) at a slot width of ceil(|C| / 8) bytes.  Each vertex
     set is swept once, by _split; a stack entry is either a split tuple to
-    expand or a branch node waiting for its children.  Only branched
-    components, those of maximum degree above 2 that are not stars and are
-    not closed by their side sums, are pushed and memoised: isolated
-    vertices, stars, paths and cycles are closed where _packed_product
-    multiplies them, from packed binomial rows and closed forms cached by
-    size and kind for the component being counted.  So are the components
-    of a bipartite input component whose smaller colour class has at most
-    SIDE_CLOSE vertices, and its complete bipartite ones, by their side
-    sums; the colouring is found once for each input
-    component that is not closed directly.  A component of the input that
-    is itself a star, path, cycle or side-sum component takes its closed
-    form directly, and the isolated vertices of the input join the
-    top-level group of 1 + x.
+    expand or a branch node waiting for its children.  Only components of
+    maximum degree above 2 that are not stars are pushed and memoised:
+    isolated vertices, stars, paths and cycles are closed where
+    _packed_product multiplies them, from packed binomial rows and closed
+    forms cached by size and kind for the component being counted.  A
+    pushed component is closed by its side sum when _side_sum takes it
+    under the colouring of its input component, found once for each input
+    component that is not a star, path or cycle, and branched on
+    otherwise.  A component of the input that is itself a star, path or
+    cycle takes its closed form directly, and the isolated vertices of the
+    input join the top-level group of 1 + x.
     The work runs on an explicit stack, so no input can exhaust Python's
-    recursion limit.  A component's memo entry is stored once the sequences
-    of both branches are known, and the memo lives for one call.  Raises
-    CountBudgetError when the memo would exceed MEMO_WORD_BUDGET, before
-    any branching when a component's own entry cannot fit.  The
-    top-level sequences are grouped by value, and a group of at least
-    _POWER_FROM copies is multiplied as one power.
+    recursion limit.  A component's memo entry is stored once its side sum
+    or the sequences of both branches are known, and the memo lives for one
+    call.  Raises CountBudgetError when the memo would exceed
+    MEMO_WORD_BUDGET, before any branching or side sum when a component's
+    own entry cannot fit.  The top-level sequences are grouped by value,
+    and a group of at least _POWER_FROM copies is multiplied as one power.
     """
     adj = g.adj
     memo: dict[int, int] = {}
@@ -492,16 +490,8 @@ def count_by_size(g: Graph) -> IndSetSequence:
             seq = tuple(_closed_sequence(k, max_deg, deg_sum))
             groups[seq] = groups.get(seq, 0) + 1
             continue
-        layers, inside = _layers(adj, top & -top)
-        east = None if inside else sum(layers[::2])
         width = (k + 7) // 8
         shift = 8 * width
-        closed: dict[int, int] = {}
-        if east is not None and _closes(top, deg_sum, east):
-            seq = tuple(_unpack(_side_sum(adj, top, deg_sum, east, closed,
-                                          width), width))
-            groups[seq] = groups.get(seq, 0) + 1
-            continue
         # The root's own entry, always stored and charged, has at least
         # 1 + shift * alpha // 64 words, alpha >= the greedy set's size; it
         # can have at most 1 + shift * k // 64, so the greedy walk is taken
@@ -510,13 +500,23 @@ def count_by_size(g: Graph) -> IndSetSequence:
             need = 1 + shift * _greedy_independent_size(adj, top) // 64
             if words + need > MEMO_WORD_BUDGET:
                 raise CountBudgetError(branch_nodes, len(memo), words + need)
+        layers, inside = _layers(adj, top & -top)
+        east = None if inside else sum(layers[::2])
+        marks = [] if east is None else [
+            1 << shift * i.bit_count() for i in range(1 << SIDE_CLOSE)]
+        closed: dict[int, int] = {}
         stack: list[tuple] = [root]
         while stack:
             item = stack.pop()
             c = item[0]
-            if len(item) == 4:
-                if c in memo:
-                    continue
+            if len(item) == 3:
+                # P(c - v) + (P(c - N[v]) << w)
+                packed = _packed_product(memo, item[1], closed, width) + (
+                    _packed_product(memo, item[2], closed, width) << shift)
+            elif c in memo:
+                continue
+            elif east is None or (packed := _side_sum(
+                    adj, c, item[3], east, marks, closed, width)) is None:
                 v = item[1]
                 branch_nodes += 1
                 without = _split(adj, c & ~(1 << v))
@@ -524,21 +524,9 @@ def count_by_size(g: Graph) -> IndSetSequence:
                 with_v = _split(adj, rest) if rest else ([], 0)
                 stack.append((c, without, with_v))
                 for x in without[0] + with_v[0]:
-                    d, _, md, ds = x
-                    if md > 2 and ds != 2 * md and d not in memo:
-                        # _closes written out: a call for every candidate
-                        # made percolated knn:40,40 samples 5-7 % slower
-                        if east is not None:
-                            e = (d & east).bit_count()
-                            o = d.bit_count() - e
-                            if min(e, o) <= SIDE_CLOSE or ds == 2 * e * o:
-                                continue
+                    if x[2] > 2 and x[3] != 2 * x[2] and x[0] not in memo:
                         stack.append(x)
                 continue
-            # P(c - v) + (P(c - N[v]) << w)
-            packed = _packed_product(
-                memo, item[1], closed, width, adj, east) + (_packed_product(
-                    memo, item[2], closed, width, adj, east) << shift)
             words += 1 + packed.bit_length() // 64
             if words > MEMO_WORD_BUDGET:
                 raise CountBudgetError(branch_nodes, len(memo), words)

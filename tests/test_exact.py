@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 from fractions import Fraction
 
@@ -549,8 +550,7 @@ def test_star_and_rows_in_one_component_keep_their_keys(leaves):
         for name in order:
             split, seq = parts[name]
             assert exact._unpack(exact._packed_product(
-                {}, split, closed, width, g.adj, None), width) == list(seq), \
-                (order, name)
+                {}, split, closed, width), width) == list(seq), (order, name)
 
 
 @st.composite
@@ -685,7 +685,7 @@ def test_complete_bipartite_closed_form(a, b, monkeypatch):
     # and inside the hub's branch: seq(G - hub) holds the pendants, the
     # star and K_(a,b); seq(G - N[hub]) the star's leaves and K_(a - 1, b),
     # the hub being joined to one vertex of the class of a.  Each is closed
-    # where it is multiplied: the root's sweep and the hub's two
+    # without a sweep of its own: the root's sweep and the hub's two
     seen.clear()
     hubbed = _under_hub(g, [0])
     star = _star_polynomial(exact.SIDE_CLOSE)
@@ -730,15 +730,19 @@ def test_odd_cycle_beside_bipartite_parts(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("small", [exact.SIDE_CLOSE, exact.SIDE_CLOSE + 1])
-def test_side_sum_closes_up_to_side_close(small, monkeypatch):
+@pytest.mark.parametrize("larger_first", [False, True])
+def test_side_sum_closes_up_to_side_close(small, larger_first, monkeypatch):
     # K_(s, s + 2) less one edge is connected, of maximum degree s + 2 and
     # neither a star nor complete bipartite.  Its independent sets are those
     # of K_(s, s + 2) and the pair of the missing edge's ends.  With
     # s = SIDE_CLOSE it closes at the top level in the root's one sweep;
-    # with s = SIDE_CLOSE + 1 the engine branches
-    g = graphs.from_edges(2 * small + 2, [
-        (u, small + w) for u in range(small) for w in range(small + 2)
-        if (u, w) != (0, 0)])
+    # with s = SIDE_CLOSE + 1 the engine branches.  The colouring's first
+    # class holds vertex 0, so larger_first makes it the larger class
+    edges = [(u, small + w) for u in range(small) for w in range(small + 2)
+             if (u, w) != (0, 0)]
+    if larger_first:
+        edges = [(2 * small + 1 - u, 2 * small + 1 - v) for u, v in edges]
+    g = graphs.from_edges(2 * small + 2, edges)
     seen = _counting_splits(monkeypatch)
     assert count_by_size(g).counts == _add(
         _complete_bipartite_sequence(small, small + 2), (0, 0, 1))
@@ -746,6 +750,85 @@ def test_side_sum_closes_up_to_side_close(small, monkeypatch):
         assert seen == [(1 << g.n) - 1]
     else:
         assert len(seen) > 1
+
+
+def _spider(k: int) -> tuple[graphs.Graph, tuple[int, ...]]:
+    """A centre joined to k leaves, one of which has a pendant, and its
+    sequence (1 + x)**(k - 1) (1 + 2x) + x (1 + x): without the centre the
+    leaves stay alone beside one edge, with it only the pendant."""
+    g = graphs.from_edges(k + 2, [(0, i) for i in range(1, k + 1)]
+                          + [(1, k + 1)])
+    return g, _add(convolve(_binomial(k - 1), (1, 2)), (0, 1, 1))
+
+
+def _two_hubs(n: int) -> tuple[graphs.Graph, tuple[int, ...]]:
+    """Two hubs over n leaves, the first joined to the first 3n/4 and the
+    second to the last n/2, and its sequence (1 + x)**n + x (1 + x)**(n/4)
+    + x (1 + x)**(n/2) + x**2: each set of hubs leaves the leaves it does
+    not cover free."""
+    g = graphs.from_edges(n + 2, [(0, 2 + i) for i in range(3 * n // 4)]
+                          + [(1, 2 + i) for i in range(n // 2, n)])
+    seq = _add(_binomial(n), (0,) + _binomial(n // 4))
+    return g, _add(_add(seq, (0,) + _binomial(n // 2)), (0, 0, 1))
+
+
+@pytest.mark.parametrize("shape", [_spider, _two_hubs])
+def test_side_sum_is_linear_in_the_larger_class(shape):
+    # a side sum takes one product for each distinct |N(A)|, at most
+    # 2**|S| of them, so a smaller class of two vertices over 5000 closes in
+    # about a tenth of a second; one step of Horner's rule for every |N(A)|
+    # from 0 to |O|, each a copy of the whole packed sum, took about 10 s
+    g, expected = shape(5000)
+    start = time.process_time()
+    counts = count_by_size(g).counts
+    elapsed = time.process_time() - start
+    assert counts == expected
+    assert elapsed < 1.0
+
+
+def test_oversized_root_is_refused_before_its_side_sum(monkeypatch):
+    # a double star with 5 and 20000 leaves closes by its side sum, but its
+    # entry needs over 6 million words, so it is refused before any work
+    def unreachable(*args):
+        raise AssertionError("side sum of an oversized root")
+    monkeypatch.setattr(exact, "_side_sum", unreachable)
+    g = graphs.from_edges(20007, [(0, 1)] + [(0, 2 + i) for i in range(5)]
+                          + [(1, 7 + i) for i in range(20000)])
+    with pytest.raises(CountBudgetError) as err:
+        count_by_size(g)
+    assert err.value.branch_nodes == 0 and err.value.memo_words > 6_000_000
+
+
+def test_roots_closed_by_side_sums_are_charged(monkeypatch):
+    # K_(2,5) less an edge packs into one word; a budget of one word takes
+    # one copy and refuses the second before its sum
+    part = graphs.from_edges(7, [(u, 2 + w) for u in range(2)
+                                 for w in range(5) if (u, w) != (0, 0)])
+    monkeypatch.setattr(exact, "MEMO_WORD_BUDGET", 1)
+    assert count_by_size(part).counts == _add(
+        _complete_bipartite_sequence(2, 5), (0, 0, 1))
+    with pytest.raises(CountBudgetError) as err:
+        count_by_size(disjoint_union(part, part))
+    assert err.value.memo_words == 2
+
+
+def test_recurring_side_sums_are_summed_once(monkeypatch):
+    # the 2 x 12 ladder meets one of its short pieces in two branches; the
+    # piece is memoised with its side sum, so every sum is taken once
+    closed_sets = []
+    side_sum = exact._side_sum
+
+    def recorded(adj, c, *rest):
+        closed_sets.append(c)
+        return side_sum(adj, c, *rest)
+    monkeypatch.setattr(exact, "_side_sum", recorded)
+    n = 12
+    g = graphs.from_edges(2 * n, [(i, i + 1) for i in range(n - 1)]
+                          + [(n + i, n + i + 1) for i in range(n - 1)]
+                          + [(i, n + i) for i in range(n)])
+    assert count_by_size(g).counts == \
+        sequence_from_profile(side_profile(g)).counts
+    assert closed_sets and len(closed_sets) == len(set(closed_sets))
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [150])
