@@ -199,9 +199,11 @@ def cmd_cube_structure(args) -> int:
 
 
 # Largest dimension cube-window takes; a larger d is refused before any
-# work.  The time for one t grows about as d^2.5 at the slowest t measured,
-# near 0.07 * 2^(d-1): 0.29 s at d = 2000, 0.86 s at 3000, 2.2 s at 4000
-# and 4 s at 5000.  4000 is the largest d the window is studied at.
+# work.  Evaluating one t takes at most about 10 ms up to d = 5000, but
+# writing E1 and E2 in JSON or plain text, whose decimal exponents run to
+# about a thousand digits, takes mpmath about 1 s per t at d = 4000 near
+# t = 0.05 * 2^(d-1), and grows about as d^2.6 (0.14 s at d = 2000, 1.9 s
+# at 5000).  4000 is the largest d the window is studied at.
 WINDOW_DIM_CAP = 4000
 
 
@@ -211,16 +213,17 @@ def cmd_cube_window(args) -> int:
     from . import cube, cube_estimates as est, numerics
     cube._check_dim(args.d, cap=WINDOW_DIM_CAP)
     rows = [est.estimate_window(args.d, t, args.c_constant) for t in args.t]
-    plain = []
-    for r in rows:
-        win = (f"window [{mp.nstr(r.e1, 10)}, {mp.nstr(r.e2, 10)}]"
-               if r.e1 is not None and r.e2 is not None
-               else f"window not applicable ({r.e1_reason or r.e2_reason}); "
-                    "central value only")
-        plain.append(f"d={r.d} t={r.t} [{r.tag}] central_log2 = "
-                     f"{mp.nstr(r.central_log2, 12)}; {win}")
+
+    def plain():
+        for r in rows:
+            win = (f"window [{mp.nstr(r.e1, 10)}, {mp.nstr(r.e2, 10)}]"
+                   if r.e1 is not None and r.e2 is not None
+                   else f"window not applicable "
+                        f"({r.e1_reason or r.e2_reason}); central value only")
+            yield (f"d={r.d} t={r.t} [{r.tag}] central_log2 = "
+                   f"{mp.nstr(r.central_log2, 12)}; {win}")
     payload = {"rows": [_fields(r, lam="lambda", tag="range") for r in rows]}
-    _emit(args, payload, plain,
+    _emit(args, payload, plain(),
           ("d", "t", "range", "central_log2", "e1_log2", "e2_log2",
            "e1_applicable", "e2_applicable"),
           ((r.d, r.t, r.tag, mp.nstr(r.central_log2, 18),

@@ -66,18 +66,58 @@ def big_f(lam, a: int, g: int) -> Fraction:
 
 def f_cut(d: int, t: int) -> int:
     """Integer enumeration cutoff: ceil(max(d, 5**7 e w)) with w the density
-    weight t (1 - t/2**(d-1))**(d-1) of (d, t).  The ceiling is certified by
-    interval escalation from 5**7 t u**(d-1) 2**(-(d-1)**2) e,
-    u = 2**(d-1) - t, whose power of two is exact at any precision.  The
-    weight vanishes at both endpoints (for d > 1), where the interval is
-    exactly 0 and the cutoff degenerates to d; elsewhere 5**7 e w is
-    irrational, so the escalation settles."""
+    weight t (1 - t/2**(d-1))**(d-1) of (d, t).  For 0 < t < 2**(d-1) it is
+    d wherever floats show 5**7 e w < d (see _cut_below_dim).  Otherwise
+    the ceiling is certified by interval escalation from
+    5**7 t u**(d-1) 2**(-(d-1)**2) e, u = 2**(d-1) - t, whose power of two
+    is exact at any precision.  The weight vanishes at both endpoints (for
+    d > 1), where the interval is exactly 0 and the cutoff degenerates to
+    d; elsewhere 5**7 e w is irrational, so the escalation settles."""
     u = _complement(d, t)
+    if t and u and _cut_below_dim(d, t, u):
+        return d
     iv = mp.iv
     return max(d, certified_ceil(
         lambda: iv.mpf(5 ** 7 * t) * iv.mpf(u) ** (d - 1)
         * iv.mpf(2) ** (-(d - 1) ** 2) * iv.e,
         f"ceil(5^7 e w) at d = {d}, t = {{}}", t))
+
+
+_LOG2_CUT = math.log2(5 ** 7 * math.e)   # log2(5^7 e), within 18 * 2^-44
+
+
+def _cut_below_dim(d: int, t: int, u: int) -> bool:
+    """Whether floats show 5**7 e w < d, for 0 < t < 2**(d-1) and
+    u = 2**(d-1) - t; False where they cannot tell.
+
+    In log2 the test is l = log2(5^7 e) + log2 t + L - log2 d < 0, with
+    L = (d-1) log2(1 - r), r = t/2**(d-1).  Take math.log2 and math.log1p
+    to be within 2^-44 of their values, relative, and math.log(2) to be the
+    double nearest ln 2 (the tests check all three against mpmath); r, an
+    int true division, is correctly rounded.
+    - For r <= 1/2, L is (d-1) log1p(-r) / ln 2, which cancels nothing:
+      log1p(-r) has condition number at most 1.45 there, so L is within
+      2^-44 + 5 * 2^-53 < 2^-43 of its value, relative (a subnormal r errs
+      by less than 2^-1000 absolutely).
+    - For r > 1/2, 1 - r may be below float range, and L is
+      (d-1)(log2 u - (d-1)).  As log2 u < d - 1, L is within
+      (d-1)^2 2^-43 absolutely.
+    The other three logs are each within their size times 2^-43, and three
+    float sums add at most 3 * 2^-53 of the sum of the sizes.  So l is
+    within a quarter of the band 2^-40 (18 + log2 t + log2 d + e), e = |L|
+    or (d-1)^2, and below minus the band the exact l is negative.  For
+    r <= 1/2, w >= 1/2, so 5**7 e w > d up to d = 106182: there, as near
+    the crossing, the screen leaves the ceiling to intervals."""
+    half = 1 << (d - 1)
+    if 2 * t <= half:
+        drop = (d - 1) * math.log1p(-(t / half)) / math.log(2)
+        err = -drop
+    else:
+        drop = (d - 1) * (math.log2(u) - (d - 1))
+        err = (d - 1) * (d - 1)
+    log_t, log_d = math.log2(t), math.log2(d)
+    band = (18 + log_t + log_d + err) * 2.0 ** -40
+    return _LOG2_CUT + log_t + drop - log_d < -band
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +235,34 @@ def _factors(d: int, t: int) -> tuple:
     where F_lam(6, 6d-60) is evaluated as lam^6 (1+lam)^(60-6d), a positive
     power of (1 + lam) below d = 10.  It needs d f <= 2**(d-2), so the
     correction-factor estimate for sets of size up to f stays valid.
+
+    Two terms are evaluated only where they can show.  Let p1 and p2 be the
+    precisions E1 and the summands of E2 are evaluated at.
+
+    E0 is exactly 1 at p1 bits once 16 f > p1 + 2.  As f >= 5^7 e w, the
+    base e w / f is at most 5^-7 and exp(-w) at most 1, so
+    2 (e w / f)^f exp(-w) <= 2 * 5^(-7f) < 2^(1 - 16.25 f).  The evaluated
+    base is within a factor (1 + 2^-p1)^9 of its value (eight roundings,
+    and the truncations of mpmath's integer power, far below one more),
+    which the f-th power raises to at most 2^(0.2 f).  So the evaluated
+    term stays below 2^(1 - 16 f) < 2^-(p1 + 1).  Numbers below 1 are
+    2^-p1 apart at p1 bits, so 1 minus the term rounds to 1, and
+    E1 = exp(-3 f^2 / t) times 1, bit for bit.  At 160 bits E0 is never
+    evaluated: that needs f <= 10, and E1 first applies at d = 13.
+
+    Type-II cannot show in E2 once 3 f > 2 (p2 + 1).  Then
+    3^-f < 2^(-1.05 (p2 + 1)), and the bound 2^-(p2 + 1) on it stands in
+    for it: E2 is the same, as follows.  E2 is summed as
+    (type-I + type-II) + type-III at the caller's precision p0 <= p2.
+    Type-I is at least 1, 2^k <= type-I < 2^(k+1) with k >= 0, and a
+    multiple of 2^j, j the exponent of its last bit, j > k - p2 as it has
+    at most p2 bits.  The values at which rounding to p0 bits changes, the
+    p0-bit numbers and the midpoints between them, are multiples of
+    2^(k - p0) from 2^k up.  So none lies in (type-I, type-I + g),
+    g = 2^min(j, k - p0) >= 2^-p2, and type-I + y rounds to the same
+    number for every y in (0, g).  mpmath's sum rounds the exact sum to
+    nearest, or, for a far smaller y, type-I + 2^(j - p0 - 4), which is in
+    that range too.  Below the bound, 3^-f is evaluated as before.
     """
     half = 1 << (d - 1)
     if not 0 < t < half:
@@ -212,9 +280,10 @@ def _factors(d: int, t: int) -> tuple:
     else:
         reason1 = None
         with mp.extraprec((3 * f * f // t).bit_length()):
-            w = _weight(d, t)
-            e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
-            e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
+            e1 = mp.exp(mp.mpf(-3) * f * f / t)
+            if 16 * f <= mp.mp.prec + 2:
+                w = _weight(d, t)
+                e1 *= 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
     if d * f > half // 2:
         reason2 = f"d f = {d * f} above 2^(d-2)"
     else:
@@ -223,7 +292,9 @@ def _factors(d: int, t: int) -> tuple:
             x = _x_term(d, t)
             parts = {
                 "type1": mp.exp(x + mpf_from(Fraction(d * d * f * f, half))),
-                "type2": mp.power(3, -mpf_from(f)),
+                "type2": (mp.power(3, -mpf_from(f))
+                          if 3 * f <= 2 * (mp.mp.prec + 1)
+                          else mp.ldexp(1, -mp.mp.prec - 1)),
                 "type3": 3 * mp.e ** 5 * mp.mpf(d) ** 10
                 * mp.power(2, mp.mpf(3 * d) / 2)
                 * _type3_weight(d, t) * mp.exp(x),

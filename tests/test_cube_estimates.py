@@ -246,7 +246,8 @@ def test_window_never_empty_on_upper_range_grid():
 
 def test_e2_summand_ordering():
     # wherever the factor is defined with the mid-density cutoff (around
-    # 1e5), the flat 3^-f term is negligible against the type-I term
+    # 1e5), the flat 3^-f term is negligible against the type-I term; there
+    # the summand is 2^-(p + 1), a bound on 3^-f
     for d in (24, 30, 40):
         t = 1 << (d - 2)
         *_, parts, _reason = est._factors(d, t)
@@ -397,7 +398,8 @@ def test_estimate_window_refuses_nothing_silently():
 
 
 def test_estimate_window_certifies_one_ceiling(monkeypatch):
-    # the cutoff f is computed once per (d, t), whichever factors apply
+    # the cutoff f is computed once per (d, t), whichever factors apply; a
+    # cutoff that the float screen shows to be d takes no interval ceiling
     calls = []
     ceil = est.certified_ceil
     monkeypatch.setattr(est, "certified_ceil",
@@ -406,7 +408,9 @@ def test_estimate_window_certifies_one_ceiling(monkeypatch):
                  (64, (1 << 63) - 1)):
         calls.clear()
         estimate_window(d, t)
-        assert len(calls) == 1, (d, t)
+        assert len(calls) <= 1, (d, t)
+    calls.clear()
+    assert f_cut(64, (1 << 63) - 1) == 64 and calls == []
 
 
 def test_e2_above_one_wherever_it_applies_at_small_d():
@@ -490,6 +494,176 @@ def test_window_factors_keep_their_digits_at_huge_exponents(capsys):
             assert [g["e1"], g["e2"]] == [
                 None if x is None else mp.nstr(x, 18) for x in (w.e1, w.e2)
             ], (d, g["t"])
+
+
+def _full_factors(d, t, f, prec):
+    """E1 and E2 at (d, t) from their full formulas, E0 and 3^-f included,
+    at prec bits plus the integer bits of the largest exp argument, as
+    _factors takes them.  E0's power and 3^-f are exps of logs, with
+    bitlen(f) + 8 more bits, so no integer power of mpmath's is shared with
+    the library.  None where a factor does not apply."""
+    half = 1 << (d - 1)
+    u = half - t
+    e1 = e2 = None
+    if 4 * t <= 3 * half and 2 * f < t and 2 * d * f <= u:
+        with mp.workprec(prec + (3 * f * f // t).bit_length()
+                         + f.bit_length() + 8):
+            w = t * mp.ldexp(mp.mpf(u), 1 - d) ** (d - 1)
+            e0 = 1 - 2 * mp.exp(f * (1 + mp.log(w) - mp.log(f)) - w)
+            e1 = mp.exp(-3 * mp.mpf(f) ** 2 / t) * e0
+    if d * f <= half // 2:
+        with mp.workprec(prec + (d * d * f * f // half).bit_length()
+                         + f.bit_length() + 8):
+            lam = mp.mpf(t) / u
+            x = mp.mpf(d * d * t * t) * 2 ** d / mp.mpf(u) ** 2 \
+                * mp.ldexp(mp.mpf(u), 1 - d) ** (2 * d - 2)
+            e2 = (mp.exp(x + mp.mpf(d * d * f * f) / half)
+                  + mp.exp(-f * mp.log(3))
+                  + 3 * mp.e ** 5 * mp.mpf(d) ** 10
+                  * mp.mpf(2) ** (mp.mpf(3 * d) / 2)
+                  * lam ** 6 * (1 + lam) ** (60 - 6 * d) * mp.exp(x))
+    return e1, e2
+
+
+def _stated_factors(d, t, f):
+    """E1 and E2 at (d, t) with E0 and 3^-f always evaluated, with the same
+    operations at the same precisions as _factors, and E0 itself; beside
+    them whether _factors evaluates E0 and 3^-f.  None where a factor does
+    not apply."""
+    half = 1 << (d - 1)
+    e1 = e2 = e0 = with_e0 = with_type2 = None
+    if 4 * t <= 3 * half and 2 * f < t and 2 * d * f <= half - t:
+        with mp.extraprec((3 * f * f // t).bit_length()):
+            with_e0 = 16 * f <= mp.mp.prec + 2
+            w = est._weight(d, t)
+            e0 = 1 - 2 * (mp.e * w / f) ** f * mp.exp(-w)
+            e1 = mp.exp(mp.mpf(-3) * f * f / t) * e0
+    if d * f <= half // 2:
+        with mp.extraprec((d * d * f * f // half).bit_length()):
+            with_type2 = 3 * f <= 2 * (mp.mp.prec + 1)
+            x = est._x_term(d, t)
+            type1 = mp.exp(x + mpf_from(Fraction(d * d * f * f, half)))
+            type2 = mp.power(3, -mpf_from(f))
+            type3 = 3 * mp.e ** 5 * mp.mpf(d) ** 10 \
+                * mp.power(2, mp.mpf(3 * d) / 2) \
+                * est._type3_weight(d, t) * mp.exp(x)
+        e2 = type1 + type2 + type3
+    return e1, e2, e0, with_e0, with_type2
+
+
+def test_window_factors_match_their_full_formulas():
+    # E1 without E0 and E2 with a bound in place of 3^-f, where those cannot
+    # show, print the 18 digits of the full formulas evaluated at twice the
+    # precision: every t at d <= 12, sampled t up to d = 200 and one t at
+    # each of d = 1000, 2000 and 4000, at the working precision.  Up to
+    # d = 200 they also equal, bit for bit, the full formulas evaluated as
+    # _factors would.  At 160 bits E0 is never evaluated; at 2032 bits it
+    # is, up to about f = 127, and next to where 5^7 e w crosses d at d = 64
+    # it is not 1.
+    rng = random.Random(31)
+    cases = [(d, t, numerics.WORKING_BITS) for d in range(2, 13)
+             for t in range(1, 1 << (d - 1))]
+    for d in range(13, 201):
+        half = 1 << (d - 1)
+        cases += [(d, half * k // 1000, numerics.WORKING_BITS)
+                  for k in rng.sample(range(1, 1000), 4)]
+    # cutoffs of 939, 1865 and 2727 bits; at 5 % of 2^3999 mpmath takes
+    # about 0.8 s to print E1 and E2, whose decimal exponents have 1036 digits
+    cases += [(d, (1 << (d - 1)) * k // 100, numerics.WORKING_BITS)
+              for d, k in ((1000, 5), (2000, 5), (4000, 20))]
+    cases += [(d, (1 << (d - 1)) * k // 8, 2032)
+              for d in (64, 100, 127) for k in (1, 3, 5, 6)]
+    cases.append((64, _crossing(64) + 1, 2032))
+    sides = set()
+    for d, t, prec in cases:
+        mp.mp.prec = mp.iv.prec = prec
+        w = estimate_window(d, t)
+        want = _full_factors(d, t, w.f_cut, 2 * prec)
+        assert [None if x is None else mp.nstr(x, 18) for x in (w.e1, w.e2)] \
+            == [None if x is None else mp.nstr(x, 18) for x in want], (d, t)
+        if d <= 200:
+            e1, e2, e0, with_e0, with_type2 = _stated_factors(d, t, w.f_cut)
+            assert (w.e1, w.e2) == (e1, e2), (d, t, prec)
+            sides |= {("E0", with_e0, e0 == 1), ("type2", with_type2)}
+    assert {("E0", False, True), ("E0", True, True), ("E0", True, False),
+            ("type2", False), ("type2", True)} <= sides
+
+
+def _crossing(d):
+    """The last t at which 5^7 e w > d, from the root of
+    log(5^7 e t (1 - t/2^(d-1))^(d-1) / d) in t/2^(d-1) at d + 64 bits: a
+    bisection on (1/d, 1), where the weight decreases, then mpmath's
+    bracketing root finder."""
+    half = 1 << (d - 1)
+    with mp.workprec(d + 64):
+        c = mp.log(5 ** 7 * mp.e / d)
+
+        def g(r):
+            return c + mp.log(r * half) + (d - 1) * mp.log1p(-r)
+        lo, hi = mp.mpf(1) / d, 1 - mp.ldexp(1, 1 - d)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+        return int(mp.floor(mp.findroot(g, (lo, hi), solver="anderson") * half))
+
+
+def test_f_cut_screen_agrees_with_intervals(monkeypatch):
+    # next to where ceil(5^7 e w) crosses d, and at offsets 2^(d-1-j) on
+    # either side, the cutoff with the float screen equals the interval
+    # ceiling alone; the screen decides far from the crossing and leaves
+    # the crossing itself to intervals
+    screen = est._cut_below_dim
+    decided = []
+
+    def by_intervals(d, t):
+        with monkeypatch.context() as m:
+            m.setattr(est, "_cut_below_dim", lambda *args: False)
+            return f_cut(d, t)
+    monkeypatch.setattr(est, "_cut_below_dim",
+                        lambda *args: decided.append(screen(*args))
+                        or decided[-1])
+    for d in (16, 64, 192, 2000, 4000):
+        half = 1 << (d - 1)
+        tc = _crossing(d)
+        assert by_intervals(d, tc) > d == by_intervals(d, tc + 1), d
+        ts = {tc + k for k in range(-2, 4)}
+        ts |= {tc + s * (half >> j) for j in range(2, min(d - 1, 64))
+               for s in (-1, 1)}
+        decided.clear()
+        for t in sorted(ts):
+            if 0 < t < half:
+                assert f_cut(d, t) == by_intervals(d, t), (d, t)
+        assert True in decided and False in decided, d
+        if d >= 64:     # from here w barely moves from t to t + 1
+            decided.clear()
+            f_cut(d, tc + 1)
+            assert decided == [False], d
+    # below t = 2^(d-2) the screen takes log1p(-r); from d = 106183 on it
+    # can show the cutoff to be d there
+    d = 200000
+    half = 1 << (d - 1)
+    ts = (1, half // 2 - half // 10 ** 5, half // 2 - half // 10 ** 6,
+          half // 2)
+    decided.clear()
+    cuts = [f_cut(d, t) for t in ts]
+    assert cuts == [by_intervals(d, t) for t in ts]
+    assert cuts == [212366, 5796926, d, d]
+    assert decided == [False, False, True, True]
+
+
+def test_math_log1p_within_f_cut_assumption():
+    # f_cut's screen takes math.log1p(-r) to be within 2^-44 of its value,
+    # relative, for 0 < r <= 1/2, and math.log(2) to be the double nearest
+    # ln 2
+    rng = random.Random(32)
+    rs = [0.5, 2.0 ** -1074, 2.0 ** -1022, 2.0 ** -60, 1e-300,
+          *(rng.random() / 2 for _ in range(2000)),
+          *(2.0 ** -rng.uniform(1, 1070) for _ in range(2000))]
+    with mp.workprec(120):
+        for r in rs:
+            exact = mp.log1p(-mp.mpf(r))
+            assert abs(math.log1p(-r) - exact) <= abs(exact) * 2.0 ** -44, r
+        assert math.log(2) == float(mp.ln2)
 
 
 def test_estimate_window_matches_f_cut_and_central_log2():
