@@ -9,6 +9,7 @@ floating forms (128-bit mantissa by default) are for display and tables only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import mpmath as mp
 
 from .exact import IndSetSequence
-from .numerics import binom, entropy_power, log2, log2_fraction, mpf_from
+from .numerics import entropy_power, log2, log2_fraction, mpf_from
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def count_lower_binomial(nverts: int, t: int) -> int:
         raise ValueError("binomial lower bound stated for even |V|")
     if not 0 <= 2 * t <= nverts:
         raise ValueError("t outside [0, |V|/2]")
-    return binom(nverts // 2, t)
+    return math.comb(nverts // 2, t)
 
 
 def count_lower_binomial_log2(nverts: int, t: int) -> mp.mpf:
@@ -261,7 +262,8 @@ def check_sandwich(nverts: int, d: int, seq: IndSetSequence) -> list[str]:
         raise ValueError("sandwich check needs even |V|")
     violations = []
     n = nverts // 2
-    halves = [(binom(n, t), entropy_power(n, t)) for t in range(n // 2 + 1)]
+    halves = [(math.comb(n, t), entropy_power(n, t))
+              for t in range(n // 2 + 1)]
     for t in range(n + 1):
         it = seq[t] if t <= seq.alpha else 0
         lower, power = halves[min(t, n - t)]

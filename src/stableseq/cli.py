@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
     if args.property == "bgs":
         try:
             rep = seqshape.check_property_bgs(
-                seq, g.n // 2, args.beta, args.gamma, args.step)
+                seq.counts, g.n // 2, args.beta, args.gamma, args.step)
         except ValueError as exc:
             raise ValueError(f"property check rejected: {exc}") from exc
         holds = rep.holds
@@ -172,10 +172,10 @@ def cmd_check(args) -> int:
                            f"{'holds' if rpt.holds else 'fails'}{wit}")
     else:
         if args.property == "unimodal":
-            holds, witness = seqshape.is_unimodal(seq)
+            holds, witness = seqshape.is_unimodal(seq.counts)
             verdict = "unimodal" if holds else f"not unimodal, witness {witness}"
         else:
-            holds, witness = seqshape.check_final_third(seq)
+            holds, witness = seqshape.check_final_third(seq.counts)
             verdict = ("final third decreasing" if holds
                        else f"final third violated at {witness}")
         payload["witness"] = list(witness) if witness else None
@@ -405,16 +405,6 @@ def _joined_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _refusals() -> tuple[type, ...]:
-    """The exceptions main reports on one error line: ValueError, which
-    GraphError and cube_estimates.NotApplicableError are, and an interval
-    comparison left undecided, which only a verb that loaded numerics can
-    raise."""
-    numerics = sys.modules.get(f"{__package__}.numerics")
-    return (ValueError,) + ((numerics.UndecidedComparison,) if numerics
-                            else ())
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call, not at import, and shared by every later call:
@@ -456,7 +446,9 @@ def main(argv=None) -> int:
         print("error: stdout closed before the output was written",
               file=sys.stderr)
         return EXIT_USAGE
-    except _refusals() as exc:
+    except ValueError as exc:
+        # every refusal is one: GraphError (CountBudgetError included),
+        # NotApplicableError and UndecidedComparison
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

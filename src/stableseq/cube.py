@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .cube_estimates import NotApplicableError, big_f, f_cut, lambda_of_t
-from .exact import _binom_sum, count_by_size
+from .exact import _binom, _binom_sum, count_by_size
 from .graphs import Graph
-from .numerics import binom
 
 BITSET_DIM_CAP = 20          # neighborhood/closure ops
 SMALL_SCAN_DIM_CAP = 5       # walks over small subsets of one class; they
@@ -484,7 +483,7 @@ def identity_reweight_check(d: int, t: int, a: int, g: int
         raise ValueError("need t >= a")
     if t == 0 or t == half:
         raise NotApplicableError("extreme t: identity factors degenerate")
-    lhs = Fraction(binom(half - g, t - a))
-    rhs = big_f(lambda_of_t(d, t), a, g) * binom(half, t) \
+    lhs = Fraction(_binom(half - g, t - a))
+    rhs = big_f(lambda_of_t(d, t), a, g) * _binom(half, t) \
         * reweight_error_term(d, t, a, g)
     return lhs, rhs, lhs == rhs

@@ -57,10 +57,11 @@ def lambda_of_t(d: int, t: int) -> Fraction:
 
 def big_f(lam, a: int, g: int) -> Fraction:
     """Weight of a set of size a with neighborhood size g:
-    F_lam(a, g) = lam**a * (1 + lam)**(-g)."""
+    F_lam(a, g) = lam**a * (1 + lam)**(-g).  A negative g, which the linked
+    sum bound reaches at small d, is a positive power of (1 + lam)."""
     lam = Fraction(lam)
-    if a < 0 or g < 0:
-        raise ValueError("a, g must be nonnegative")
+    if a < 0:
+        raise ValueError("a must be nonnegative")
     return lam ** a / (1 + lam) ** g
 
 
@@ -155,11 +156,7 @@ def linked_sum_bound_parts(d: int, lam, k: int) -> tuple[int, Fraction]:
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    lam = Fraction(lam)
-    # the F-shaped factor is evaluated directly: its second argument
-    # k d - 2k(k-1) can go negative at small d, where it simply becomes a
-    # positive power of (1 + lam)
-    shape = lam ** k * (1 + lam) ** (-(k * d - 2 * k * (k - 1)))
+    shape = big_f(lam, k, k * d - 2 * k * (k - 1))
     rational = Fraction(d) ** (2 * k - 2) * 2 ** d * shape
     return k - 1, rational
 
@@ -434,8 +431,7 @@ def transition_ratio_log2(d: int, t: int, it: int) -> mp.mpf:
 def predicted_transition_limit(g) -> mp.mpf:
     """Predicted limiting ratio exp(e**(-2g) / 2) for the window coordinate
     g; tends to 1 as g -> +inf and diverges as g -> -inf."""
-    gf = mpf_from(Fraction(g)) if not isinstance(g, (float, mp.mpf)) else mp.mpf(g)
-    return mp.exp(mp.exp(-2 * gf) / 2)
+    return mp.exp(mp.exp(-2 * mpf_from(g)) / 2)
 
 
 # ---------------------------------------------------------------------------

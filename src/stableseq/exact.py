@@ -139,9 +139,6 @@ class IndSetSequence:
     def __getitem__(self, t: int) -> int:
         return self.counts[t]
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
 
 def polynomial_eval(seq: IndSetSequence, lam) -> Fraction:
     """Exact value of sum_t i_t * lam**t at rational lam = p / q: the

@@ -39,13 +39,6 @@ def working_precision():
         mp.mp.prec, mp.iv.prec = saved
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) with the usual convention: 0 outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 def _odd_part(n: int) -> tuple[int, int]:
     """(m, k) with n = m * 2**k and m odd; (0, 0) for n = 0."""
     if not n:
@@ -68,10 +61,8 @@ def mpf_from(q) -> mp.mpf:
         num, num_shift = _odd_part(q.numerator)
         den, den_shift = _odd_part(q.denominator)
         return mp.ldexp(mp.mpf(num) / den, num_shift - den_shift)
-    if isinstance(q, int):
-        num, shift = _odd_part(q)
-        return mp.ldexp(mp.mpf(num), shift)
-    return mp.mpf(q)
+    num, shift = _odd_part(q)
+    return mp.ldexp(mp.mpf(num), shift)
 
 
 def iv_from(q) -> mp.iv.mpf:
@@ -112,7 +103,7 @@ def log2_binom(n: int, k: int) -> mp.mpf:
     if k < 0 or k > n:
         return mp.mpf("-inf")
     if n <= 4096:
-        return log2(mpf_from(binom(n, k)))
+        return log2(mpf_from(math.comb(n, k)))
     m = min(k, n - k)
     if m == 0:
         return mp.mpf(0)
@@ -137,13 +128,14 @@ def entropy_power(n: int, t: int) -> Fraction:
     return Fraction(n ** n, t ** t * (n - t) ** (n - t))
 
 
-class UndecidedComparison(ArithmeticError):
+class UndecidedComparison(ValueError):
     """An interval comparison stayed ambiguous after precision escalation."""
 
 
 def _escalate(decide, what: str, arg):
     """The first verdict other than None of decide() at the working interval
-    precision, doubled up to _MAX_PREC bits; the precision is restored.
+    precision, doubled up to _MAX_PREC bits, which is tried last where a
+    doubling would pass it; the precision is restored.
     what.format(arg) names the comparison if it stays undecided; an int or
     Fraction arg whose numerator or denominator has more than 64 bits is
     named by its bit lengths, which keeps the message short."""
@@ -155,7 +147,7 @@ def _escalate(decide, what: str, arg):
             verdict = decide()
             if verdict is not None:
                 return verdict
-            prec *= 2
+            prec = _MAX_PREC if prec < _MAX_PREC < 2 * prec else 2 * prec
         bits = arg.numerator.bit_length(), arg.denominator.bit_length()
         if max(bits) <= 64:
             name = arg

@@ -177,9 +177,10 @@ def _ceil_over_log2(x_bracket, x_bits: int, num: int, den: int) -> int:
     gives integers lo <= 2**b x <= hi and x < 2**x_bits; x / log2 r must
     not be a positive integer, which no bracket could settle.  The
     quotient lies between the quotients of the two brackets' ends, and the
-    precision doubles until their ceilings agree.  It starts at the bits
-    that x / log2 r needs with log2 r >= (r - 1)/r >= 2**-g: 2 g + x_bits
-    and a margin of 64.  Refuses (ValueError) past _STEP_BITS."""
+    precision doubles until their ceilings agree, and is _STEP_BITS last
+    where a doubling would pass it.  It starts at the bits that x / log2 r
+    needs with log2 r >= (r - 1)/r >= 2**-g: 2 g + x_bits and a margin of
+    64.  Refuses (ValueError) past _STEP_BITS."""
     g = max(0, den.bit_length() - (num - den).bit_length() + 2)
     bits = 2 * g + x_bits + 64
     while bits <= _STEP_BITS:
@@ -189,7 +190,7 @@ def _ceil_over_log2(x_bracket, x_bits: int, num: int, den: int) -> int:
             s = -(-x_lo // l_hi)
             if s == -(-x_hi // l_lo):
                 return s
-        bits *= 2
+        bits = _STEP_BITS if bits < _STEP_BITS < 2 * bits else 2 * bits
     raise ValueError(f"the step rule at this epsilon needs "
                      f"log2((1 + epsilon)/(1 - epsilon)) to more than "
                      f"{_STEP_BITS} bits")
@@ -317,7 +318,8 @@ def run_experiment(base: str, p, seed: int, trials: int,
         flagged = seq.alpha != n
         holds = False
         if not flagged:
-            verdict = check_property_bgs(seq, n, epsilon, epsilon, s_used)
+            verdict = check_property_bgs(seq.counts, n, epsilon, epsilon,
+                                         s_used)
             holds = verdict.holds
         if holds:
             successes += 1

@@ -2,8 +2,9 @@
 two-sided interval property for balanced bipartite graphs, and the
 decreasing final third.
 
-All verdicts use exact integer comparisons; ties satisfy the non-strict
-definitions.
+Each checker takes the counts i_0, i_1, ... as a tuple of ints (an
+IndSetSequence's counts).  All verdicts use exact integer comparisons; ties
+satisfy the non-strict definitions.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from .exact import IndSetSequence
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -29,16 +28,15 @@ class MonotonicityReport:
     witness: Optional[tuple[int, int]]  # lexicographically first violation
 
 
-def check_sstep(seq, kind: str, lo: int, hi: int,
+def check_sstep(counts, kind: str, lo: int, hi: int,
                 s: int) -> MonotonicityReport:
-    """Check s-step monotonicity of seq on [lo, hi]: for every pair
+    """Check s-step monotonicity of counts on [lo, hi]: for every pair
     lo <= i <= j <= hi with j - i >= s the counts must satisfy
     a_i <= a_j (increasing kind) or a_i >= a_j (decreasing kind).
 
     Runs in O(hi - lo) using suffix extrema rather than all pairs; the
     witness returned is the lexicographically first violating pair.
     """
-    counts = seq.counts if isinstance(seq, IndSetSequence) else tuple(seq)
     if kind not in (INCREASING, DECREASING):
         raise ValueError(f"unknown kind {kind!r}")
     if s < 1:
@@ -76,7 +74,7 @@ class PropertyBGS:
     decreasing: MonotonicityReport
 
 
-def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
+def check_property_bgs(counts, n: int, beta, gamma, s: int) -> PropertyBGS:
     """Two-sided interval property for a 2n-vertex balanced bipartite graph:
     s-step increasing on [beta*n, (1-gamma)*n/2] and s-step decreasing on
     [(1+gamma)*n/2, (1-beta)*n].
@@ -88,7 +86,6 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
     denominators of beta and gamma.  The sequence must run up to
     alpha = n; anything else is rejected.
     """
-    counts = seq.counts if isinstance(seq, IndSetSequence) else tuple(seq)
     alpha = len(counts) - 1
     if alpha != n:
         raise ValueError(f"sequence alpha = {alpha} differs from n = {n}; "
@@ -117,14 +114,13 @@ def check_property_bgs(seq, n: int, beta, gamma, s: int) -> PropertyBGS:
                        decreasing=dec)
 
 
-def is_unimodal(seq) -> tuple[bool, Optional[tuple[int, int]]]:
+def is_unimodal(counts) -> tuple[bool, Optional[tuple[int, int]]]:
     """Plain unimodality: nondecreasing up to a mode, nonincreasing after.
 
     Equivalent formulation used here: 1-step increasing up to the first
     global maximum and 1-step decreasing after it.  The witness on failure
     is the lexicographically first violating pair.
     """
-    counts = seq.counts if isinstance(seq, IndSetSequence) else tuple(seq)
     k = counts.index(max(counts))
     inc = check_sstep(counts, INCREASING, 0, k, 1)
     dec = check_sstep(counts, DECREASING, k, len(counts) - 1, 1)
@@ -133,10 +129,9 @@ def is_unimodal(seq) -> tuple[bool, Optional[tuple[int, int]]]:
     return False, inc.witness if inc.witness is not None else dec.witness
 
 
-def check_final_third(seq) -> tuple[bool, Optional[tuple[int, int]]]:
+def check_final_third(counts) -> tuple[bool, Optional[tuple[int, int]]]:
     """Decreasing run over the final third: counts must be nonincreasing
     from index ceil((2*alpha - 1)/3) through alpha."""
-    counts = seq.counts if isinstance(seq, IndSetSequence) else tuple(seq)
     alpha = len(counts) - 1
     if alpha <= 0:
         return True, None

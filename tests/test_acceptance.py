@@ -58,7 +58,7 @@ def test_criterion_2_hypercube_backends_and_unimodality():
         if d == 5:
             elapsed_q5 = time.perf_counter() - t0
         agree = via_engine.counts == via_profile.counts
-        uni, _ = ss.is_unimodal(via_engine)
+        uni, _ = ss.is_unimodal(via_engine.counts)
         ok = ok and agree and uni
         assert agree, f"backends disagree at d={d}"
         assert uni, f"sequence not unimodal at d={d}"
@@ -236,7 +236,7 @@ def test_criterion_10_final_third_on_bipartite_sample():
     violations = []
     for idx, g in enumerate(sample):
         seq = count_by_size(g)
-        holds, witness = ss.check_final_third(seq)
+        holds, witness = ss.check_final_third(seq.counts)
         if not holds:
             violations.append((idx, witness, seq.counts))
     _report(10, not violations,

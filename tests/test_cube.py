@@ -1,6 +1,7 @@
 import inspect
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from stableseq.cube import (NotApplicableError, VertexSet, closure,
                             small_profile, small_set_scan, structure_stats,
                             two_components)
 from stableseq.exact import count_by_size
-from stableseq.numerics import binom
 
 from util import cube_two_components
 
@@ -515,8 +515,8 @@ def test_lower_bound_scattered_values():
     assert lower_bound_scattered(5, 16) == 2 == Q_SEQ[5][16]
     # only the empty set contributes at the top of dimension 6
     assert lower_bound_scattered(6, 32) == 2
-    assert lower_bound_scattered(6, 31) == 2 * binom(32, 31)
-    assert lower_bound_scattered(6, 30) == 2 * binom(32, 30)
+    assert lower_bound_scattered(6, 31) == 2 * comb(32, 31)
+    assert lower_bound_scattered(6, 30) == 2 * comb(32, 30)
 
 
 def test_lower_bound_scattered_refusals():
@@ -530,7 +530,7 @@ def test_lower_bound_truncation_formula():
     d, t, f = 4, 7, 2
     half, = (1 << (d - 1),)
     counts = scattered_count_by_size(d, f)
-    expect = 2 * sum(counts.get(k, 0) * binom(half - d * k, t - k)
+    expect = 2 * sum(counts.get(k, 0) * comb(half - d * k, t - k)
                      for k in range(f + 1))
     assert lower_bound_scattered(d, t, f=f) == expect
     with pytest.raises(NotApplicableError):
@@ -550,12 +550,12 @@ def test_lower_bound_scattered_rejects_negative_cutoff():
 
 def test_identity_reweight_exact():
     lhs, rhs, eq = identity_reweight_check(4, 3, 1, 4)
-    assert eq and lhs == rhs == binom(8 - 4, 3 - 1)
+    assert eq and lhs == rhs == comb(8 - 4, 3 - 1)
     lhs, rhs, eq = identity_reweight_check(5, 8, 2, 9)
-    assert eq and lhs == binom(16 - 9, 8 - 2)
+    assert eq and lhs == comb(16 - 9, 8 - 2)
     # a = g = 0 degenerates to the plain binomial
     lhs, rhs, eq = identity_reweight_check(5, 6, 0, 0)
-    assert eq and lhs == binom(16, 6)
+    assert eq and lhs == comb(16, 6)
 
 
 def test_identity_reweight_refuses_extremes():

@@ -52,6 +52,9 @@ def test_big_f_values():
         assert big_f(1, k, d * k) == Fraction(1, 2 ** (d * k))
     with pytest.raises(ValueError):
         big_f(1, -1, 0)
+    # a negative neighbourhood size is a positive power of (1 + lam):
+    # (1/2)^3 (3/2)^3 = 27/64
+    assert big_f(Fraction(1, 2), 3, -3) == Fraction(27, 64)
 
 
 def test_activity_weight_identity_grid():
@@ -92,6 +95,22 @@ def test_f_cut_values():
     assert f_cut(6, 32) == 6
     # weight close to 1 at t = 1: the cutoff is the ceiling of 5^7 e
     assert f_cut(120, 1) == 212366
+
+
+def test_f_cut_decides_past_ten_thousand_bits():
+    # at d = 12000 and t = 5 % of 2^11999 the ceiling of 5^7 e w, an
+    # 11125-bit integer, settles only at the 16384-bit cap, which the
+    # escalation once skipped (10240 bits, then 20480)
+    d = 12000
+    half = 1 << (d - 1)
+    t = half * 5 // 100
+    with mp.workprec(2 * d):
+        q = 5 ** 7 * mp.e * t * (mp.mpf(half - t) / half) ** (d - 1)
+        expect = int(mp.ceil(q))
+        assert expect - q > mp.mpf(2) ** -100
+    assert expect.bit_length() == 11125
+    with numerics.working_precision():
+        assert f_cut(d, t) == expect
 
 
 def test_f_cut_monotone_tail():
@@ -165,6 +184,10 @@ def test_linked_bound_parts():
     e_pow, rational = linked_sum_bound_parts(10, 1, 6)
     assert e_pow == 5
     assert rational == Fraction(10) ** 10 * 2 ** 10 * big_f(1, 6, 60 - 60)
+    # d = 3, k = 3: F's second argument is 9 - 12 = -3, so the bound is
+    # e^2 3^4 2^3 (1/2)^3 (3/2)^3 = e^2 * 3^7/2^3
+    assert linked_sum_bound_parts(3, Fraction(1, 2), 3) == \
+        (2, Fraction(2187, 8))
 
 
 def test_enumerated_sums_against_closed_forms():

@@ -103,6 +103,21 @@ def test_escalation_gives_up_at_its_cap_and_restores_precision():
     assert mp.iv.prec == saved
 
 
+def test_escalation_tries_its_cap_last():
+    # from the working 160 bits doubling reaches 10240, and the next
+    # precision is the cap itself, not 20480; the undecided comparison is
+    # a refusal like any other bad input
+    precs = []
+
+    def decide():
+        precs.append(mp.iv.prec)
+
+    with numerics.working_precision():
+        with pytest.raises(ValueError, match=r"^x undecided at 16384 bits$"):
+            numerics._escalate(decide, "x", 1)
+    assert precs == [160 << k for k in range(7)] + [16384]
+
+
 def test_escalation_message_names_a_huge_rational_by_size():
     # str() of a 4771-digit numerator would exceed CPython's default limit
     # on int-to-str conversion (4300 digits) and raise ValueError instead

@@ -160,8 +160,8 @@ def test_run_experiment_p_one_matches_closed_form():
     seq = knn_sequence(n)
     assert seq.counts == count_by_size(graphs.complete_bipartite(n, n)).counts
     s_used = summary.records[0].s_used
-    direct = ss.check_property_bgs(seq, n, Fraction(1, 10), Fraction(1, 10),
-                                   s_used)
+    direct = ss.check_property_bgs(seq.counts, n, Fraction(1, 10),
+                                   Fraction(1, 10), s_used)
     assert all(r.holds == direct.holds for r in summary.records)
     assert summary.success_rate == (1 if direct.holds else 0)
     # K_{n,n} is n-regular: the defect collapses to 1/n
@@ -173,7 +173,7 @@ def test_run_experiment_on_qd4_at_p_one_matches_direct_check():
     # defect is 1/4 and each verdict is a direct check on the exact count
     summary = pc.run_experiment("qd:4", Fraction(1), seed=8, trials=3,
                                 epsilon=Fraction(1, 10))
-    seq = count_by_size(graphs.hypercube(4))
+    seq = count_by_size(graphs.hypercube(4)).counts
     s_used = default_step_rule(8, Fraction(1, 4), Fraction(1, 10))
     direct = ss.check_property_bgs(seq, 8, Fraction(1, 10), Fraction(1, 10),
                                    s_used)
@@ -209,7 +209,7 @@ def test_theorem_step_consistency_at_p_one():
     for n in range(2, 23, 4):
         s, _c = bnd.step_bound_regular(n, n, Fraction(1, 10))
         seq = knn_sequence(n)
-        rep = ss.check_property_bgs(seq, n, 0, Fraction(1, 10),
+        rep = ss.check_property_bgs(seq.counts, n, 0, Fraction(1, 10),
                                     max(1, min(s, n + 1)))
         assert rep.holds, n
 
@@ -322,6 +322,20 @@ def test_step_rule_refuses_an_epsilon_past_its_precision():
     # and near 1 it is cheap: log2 r is about 332193
     assert pc._step_rule(16384, 1 - Fraction(1, 10 ** 100000))(
         Fraction(3)) == 1
+
+
+def test_exact_ceiling_tries_its_cap_last():
+    # the log term at epsilon = 1/10 and n = 16 starts at 75 bits; doubling
+    # reaches 19200, and the next precision is the cap itself, not 38400
+    asked = []
+
+    def unsettled(bits):
+        asked.append(bits)
+        return 0, 1 << (bits + 3)
+
+    with pytest.raises(ValueError, match=f"more than {pc._STEP_BITS} bits"):
+        pc._ceil_over_log2(unsettled, 3, 11, 9)
+    assert asked == [75 << k for k in range(9)] + [pc._STEP_BITS]
 
 
 def test_percolate_refuses_an_epsilon_past_its_precision(capsys):

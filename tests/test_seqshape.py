@@ -103,7 +103,7 @@ def test_unimodal_agrees_with_double_sstep_on_random_sequences():
 
 
 def test_property_bgs_q4():
-    seq = count_by_size(graphs.hypercube(4))
+    seq = count_by_size(graphs.hypercube(4)).counts
     rep = ss.check_property_bgs(seq, 8, 0, Fraction(2, 10), 1)
     assert rep.holds
     assert rep.increasing.holds and rep.decreasing.holds
@@ -118,7 +118,7 @@ def test_property_bgs_symmetric_toy():
 def test_property_bgs_zero_zero_one_needs_mode_at_half():
     # the d = 5 hypercube sequence is unimodal but peaks one step before
     # n/2, so the all-zero parameters reject it while (0, 1/4, 1) passes
-    seq = count_by_size(graphs.hypercube(5))
+    seq = count_by_size(graphs.hypercube(5)).counts
     assert ss.is_unimodal(seq)[0]
     strict = ss.check_property_bgs(seq, 16, 0, 0, 1)
     assert not strict.holds
@@ -165,7 +165,7 @@ def test_property_bgs_ends_match_fraction_ceil_and_floor(n, beta, gamma):
 
 def test_property_bgs_monotone_in_s_on_corpus():
     for name, g, _d in regular_bipartite_corpus()[:12]:
-        seq = count_by_size(g)
+        seq = count_by_size(g).counts
         n = g.n // 2
         held = False
         for s in range(1, n + 2):
@@ -179,7 +179,7 @@ def test_property_bgs_monotone_in_s_on_corpus():
 def test_property_bgs_monotone_in_beta_gamma_on_corpus():
     params = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]
     for name, g, _d in regular_bipartite_corpus()[:10]:
-        seq = count_by_size(g)
+        seq = count_by_size(g).counts
         n = g.n // 2
         for i, beta in enumerate(params[:-1]):
             for gamma in params:
@@ -191,7 +191,7 @@ def test_property_bgs_monotone_in_beta_gamma_on_corpus():
 
 
 def test_final_third_examples():
-    q3 = count_by_size(graphs.hypercube(3))
+    q3 = count_by_size(graphs.hypercube(3)).counts
     holds, witness = ss.check_final_third(q3)  # start index ceil(7/3) = 3
     assert holds and witness is None
     assert ss.check_final_third((1, 5, 3, 3, 3))[0]  # constant tail allowed
@@ -201,7 +201,7 @@ def test_final_third_examples():
 
 def test_final_third_on_corpus():
     for name, g, _d in regular_bipartite_corpus():
-        seq = count_by_size(g)
+        seq = count_by_size(g).counts
         holds, _ = ss.check_final_third(seq)
         assert holds, name
 

@@ -110,6 +110,7 @@ def _modules_after(code: str) -> set[str]:
 @pytest.mark.parametrize("module, loads", [
     ("graphs", {"graphs"}),
     ("exact", {"exact", "graphs"}),
+    ("seqshape", {"seqshape"}),
 ])
 def test_counting_modules_load_only_what_they_use(module, loads):
     # the package root loads no module of its own, so counting never loads
